@@ -1,0 +1,7 @@
+"""Put the benchmark modules and the package source on the import path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]

@@ -10,7 +10,7 @@ from .constants import PACKAGE_VERSION as __version__
 
 from .errors import (ConfigError, DefectLaserError, DivergenceError,
                      InvalidParameterError, SingularParameterError,
-                     SweepError, UnitError)
+                     SweepError, UnitError, UnknownPresetError)
 from .params import (DerivedQuantities, MaterialParams, MechanicalParams,
                      OpticalParams, SystemParams, TlsParams, compute_gd,
                      derive_quantities, with_value)

@@ -198,6 +198,8 @@ def cmd_fixed_point(args) -> int:
         "iterations": report.iterations,
         "residual": report.residual,
         "converged": report.converged,
+        "method": report.method,
+        "evaluations": report.evaluations,
     }
     if args.history:
         out["history"] = list(report.history)
@@ -305,8 +307,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, UnitError, InvalidParameterError, SweepError,
-            KeyError) as err:
+    except (ConfigError, UnitError, InvalidParameterError,
+            SweepError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as err:

@@ -162,10 +162,8 @@ def _coeffs(params: SystemParams):
         "c_sigma": -1j * tls.tls_freq - tls.tls_loss,
         "k": 0.5j * d.xi * d.x0,
         "drive": d.eps_l / math.sqrt(2.0),
-        "eps_l": d.eps_l,
         "g_d": tls.coupling,
         "gamma_q": tls.tls_loss,
-        "d": d,
     }
 
 
@@ -220,7 +218,7 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
       the linear-gain configuration;
     * "full-closure": recomputed from the closed a+-, a- at the current b.
     """
-    from .steadystate import steady_optics
+    from .steadystate import coefficients, inversion, steady_optics
 
     if delta_n_mode not in ("frozen", "full-closure"):
         raise InvalidParameterError(
@@ -231,19 +229,12 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
         settings = _default_settings(params)
     notes = _check_resolution(params, settings)
     c = _coeffs(params)
-    d = c["d"]
-    opt, mech = params.optical, params.mechanical
-    gam = opt.cavity_loss
-    J = opt.coupling
-    delta = opt.pump_detuning
-    kx = d.xi * d.x0
-    eps = d.eps_l
+    optics = coefficients(params)
+    kx, eps = optics.kx, optics.eps_l
     k, gd, gq = c["k"], c["g_d"], c["gamma_q"]
     cb, cs = c["c_b"], c["c_sigma"]
-    cpp = -2j * J - 2.0 * gam
+    cpp = -2j * params.optical.coupling - 2.0 * params.optical.cavity_loss
     sqrt2 = math.sqrt(2.0)
-    j2 = J * J + gam * gam - delta * delta
-    kx2_4 = 0.25 * kx * kx
 
     if delta_n_mode == "frozen":
         if delta_n0 is None:
@@ -251,12 +242,11 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     frozen = delta_n_mode == "frozen"
     dn0 = float(delta_n0 if delta_n0 is not None else 0.0)
 
+    supermodes = optics.supermodes
+
     def closure(b):
         # steady supermode amplitudes at the current b (n_b = |b|^2)
-        alpha = j2 + kx2_4 * (b.real * b.real + b.imag * b.imag)
-        den = 2.0 * sqrt2 * (alpha - 2j * gam * delta)
-        ap = eps * (2j * d.omega_minus + 2.0 * gam + 1j * kx * b) / den
-        am = eps * (2j * d.omega_plus + 2.0 * gam + 1j * kx * b.conjugate()) / den
+        _, _, ap, am = supermodes(b.real * b.real + b.imag * b.imag, b)
         return ap, am
 
     def rhs(p, b, sm, sz, dn):
@@ -270,27 +260,22 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                 -2.0 * gq * (sz + 1.0) + 4.0 * gd * (sm.conjugate() * b).imag,
                 0.0)
 
-    def rhs_wrap(p, b, sm, sz, dn):
-        out = rhs(p, b, sm, sz, dn.real if isinstance(dn, complex) else dn)
-        return out
-
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
           float(init.sigma_z), dn0 if frozen else float(init.delta_n))
     meta_stub = {"model": "reduced", "settings": settings, "warnings": notes,
                  "delta_n_mode": delta_n_mode}
     try:
         if settings.method == "dop853":
-            times, states = _run_adaptive(rhs_wrap, y0, settings)
+            times, states = _run_adaptive(rhs, y0, settings)
         else:
-            times, states = _run_rk4(rhs_wrap, y0, settings)
+            times, states = _run_rk4(rhs, y0, settings)
     except DivergenceError as err:
         _attach_partial(err, REDUCED_FIELDS, meta_stub)
         raise
     if not frozen:
         # recompute the reported inversion from the stored b
         for i in range(len(states)):
-            ap, am = closure(complex(states[i, 1]))
-            states[i, 4] = abs(ap) ** 2 - abs(am) ** 2
+            states[i, 4] = inversion(*closure(complex(states[i, 1])))
     else:
         states[:, 4] = dn0
     meta = {"model": "reduced", "settings": settings, "warnings": notes,

@@ -47,3 +47,7 @@ class DivergenceError(DefectLaserError, ArithmeticError):
 
 class SweepError(DefectLaserError, ValueError):
     """A sweep specification is invalid."""
+
+
+class UnknownPresetError(SweepError, KeyError):
+    """No figure preset has the requested name."""

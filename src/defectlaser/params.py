@@ -248,11 +248,3 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
         # the defect block is derived from the material, so rebuild it
         return replace(params, material=new_sub, tls=None)
     return replace(params, **{group: new_sub})
-
-
-def get_value(params: SystemParams, path: str) -> float:
-    group, _, name = path.partition(".")
-    sub = getattr(params, group, None)
-    if sub is None or not hasattr(sub, name):
-        raise InvalidParameterError(f"unknown parameter path {path!r}")
-    return getattr(sub, name)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import UnknownPresetError
 from .params import MechanicalParams, OpticalParams, SystemParams, TlsParams
 from .sweep import SweepAxis, SweepSpec
 
@@ -162,7 +163,7 @@ def preset(name: str) -> SweepSpec:
     try:
         factory = FIGURE_PRESETS[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownPresetError(
             f"unknown preset {name!r}; available: "
             f"{', '.join(sorted(FIGURE_PRESETS))}") from None
     return factory()

@@ -6,21 +6,26 @@ forms for the steady amplitudes, the mechanical gain G = G0 + Gd, the
 frequency pull, the threshold power and the stimulated phonon number
 N_b = exp[2 (G - gamma_m) / gamma_m].
 
-The phonon number n_b that saturates the defect response and shifts the
-optical resonance is an input everywhere; ``solve_nb_fixed_point`` closes
-the loop n_b = N_b(G(n_b)) self-consistently.
+The closed forms depend on the phonon number n_b only through alpha(n_b)
+and the defect denominator.  ``coefficients`` hoists everything else into
+a ``GainCoefficients`` bundle, built once per parameter point, and
+``GainCoefficients.terms`` evaluates G and N_b at one n_b.  ``gain``,
+``threshold_power`` and ``solve_nb_fixed_point``, which closes the loop
+n_b = N_b(G(n_b)) self-consistently, all read that one evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import HBAR
 from .errors import SingularParameterError
 from .params import SystemParams, derive_quantities
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this N_b is reported as inf
+_SQRT2 = math.sqrt(2.0)
+_SQRT8 = 2.0 * _SQRT2
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,11 @@ class GainResult:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Outcome of the self-consistent phonon-number iteration."""
+    """Outcome of the self-consistent phonon-number iteration.
+
+    ``evaluations`` counts every evaluation of the map N_b(G(n)),
+    including the bisection fallback and the final residual checks.
+    """
 
     n_b_star: float
     iterations: int
@@ -83,6 +92,121 @@ class FixedPointReport:
     converged: bool
     history: tuple[float, ...]
     method: str = "damped"
+    evaluations: int = 0
+
+
+@dataclass(frozen=True, slots=True)
+class GainCoefficients:
+    """The n_b-independent factors of the eliminated steady state.
+
+    Build it with ``coefficients``.  Python multiplies left to right, so
+    a*b*c*n equals (a*b*c)*n bit for bit: each factor is hoisted exactly
+    as the closed form groups it, and every result keeps the bits of the
+    closed form written out in full.
+    """
+
+    params: SystemParams
+    g_d: float          # defect coupling
+    gamma_m: float      # mechanical loss
+    eps_l: float        # pump amplitude
+    eps2: float         # eps_l ** 2
+    kx: float           # xi * x0
+    dj: float           # 2 J - omega_m
+    nj: float           # dj^2 + 4 gamma^2
+    alpha0: float       # alpha(n) = alpha0 + alpha_n * n
+    alpha_n: float
+    dg2: float          # alpha^2 + dg2 = |alpha - dg_im|^2
+    dg_im: complex      # 2i gamma Delta
+    x_plus: complex     # 2i omega_-+ + 2 gamma
+    x_minus: complex
+    g0: float           # G0 = g0 * (delta_n - g0_pump / denom_sq)
+    g0_pump: float
+    dq: float           # omega_q - omega_m
+    tls_den0: float     # defect denominator tls_den0 + tls_den_n * n
+    tls_den_n: float
+    gd_num: float       # Gd = gd_num / defect denominator
+
+    def supermodes(self, n: float, b: complex
+                   ) -> tuple[float, float, complex, complex]:
+        """alpha, alpha^2 + 4 Delta^2 gamma^2, a+ and a- at phonon number n
+        and mechanical amplitude b."""
+        alpha = self.alpha0 + self.alpha_n * n
+        denom_sq = alpha * alpha + self.dg2
+        if denom_sq == 0.0:
+            raise SingularParameterError(
+                "alpha^2 + 4 Delta^2 gamma^2 vanished; supermode elimination "
+                "is singular (requires gamma = 0 and alpha = 0)")
+        denom = _SQRT8 * (alpha - self.dg_im)
+        return (alpha, denom_sq,
+                self.eps_l * (self.x_plus + 1j * self.kx * b) / denom,
+                self.eps_l * (self.x_minus + 1j * self.kx * b.conjugate())
+                / denom)
+
+    def defect_den(self, n: float) -> float | None:
+        """gamma_q^2 + (omega_q - omega_m)^2 + 2 g_d^2 n; None when g_d = 0."""
+        if self.g_d == 0.0:
+            return None
+        den = self.tls_den0 + self.tls_den_n * n
+        if den == 0.0:
+            raise SingularParameterError(
+                "undamped resonant defect at n_b = 0: two-level elimination "
+                "is singular")
+        return den
+
+    def terms(self, n: float) -> tuple:
+        """(alpha, denom_sq, a_plus, a_minus, delta_n, defect denominator,
+        G0, Gd, G, N_b) at b = 0 and phonon number n; the fixed point
+        iterates the last entry.
+        """
+        alpha, denom_sq, a_plus, a_minus = self.supermodes(n, 0j)
+        delta_n = inversion(a_plus, a_minus)
+        G0 = self.g0 * (delta_n - self.g0_pump / denom_sq)
+        tls_den = self.defect_den(n)
+        Gd = 0.0 if tls_den is None else self.gd_num / tls_den
+        G = G0 + Gd
+        exponent = 2.0 * (G - self.gamma_m) / self.gamma_m
+        N_b = math.inf if exponent > _EXP_MAX else math.exp(exponent)
+        return (alpha, denom_sq, a_plus, a_minus, delta_n, tls_den,
+                G0, Gd, G, N_b)
+
+
+def coefficients(params: SystemParams) -> GainCoefficients:
+    """Hoist every n_b-independent factor of the closed forms."""
+    d = derive_quantities(params)
+    opt, tls = params.optical, params.tls
+    gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
+    kx = d.xi * d.x0
+    eps2 = d.eps_l ** 2
+    dj = 2.0 * J - params.mechanical.mech_freq
+    nj = dj * dj + 4.0 * gam * gam
+    dq = tls.tls_freq - params.mechanical.mech_freq
+    g2 = tls.coupling ** 2
+    return GainCoefficients(
+        params=params, g_d=tls.coupling, gamma_m=params.mechanical.mech_loss,
+        eps_l=d.eps_l, eps2=eps2, kx=kx, dj=dj, nj=nj,
+        alpha0=J * J + gam * gam - delta * delta, alpha_n=0.25 * kx * kx,
+        dg2=4.0 * delta * delta * gam * gam, dg_im=2j * gam * delta,
+        x_plus=2j * d.omega_minus + 2.0 * gam,
+        x_minus=2j * d.omega_plus + 2.0 * gam,
+        g0=kx * kx * gam / (2.0 * nj), g0_pump=delta * dj * eps2,
+        dq=dq, tls_den0=tls.tls_loss ** 2 + dq * dq, tls_den_n=2.0 * g2,
+        gd_num=-g2 * tls.tls_loss)
+
+
+def inversion(a_plus: complex, a_minus: complex) -> float:
+    """Population inversion delta_n = |a+|^2 - |a-|^2."""
+    return abs(a_plus) ** 2 - abs(a_minus) ** 2
+
+
+def _coherences(c, b, a_plus, a_minus, delta_n, tls_den):
+    """Supermode coherence p and defect coherence sigma_- at b."""
+    gam = c.params.optical.cavity_loss
+    drive = (c.eps_l * a_plus + c.eps_l * a_minus.conjugate()) / _SQRT2
+    p = (drive - 0.5j * c.kx * delta_n * b) / (1j * c.dj + 2.0 * gam)
+    if tls_den is None:
+        return p, 0j
+    g, gq = c.g_d, c.params.tls.tls_loss
+    return p, -(g * c.dq + 1j * g * gq) / tls_den * b
 
 
 def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
@@ -94,58 +218,14 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     """
     if n_b < 0:
         raise ValueError("n_b must be >= 0")
-    d = derive_quantities(params)
-    opt, mech, tls = params.optical, params.mechanical, params.tls
-    gam = opt.cavity_loss
-    J = opt.coupling
-    delta = opt.pump_detuning
-    wm = mech.mech_freq
-    kx = d.xi * d.x0
+    c = coefficients(params)
     b = complex(b)
-
-    alpha = J * J + gam * gam - delta * delta + 0.25 * kx * kx * n_b
-    denom_sq = alpha * alpha + 4.0 * delta * delta * gam * gam
-    if denom_sq == 0.0:
-        raise SingularParameterError(
-            "alpha^2 + 4 Delta^2 gamma^2 vanished; supermode elimination "
-            "is singular (requires gamma = 0 and alpha = 0)")
-
-    denom = 2.0 * math.sqrt(2.0) * (alpha - 2j * gam * delta)
-    a_plus = d.eps_l * (2j * d.omega_minus + 2.0 * gam + 1j * kx * b) / denom
-    a_minus = d.eps_l * (2j * d.omega_plus + 2.0 * gam + 1j * kx * b.conjugate()) / denom
-    delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
-
-    drive = (d.eps_l * a_plus + d.eps_l * a_minus.conjugate()) / math.sqrt(2.0)
-    p = (drive - 0.5j * kx * delta_n * b) / (1j * (2.0 * J - wm) + 2.0 * gam)
-
-    dq = tls.tls_freq - wm
-    tls_den = tls.tls_loss ** 2 + dq * dq + 2.0 * tls.coupling ** 2 * n_b
-    if tls.coupling == 0.0:
-        sigma_minus = 0.0 + 0.0j
-    else:
-        if tls_den == 0.0:
-            raise SingularParameterError(
-                "undamped resonant defect at n_b = 0: two-level elimination "
-                "is singular")
-        sigma_minus = -(tls.coupling * dq + 1j * tls.coupling * tls.tls_loss) \
-            / tls_den * b
-
+    alpha, _, a_plus, a_minus = c.supermodes(n_b, b)
+    delta_n = inversion(a_plus, a_minus)
+    p, sigma_minus = _coherences(c, b, a_plus, a_minus, delta_n,
+                                 c.defect_den(n_b))
     return SteadyOptics(a_plus=a_plus, a_minus=a_minus, p=p,
                         sigma_minus=sigma_minus, alpha=alpha, delta_n=delta_n)
-
-
-def _gd_term(tls, wm: float, n_b: float) -> tuple[float, float]:
-    """Defect gain Gd and its frequency-pull companion."""
-    if tls.coupling == 0.0:
-        return 0.0, 0.0
-    dq = tls.tls_freq - wm
-    den = tls.tls_loss ** 2 + dq * dq + 2.0 * tls.coupling ** 2 * n_b
-    if den == 0.0:
-        raise SingularParameterError(
-            "undamped resonant defect at n_b = 0: two-level elimination "
-            "is singular")
-    g2 = tls.coupling ** 2
-    return -g2 * tls.tls_loss / den, g2 * dq / den
 
 
 def gain(params: SystemParams, n_b: float) -> GainResult:
@@ -156,26 +236,16 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
     consistent with the linearized mechanical equation; the drive-induced
     piece carries gamma^2 over the supermode response bandwidth.
     """
-    d = derive_quantities(params)
-    opt, mech, tls = params.optical, params.mechanical, params.tls
-    gam = opt.cavity_loss
-    J = opt.coupling
-    delta = opt.pump_detuning
-    wm = mech.mech_freq
-    kx = d.xi * d.x0
-    eps2 = d.eps_l ** 2
+    if n_b < 0:
+        raise ValueError("n_b must be >= 0")
+    c = coefficients(params)
+    (alpha, denom_sq, a_plus, a_minus, delta_n, tls_den,
+     G0, Gd, G, N_b) = c.terms(n_b)
+    opt = params.optical
+    gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
+    kx, dj, nj, eps2 = c.kx, c.dj, c.nj, c.eps2
 
-    so = steady_optics(params, 0.0, n_b)
-    alpha = so.alpha
-    delta_n = so.delta_n
-    dj = 2.0 * J - wm
-    nj = dj * dj + 4.0 * gam * gam
-    denom_sq = alpha * alpha + 4.0 * delta * delta * gam * gam
-
-    G0 = kx * kx * gam / (2.0 * nj) * (delta_n - delta * dj * eps2 / denom_sq)
-    Gd, pull_d = _gd_term(tls, wm, n_b)
-    G = G0 + Gd
-
+    pull_d = 0.0 if tls_den is None else c.g_d ** 2 * c.dq / tls_den
     omega_prime = (pull_d
                    - kx * kx * dj * delta_n / (4.0 * nj)
                    - kx * kx * gam * gam * delta * eps2 / (nj * denom_sq))
@@ -183,54 +253,27 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
     C = (1j * eps2 * kx / (2j * dj + 4.0 * gam)
          * ((gam - 1j * J) * alpha + 2.0 * delta * delta * gam) / denom_sq)
 
-    exponent = 2.0 * (G - mech.mech_loss) / mech.mech_loss
-    N_b = math.inf if exponent > _EXP_MAX else math.exp(exponent)
+    p, sigma_minus = _coherences(c, 0j, a_plus, a_minus, delta_n, tls_den)
 
-    P_th0, P_thd = _threshold_terms(params, d, alpha, denom_sq, nj, n_b)
+    wcj = opt.cavity_freq + J
+    kx2 = kx ** 2  # pow, not kx * kx: they can differ in the last bit
+    P_th0 = (2.0 * HBAR * nj * wcj * c.gamma_m / kx2
+             + HBAR * delta * dj * wcj * gam * eps2 / denom_sq)
+    P_thd = 0.0 if tls_den is None else (
+        2.0 * HBAR * c.g_d ** 2 * params.tls.tls_loss * wcj * nj
+        / (kx2 * tls_den))
 
     return GainResult(G=G, G0=G0, Gd=Gd, omega_prime=omega_prime, C=C,
                       alpha=alpha, delta_n=delta_n, n_b=n_b, N_b=N_b,
                       P_th=P_th0 + P_thd, P_th0=P_th0, P_thd=P_thd,
-                      a_plus=so.a_plus, a_minus=so.a_minus, p=so.p,
-                      sigma_minus=so.sigma_minus)
-
-
-def _threshold_terms(params, d, alpha, denom_sq, nj, n_b):
-    opt, mech, tls = params.optical, params.mechanical, params.tls
-    gam = opt.cavity_loss
-    J = opt.coupling
-    delta = opt.pump_detuning
-    wm = mech.mech_freq
-    kx2 = (d.xi * d.x0) ** 2
-    dj = 2.0 * J - wm
-    wcj = opt.cavity_freq + J
-
-    p_th0 = (2.0 * HBAR * nj * wcj * mech.mech_loss / kx2
-             + HBAR * delta * dj * wcj * gam * d.eps_l ** 2 / denom_sq)
-    if tls.coupling == 0.0:
-        p_thd = 0.0
-    else:
-        dq = wm - tls.tls_freq
-        tls_den = tls.tls_loss ** 2 + dq * dq + 2.0 * tls.coupling ** 2 * n_b
-        if tls_den == 0.0:
-            raise SingularParameterError(
-                "undamped resonant defect at n_b = 0: two-level elimination "
-                "is singular")
-        p_thd = (2.0 * HBAR * tls.coupling ** 2 * tls.tls_loss * wcj * nj
-                 / (kx2 * tls_den))
-    return p_th0, p_thd
+                      a_plus=a_plus, a_minus=a_minus, p=p,
+                      sigma_minus=sigma_minus)
 
 
 def threshold_power(params: SystemParams, n_b: float) -> tuple[float, float, float]:
     """Pump power at which G = gamma_m: total, defect-free and defect parts."""
-    d = derive_quantities(params)
-    so = steady_optics(params, 0.0, n_b)
-    opt = params.optical
-    dj = 2.0 * opt.coupling - params.mechanical.mech_freq
-    nj = dj * dj + 4.0 * opt.cavity_loss ** 2
-    denom_sq = so.alpha ** 2 + 4.0 * opt.pump_detuning ** 2 * opt.cavity_loss ** 2
-    p_th0, p_thd = _threshold_terms(params, d, so.alpha, denom_sq, nj, n_b)
-    return p_th0 + p_thd, p_th0, p_thd
+    g = gain(params, n_b)
+    return g.P_th, g.P_th0, g.P_thd
 
 
 def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
@@ -248,12 +291,20 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     iteration oscillates; the solver then falls back to bracketing
     bisection on N_b(G(n)) - n, which the report flags via ``method``.
     Genuine non-convergence is reported, not raised.
+
+    The coefficient bundle is built once; each step evaluates only
+    ``GainCoefficients.terms``, the same evaluation ``gain`` reports, so
+    N_b(G(n)) here equals ``gain(params, n).N_b`` bit for bit.
     """
     if n_b0 < 0:
         raise ValueError("n_b0 must be >= 0")
+    c = coefficients(params)
+    evaluations = 0
 
     def f(n):
-        return gain(params, n).N_b
+        nonlocal evaluations
+        evaluations += 1
+        return c.terms(n)[-1]
 
     history = [n_b0]
     n = n_b0
@@ -264,7 +315,8 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         if residual <= tol * max(1.0, abs(n)) and math.isfinite(fn):
             return FixedPointReport(n_b_star=n, iterations=it - 1,
                                     residual=residual, converged=True,
-                                    history=tuple(history))
+                                    history=tuple(history),
+                                    evaluations=evaluations)
         if not math.isfinite(fn):
             n = min(fn, 1e300) if fn > 0 else 0.0
         else:
@@ -284,8 +336,10 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     if residual <= tol * max(1.0, abs(n)):
         return FixedPointReport(n_b_star=n, iterations=max_iter,
                                 residual=residual, converged=True,
-                                history=tuple(history))
-    return _bisect_fixed_point(f, history, tol, max_iter)
+                                history=tuple(history),
+                                evaluations=evaluations)
+    report = _bisect_fixed_point(f, history, tol, max_iter)
+    return replace(report, evaluations=evaluations)
 
 
 def _bisect_fixed_point(f, history, tol, max_iter) -> FixedPointReport:

@@ -1,8 +1,9 @@
 """Parameter sweeps: grid evaluation, tables, CSV/plot emission.
 
-A sweep walks one or two dotted parameter paths over linear or log grids,
-evaluates the requested quantities independently at every grid point
-(row-major order, outer axis first) and collects one row per point.
+A sweep walks one or two dotted parameter paths over linear or log grids
+(built once per spec, not per row), evaluates the requested quantities
+independently at every grid point (row-major order, outer axis first) and
+collects one row per point.
 Per-point failures land in an ``error`` column and never abort the sweep.
 Grid points are independent, so they may be dispatched to a process pool;
 assembly order is deterministic regardless of completion order.
@@ -68,7 +69,8 @@ class SweepSpec:
     """Base parameters, axes, quantity list and phonon-number mode.
 
     mode is "self-consistent" (fixed point of n_b = N_b(G(n_b)) at every
-    grid point) or "fixed-nb" with ``n_b_fixed``.
+    grid point) or "fixed-nb" with ``n_b_fixed``.  ``grids`` holds each
+    axis's values, computed once at construction.
     """
 
     base: SystemParams
@@ -79,6 +81,8 @@ class SweepSpec:
     track_branches: bool = True
     name: str = "sweep"
     defaulted: tuple[str, ...] = ()
+    grids: tuple[np.ndarray, ...] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if not (1 <= len(self.axes) <= 2):
@@ -98,6 +102,8 @@ class SweepSpec:
                     f"{asked} are defined only in self-consistent mode")
         elif self.mode != "self-consistent":
             raise SweepError("mode must be 'self-consistent' or 'fixed-nb'")
+        object.__setattr__(self, "grids",
+                           tuple(ax.values() for ax in self.axes))
 
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(ax.num for ax in self.axes)
@@ -106,9 +112,8 @@ class SweepSpec:
         """Axis values and the parameter set at flat row-major index."""
         vals = []
         p = self.base
-        grids = [ax.values() for ax in self.axes]
         coords = np.unravel_index(idx, self.grid_shape())
-        for ax, grid, c in zip(self.axes, grids, coords):
+        for ax, grid, c in zip(self.axes, self.grids, coords):
             v = float(grid[c])
             vals.append(v)
             p = with_value(p, ax.path, v)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defectlaser import (IntegratorSettings, SingularParameterError, gain,
                          integrate_full, solve_nb_fixed_point, steady_optics,
                          threshold_power, with_value)
+from defectlaser import steadystate
 from defectlaser.constants import HBAR
 from defectlaser.params import derive_quantities
+from defectlaser.steadystate import coefficients
 
 from conftest import GAMMA, GAMMA_M, OMEGA_M, make_params, random_params
 
@@ -210,3 +212,94 @@ class TestFixedPoint:
     def test_negative_start_rejected(self, fig2_params):
         with pytest.raises(ValueError):
             solve_nb_fixed_point(fig2_params, n_b0=-1.0)
+
+
+def reference_n_b_map(p, n):
+    """N_b(G(n)) at b = 0, each closed form written out in full.
+
+    The reference for the coefficient bundle: hoisting a factor out of a
+    product must not move a single bit, so this must agree exactly.
+    """
+    d = derive_quantities(p)
+    opt, mech, tls = p.optical, p.mechanical, p.tls
+    gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
+    wm = mech.mech_freq
+    kx = d.xi * d.x0
+    b = 0j
+    alpha = J * J + gam * gam - delta * delta + 0.25 * kx * kx * n
+    denom_sq = alpha * alpha + 4.0 * delta * delta * gam * gam
+    denom = 2.0 * math.sqrt(2.0) * (alpha - 2j * gam * delta)
+    a_plus = d.eps_l * (2j * d.omega_minus + 2.0 * gam + 1j * kx * b) / denom
+    a_minus = (d.eps_l * (2j * d.omega_plus + 2.0 * gam
+                          + 1j * kx * b.conjugate()) / denom)
+    delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
+    dj = 2.0 * J - wm
+    nj = dj * dj + 4.0 * gam * gam
+    G0 = (kx * kx * gam / (2.0 * nj)
+          * (delta_n - delta * dj * d.eps_l ** 2 / denom_sq))
+    Gd = 0.0
+    if tls.coupling != 0.0:
+        dq = tls.tls_freq - wm
+        den = tls.tls_loss ** 2 + dq * dq + 2.0 * tls.coupling ** 2 * n
+        Gd = -tls.coupling ** 2 * tls.tls_loss / den
+    exponent = 2.0 * (G0 + Gd - mech.mech_loss) / mech.mech_loss
+    return math.inf if exponent > 700.0 else math.exp(exponent)
+
+
+class TestGainKernel:
+    """The fixed point iterates ``GainCoefficients.terms``; it must give
+    the bits ``gain`` reports, so the iterates match the closed forms."""
+
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.one_of(st.just(0.0), st.floats(1e-12, 1e12)),
+           decoupled=st.booleans(),
+           pump_scale=st.sampled_from([1.0, 1e3, 1e5]))
+    @example(seed=1, n=0.0, decoupled=True, pump_scale=1.0)
+    @example(seed=1, n=1.0, decoupled=False, pump_scale=1e5)
+    def test_map_is_bit_identical_to_gain(self, seed, n, decoupled,
+                                          pump_scale):
+        p = random_params(np.random.default_rng(seed),
+                          g_d=0.0 if decoupled else None)
+        p = with_value(p, "optical.pump_power",
+                       p.optical.pump_power * pump_scale)
+        mapped = coefficients(p).terms(n)[-1]
+        g = gain(p, n)
+        for other in (g.N_b, reference_n_b_map(p, n)):
+            assert mapped == other or (math.isinf(mapped)
+                                       and math.isinf(other))
+        assert threshold_power(p, n) == (g.P_th, g.P_th0, g.P_thd)
+
+    def test_overflow_branch_reports_inf(self, fig2_params):
+        hot = with_value(fig2_params, "optical.pump_power", 1.0)
+        assert coefficients(hot).terms(1.0)[-1] == math.inf
+        assert gain(hot, 1.0).N_b == math.inf
+
+    def test_singular_defect_raises_the_same_error(self):
+        p = make_params(gamma_q=0.0)
+        raised = []
+        for evaluate in (lambda: gain(p, 0.0),
+                         lambda: coefficients(p).terms(0.0),
+                         lambda: solve_nb_fixed_point(p)):
+            with pytest.raises(SingularParameterError) as err:
+                evaluate()
+            raised.append(str(err.value))
+        assert raised[0] == raised[1] == raised[2]
+
+    @pytest.mark.parametrize("pump_power", [10e-6, 20e-6])
+    def test_evaluations_count_every_map_call(self, fig2_params, monkeypatch,
+                                              pump_power):
+        calls = []
+        terms = steadystate.GainCoefficients.terms
+
+        def counted(self, n):
+            calls.append(n)
+            return terms(self, n)
+
+        monkeypatch.setattr(steadystate.GainCoefficients, "terms", counted)
+        p = with_value(fig2_params, "optical.pump_power", pump_power)
+        r = solve_nb_fixed_point(p)
+        assert r.converged
+        assert r.method == ("damped" if pump_power == 10e-6 else "bisection")
+        assert r.evaluations == len(calls) > 0

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from defectlaser import (SweepAxis, SweepSpec, SweepError, emit_outputs,
-                         gain, preset, run_sweep, with_value)
-from defectlaser.cli import main as cli_main
+from defectlaser import (SweepAxis, SweepSpec, SweepError,
+                         UnknownPresetError, emit_outputs, gain, preset,
+                         run_sweep, with_value)
+from defectlaser.cli import EXIT_CONFIG, main as cli_main
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
 from conftest import GAMMA, OMEGA_M, make_params
@@ -212,6 +213,11 @@ class TestPresets:
         with pytest.raises(KeyError):
             preset("fig9")
 
+    def test_unknown_preset_is_a_sweep_error(self):
+        with pytest.raises(UnknownPresetError) as err:
+            preset("fig9")
+        assert isinstance(err.value, SweepError)
+
     def test_fig2b_caption_values_verbatim(self):
         spec = preset("fig2b")
         base = spec.base
@@ -252,6 +258,8 @@ class TestCli:
         assert self.run("fixed-point") == 0
         out = json.loads(capsys.readouterr().out)
         assert out["converged"] is True
+        assert out["method"] == "damped"
+        assert out["evaluations"] > out["iterations"]
 
     def test_gain_sweep_with_axis(self, tmp_path, capsys):
         code = self.run("gain-sweep", "--axis",
@@ -294,8 +302,16 @@ class TestCli:
         assert self.run("gain-sweep") == 1
 
     def test_unknown_preset_is_config_error(self, capsys):
-        assert self.run("preset", "fig9") == 1
+        assert self.run("preset", "fig9") == EXIT_CONFIG
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_internal_key_error_is_not_a_config_error(self, monkeypatch):
+        def broken(args):
+            raise KeyError("internal lookup")
+
+        monkeypatch.setattr("defectlaser.cli.cmd_preset", broken)
+        with pytest.raises(KeyError, match="internal lookup"):
+            self.run("preset", "fig2a")
 
     def test_usage_error_exit_code(self, capsys):
         assert self.run("gain-sweep", "--jobs", "not-a-number") == 1

@@ -26,7 +26,7 @@ from .dynamics import (GrowthRateFit, IntegratorSettings, MeanFieldState,
                        demodulated_envelope, growth_rate, integrate_full,
                        integrate_reduced)
 from .config import (apply_override, load_config, params_from_config,
-                     params_to_config, save_config)
+                     params_to_config)
 from .sweep import (SweepAxis, SweepSpec, SweepTable, emit_outputs,
                     run_sweep)
 from .presets import FIGURE_PRESETS, preset

@@ -11,25 +11,34 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 from .config import apply_override, load_config, params_to_config
-from .dynamics import (IntegratorSettings, integrate_full, integrate_reduced)
+from .dynamics import _default_settings, integrate_full, integrate_reduced
 from .errors import (ConfigError, DefectLaserError, DivergenceError,
                      InvalidParameterError, SweepError, UnitError)
 from .params import SystemParams
 from .presets import FIGURE_PRESETS, base_params, preset
 from .spectrum import EffectiveParams, locate_ep, turning_point
 from .steadystate import gain, solve_nb_fixed_point
-from .sweep import SweepAxis, SweepSpec, emit_outputs, run_sweep
+from .sweep import (FP_QUANTITIES, SweepAxis, SweepSpec, emit_outputs,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NONCONVERGED = 2
 EXIT_IO = 3
+
+#: the quantities each sweep subcommand writes
+SWEEP_QUANTITIES = {
+    "gain-sweep": ("G", "G0", "Gd", "omega_prime", "delta_n", "N_b", "n_b",
+                   "n_b_star", "fp_converged"),
+    "threshold-sweep": ("P_th", "P_th0", "P_thd", "G"),
+    "spectrum-sweep": ("E_plus", "E_minus", "gap", "L", "phase", "gamma_q_EP",
+                       "gamma_q_min", "n_b"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,21 +50,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _add_common(ap: argparse.ArgumentParser) -> None:
+def _add_common(ap: argparse.ArgumentParser, *, out: bool = False,
+                sweep: bool = False) -> None:
+    """--config and --set; --out for the commands that write files;
+    --format and --mode for the sweeps, which write files too."""
     ap.add_argument("--config", metavar="FILE",
                     help="parameter file (defaults to the built-in base)")
     ap.add_argument("--set", metavar="KEY=VALUE", action="append",
                     dest="overrides", default=[],
                     help="override one parameter, e.g. "
                          "--set 'tls.coupling=2 MHz' (repeatable)")
-    ap.add_argument("--out", metavar="DIR", default="out",
-                    help="output directory (default: out)")
-    ap.add_argument("--format", default="csv,plot",
-                    help="comma list from {csv,plot} (default: csv,plot)")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for sweeps (default: 1)")
-    ap.add_argument("--mode", default=None,
-                    help="n_b mode: 'self-consistent' or 'fixed-nb:<value>'")
+    if out or sweep:
+        ap.add_argument("--out", metavar="DIR", default="out",
+                        help="output directory (default: out)")
+    if sweep:
+        ap.add_argument("--format", default="csv,plot",
+                        help="comma list from {csv,plot} (default: csv,plot)")
+        ap.add_argument("--mode", default=None,
+                        help="n_b mode: 'self-consistent' or "
+                             "'fixed-nb:<value>'")
 
 
 def _add_axis(ap: argparse.ArgumentParser) -> None:
@@ -79,70 +92,62 @@ def _parse_axis(text: str) -> SweepAxis:
         raise ConfigError(f"bad axis {text!r}: {err}", key=text) from err
 
 
-def _load_params(args) -> SystemParams:
-    params = load_config(args.config) if args.config else base_params()
+def _load_params(args, base: SystemParams | None = None) -> SystemParams:
+    """--config, else ``base``, else the built-in base; then each --set."""
+    if args.config:
+        params = load_config(args.config)
+    else:
+        params = base_params() if base is None else base
     for assignment in args.overrides:
         params = apply_override(params, assignment)
     return params
 
 
-def _parse_mode(text: str | None) -> tuple[str, float | None]:
+def _parse_mode(text: str | None, quantities: tuple[str, ...]
+                ) -> tuple[str, float | None, tuple[str, ...]]:
+    """--mode as (mode, n_b_fixed, quantities).  fixed-nb drops the
+    fixed-point quantities, which only the self-consistent mode defines."""
     if text is None or text == "self-consistent":
-        return "self-consistent", None
+        return "self-consistent", None, quantities
     if text.startswith("fixed-nb:"):
         try:
-            return "fixed-nb", float(text.split(":", 1)[1])
+            n_b = float(text.split(":", 1)[1])
         except ValueError as err:
             raise ConfigError(f"bad --mode value {text!r}") from err
+        return "fixed-nb", n_b, tuple(q for q in quantities
+                                      if q not in FP_QUANTITIES)
     raise ConfigError(
         f"--mode must be 'self-consistent' or 'fixed-nb:<v>', got {text!r}")
 
 
-def _run_spec_command(args, quantities, default_name: str) -> int:
-    params = _load_params(args)
-    axes = [_parse_axis(a) for a in args.axes]
-    if not axes:
-        raise ConfigError("at least one --axis is required")
-    mode, n_b = _parse_mode(args.mode)
-    spec = SweepSpec(base=params, axes=tuple(axes), quantities=quantities,
-                     mode=mode, n_b_fixed=n_b, name=default_name)
-    table = run_sweep(spec, jobs=args.jobs)
-    manifest = emit_outputs(table, args.out,
+def _run_and_emit(spec: SweepSpec, args) -> int:
+    manifest = emit_outputs(run_sweep(spec), args.out,
                             formats=tuple(args.format.split(",")))
     for kind, path in sorted(manifest.items()):
         print(f"{kind}: {path}")
     return EXIT_OK
 
 
-def cmd_gain_sweep(args) -> int:
-    return _run_spec_command(
-        args, ("G", "G0", "Gd", "omega_prime", "delta_n", "N_b", "n_b",
-               "n_b_star", "fp_converged")
-        if (args.mode or "self-consistent") == "self-consistent"
-        else ("G", "G0", "Gd", "omega_prime", "delta_n", "N_b", "n_b"),
-        "gain-sweep")
-
-
-def cmd_threshold_sweep(args) -> int:
-    return _run_spec_command(
-        args, ("P_th", "P_th0", "P_thd", "G"), "threshold-sweep")
-
-
-def cmd_spectrum_sweep(args) -> int:
-    return _run_spec_command(
-        args, ("E_plus", "E_minus", "gap", "L", "phase", "gamma_q_EP",
-               "gamma_q_min", "n_b"), "spectrum-sweep")
+def _run_spec_command(args) -> int:
+    """The sweep subcommands: SWEEP_QUANTITIES[args.command] over --axis."""
+    params = _load_params(args)
+    axes = [_parse_axis(a) for a in args.axes]
+    if not axes:
+        raise ConfigError("at least one --axis is required")
+    mode, n_b, quantities = _parse_mode(args.mode,
+                                        SWEEP_QUANTITIES[args.command])
+    spec = SweepSpec(base=params, axes=tuple(axes), quantities=quantities,
+                     mode=mode, n_b_fixed=n_b, name=args.command)
+    return _run_and_emit(spec, args)
 
 
 def cmd_integrate(args) -> int:
     params = _load_params(args)
-    fastest = max(params.mechanical.mech_freq, params.tls.tls_freq,
-                  2.0 * params.optical.coupling)
-    dt = args.dt if args.dt else 0.1 / fastest
-    t_final = args.t_final if args.t_final else \
-        200.0 * 2.0 * math.pi / params.mechanical.mech_freq
-    settings = IntegratorSettings(dt=dt, t_final=t_final,
-                                  method=args.method, stride=args.stride)
+    # --dt and --t-final default to the integrators' own defaults
+    given = {"dt": args.dt, "t_final": args.t_final}
+    settings = replace(_default_settings(params), method=args.method,
+                       stride=args.stride,
+                       **{k: v for k, v in given.items() if v is not None})
     integrator = integrate_reduced if args.model == "reduced" else integrate_full
     diverged = False
     try:
@@ -163,12 +168,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_ep_locate(args) -> int:
     params = _load_params(args)
-    g = gain(params, args.nb)
-    eff = EffectiveParams(
-        n_b=args.nb, omega_m=params.mechanical.mech_freq,
-        omega_q=params.tls.tls_freq,
-        gamma_m_eff=params.mechanical.mech_loss - g.G0,
-        gamma_q=params.tls.tls_loss, g_d=params.tls.coupling)
+    eff = EffectiveParams.at(params, args.nb, gain(params, args.nb).G0)
     lo = args.bracket_lo if args.bracket_lo is not None \
         else 0.01 * params.optical.cavity_loss
     hi = args.bracket_hi if args.bracket_hi is not None \
@@ -210,26 +210,14 @@ def cmd_fixed_point(args) -> int:
 def cmd_preset(args) -> int:
     spec = preset(args.name)
     # precedence: --set flag > config file > preset defaults
-    params = load_config(args.config) if args.config else spec.base
-    for assignment in args.overrides:
-        params = apply_override(params, assignment)
+    params = _load_params(args, spec.base)
     if params is not spec.base:
         spec = replace(spec, base=params)
     if args.mode:
-        mode, n_b = _parse_mode(args.mode)
-        quantities = spec.quantities
-        if mode == "fixed-nb":
-            from .sweep import FP_QUANTITIES
-            quantities = tuple(q for q in quantities
-                               if q not in FP_QUANTITIES)
+        mode, n_b, quantities = _parse_mode(args.mode, spec.quantities)
         spec = replace(spec, mode=mode, n_b_fixed=n_b,
                        quantities=quantities)
-    table = run_sweep(spec, jobs=args.jobs)
-    manifest = emit_outputs(table, args.out,
-                            formats=tuple(args.format.split(",")))
-    for kind, path in sorted(manifest.items()):
-        print(f"{kind}: {path}")
-    return EXIT_OK
+    return _run_and_emit(spec, args)
 
 
 def cmd_validate_config(args) -> int:
@@ -250,18 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "dynamics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, fn, extra_axis in (
-            ("gain-sweep", cmd_gain_sweep, True),
-            ("threshold-sweep", cmd_threshold_sweep, True),
-            ("spectrum-sweep", cmd_spectrum_sweep, True)):
+    for name in SWEEP_QUANTITIES:
         p = sub.add_parser(name)
-        _add_common(p)
-        if extra_axis:
-            _add_axis(p)
-        p.set_defaults(func=fn)
+        _add_common(p, sweep=True)
+        _add_axis(p)
+        p.set_defaults(func=_run_spec_command)
 
     p = sub.add_parser("integrate", help="integrate the mean-field model")
-    _add_common(p)
+    _add_common(p, out=True)
     p.add_argument("--model", choices=("full", "reduced"), default="full")
     p.add_argument("--dt", type=float, default=None, help="step (s)")
     p.add_argument("--t-final", type=float, default=None, dest="t_final")
@@ -289,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="run a figure-reproduction preset")
     p.add_argument("name",
                    help=f"one of: {', '.join(sorted(FIGURE_PRESETS))}")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.set_defaults(func=cmd_preset)
 
     p = sub.add_parser("validate-config",

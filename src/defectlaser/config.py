@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .errors import ConfigError, InvalidParameterError, UnitError
 from .params import (MaterialParams, MechanicalParams, OpticalParams,
-                     SystemParams, TlsParams)
+                     SystemParams, TlsParams, compute_gd)
 from .units import format_si, parse_quantity
 
 # section -> key -> unit class
@@ -148,27 +148,33 @@ def load_config(path) -> SystemParams:
 
 
 def params_to_config(params: SystemParams) -> str:
-    """Serialize to config text in exact (round-trippable) SI values."""
+    """Serialize to config text in exact (round-trippable) SI values.
+
+    A defect derived from material data is written as its ``[material]``
+    block, with the derived ``[tls]`` values as comments.  A defect that
+    no longer matches its material (say after a ``tls.*`` override) is
+    written as ``[tls]``.
+    """
     lines = []
 
-    def block(name, obj, keys, unit_classes):
-        lines.append(f"[{name}]")
-        for key, uc in zip(keys, unit_classes):
-            lines.append(f"{key} = {format_si(getattr(obj, key), uc)}")
+    def block(header, section, values, prefix=""):
+        lines.append(f"{prefix}{header}")
+        for key, uc in SCHEMA[section].items():
+            lines.append(f"{prefix}{key} = {format_si(values[key], uc)}")
+
+    for section in ("optical", "mechanical"):
+        block(f"[{section}]", section, vars(getattr(params, section)))
         lines.append("")
-
-    o = SCHEMA["optical"]
-    block("optical", params.optical, list(o), [o[k] for k in o])
-    m = SCHEMA["mechanical"]
-    block("mechanical", params.mechanical, list(m), [m[k] for k in m])
-    t = SCHEMA["tls"]
-    block("tls", params.tls, list(t), [t[k] for k in t])
+    if (params.material is not None and params.material_tls_loss is not None
+            and params.tls == compute_gd(params.material, params.mechanical,
+                                         gamma_q=params.material_tls_loss)):
+        block("[material]", "material", dict(
+            vars(params.material), tls_loss=params.material_tls_loss))
+        block("derived from [material]:", "tls", vars(params.tls), "# ")
+    else:
+        block("[tls]", "tls", vars(params.tls))
+    lines.append("")
     return "\n".join(lines)
-
-
-def save_config(params: SystemParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(params_to_config(params))
 
 
 def apply_override(params: SystemParams, assignment: str) -> SystemParams:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
-from .params import SystemParams, derive_quantities
+from .params import SystemParams
+from .steadystate import coefficients, inversion
 
 #: default seed phonon amplitude: smallest that still gives clean log fits
 DEFAULT_SEED = 1e-3
@@ -108,17 +109,6 @@ class Trajectory:
     def abs_b(self) -> np.ndarray:
         return np.abs(self.column("b"))
 
-    def final_state(self):
-        row = self.states[-1]
-        vals = dict(zip(self.fields, row))
-        if self.fields == FULL_FIELDS:
-            return MeanFieldState(
-                a_plus=vals["a_plus"], a_minus=vals["a_minus"], b=vals["b"],
-                sigma_minus=vals["sigma_minus"], sigma_z=vals["sigma_z"].real)
-        return ReducedState(
-            p=vals["p"], b=vals["b"], sigma_minus=vals["sigma_minus"],
-            sigma_z=vals["sigma_z"].real, delta_n=vals["delta_n"].real)
-
     def to_csv(self, path) -> None:
         """Write t, Re/Im of each amplitude, sigma_z (real), |b|."""
         cols = ["t"]
@@ -140,31 +130,59 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _check_resolution(params: SystemParams, settings: IntegratorSettings) -> list[str]:
-    fastest = max(params.mechanical.mech_freq, params.tls.tls_freq,
-                  2.0 * params.optical.coupling)
+def _fastest_rate(params: SystemParams) -> float:
+    """max(omega_m, omega_q, 2J), the rate a step must resolve."""
+    return max(params.mechanical.mech_freq, params.tls.tls_freq,
+               2.0 * params.optical.coupling)
+
+
+def _default_settings(params: SystemParams) -> IntegratorSettings:
+    """dt = 0.1 / fastest rate up to 200 mechanical periods, about 4000
+    stored samples; the default of the integrators and the CLI."""
+    dt = 0.1 / _fastest_rate(params)
+    t_final = 200.0 * 2.0 * math.pi / params.mechanical.mech_freq
+    return IntegratorSettings(dt=dt, t_final=t_final,
+                              stride=max(1, int(round(t_final / dt / 4000))))
+
+
+def _start(params: SystemParams, init, settings: IntegratorSettings | None,
+           default_init, **meta):
+    """Fill in the default initial state and settings, warn when dt
+    under-resolves the fastest rate and open the run's ``meta`` dict."""
+    if settings is None:
+        settings = _default_settings(params)
+    resolution = settings.dt * _fastest_rate(params)
     notes = []
-    if settings.dt * fastest > 0.1:
+    if resolution > 0.1:
         notes.append(
-            f"dt*max(omega_m, omega_q, 2J) = {settings.dt * fastest:.3g} "
+            f"dt*max(omega_m, omega_q, 2J) = {resolution:.3g} "
             "> 0.1: the fastest oscillation is under-resolved")
         warnings.warn(notes[-1], UserWarning, stacklevel=3)
-    return notes
+    meta.update(settings=settings, warnings=notes)
+    return (default_init() if init is None else init), settings, meta
 
 
-def _coeffs(params: SystemParams):
-    d = derive_quantities(params)
-    opt, mech, tls = params.optical, params.mechanical, params.tls
-    return {
-        "c_plus": -1j * d.omega_plus - opt.cavity_loss,
-        "c_minus": -1j * d.omega_minus - opt.cavity_loss,
-        "c_b": -1j * mech.mech_freq - mech.mech_loss,
-        "c_sigma": -1j * tls.tls_freq - tls.tls_loss,
-        "k": 0.5j * d.xi * d.x0,
-        "drive": d.eps_l / math.sqrt(2.0),
-        "g_d": tls.coupling,
-        "gamma_q": tls.tls_loss,
-    }
+def _solve(rhs, y0, settings: IntegratorSettings, fields, meta):
+    """Run ``settings.method`` from y0.  A diverged run carries its finite
+    prefix as ``err.partial``."""
+    run = _run_adaptive if settings.method == "dop853" else _run_rk4
+    try:
+        return run(rhs, y0, settings)
+    except DivergenceError as err:
+        if getattr(err, "_raw", None) is not None:
+            times, rows = err._raw
+            err.partial = Trajectory(
+                times=np.asarray(times, dtype=float),
+                states=np.asarray(rows, dtype=complex), fields=fields,
+                meta=dict(meta, diverged_at=err.time))
+        raise
+
+
+def _poles(params: SystemParams) -> tuple[complex, complex]:
+    """-i omega - gamma of the mechanical mode and of the defect."""
+    mech, tls = params.mechanical, params.tls
+    return (-1j * mech.mech_freq - mech.mech_loss,
+            -1j * tls.tls_freq - tls.tls_loss)
 
 
 def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
@@ -174,14 +192,15 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
     Raises :class:`DivergenceError` carrying the blow-up time if the state
     leaves the representable range (expected far above threshold).
     """
-    if init is None:
-        init = MeanFieldState()
-    if settings is None:
-        settings = _default_settings(params)
-    notes = _check_resolution(params, settings)
-    c = _coeffs(params)
-    cp, cm, cb, cs = c["c_plus"], c["c_minus"], c["c_b"], c["c_sigma"]
-    k, drv, gd, gq = c["k"], c["drive"], c["g_d"], c["gamma_q"]
+    init, settings, meta = _start(params, init, settings, MeanFieldState,
+                                  model="full")
+    c = coefficients(params)
+    d, gam = c.derived, params.optical.cavity_loss
+    cp = -1j * d.omega_plus - gam
+    cm = -1j * d.omega_minus - gam
+    cb, cs = _poles(params)
+    k, drv = 0.5j * c.kx, c.eps_l / math.sqrt(2.0)
+    gd, gq = c.g_d, params.tls.tls_loss
 
     def rhs(ap, am, b, sm, sz):
         return (cp * ap + k * am * b + drv,
@@ -192,15 +211,7 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
 
     y0 = (complex(init.a_plus), complex(init.a_minus), complex(init.b),
           complex(init.sigma_minus), float(init.sigma_z))
-    meta = {"model": "full", "settings": settings, "warnings": notes}
-    try:
-        if settings.method == "dop853":
-            times, states = _run_adaptive(rhs, y0, settings)
-        else:
-            times, states = _run_rk4(rhs, y0, settings)
-    except DivergenceError as err:
-        _attach_partial(err, FULL_FIELDS, meta)
-        raise
+    times, states = _solve(rhs, y0, settings, FULL_FIELDS, meta)
     return Trajectory(times=times, states=states, fields=FULL_FIELDS, meta=meta)
 
 
@@ -224,31 +235,25 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     model (``integrate_full``) grows faster near Delta + J = omega_m,
     where its separate Stokes-sideband pole is resonant.
     """
-    from .steadystate import coefficients, inversion, steady_optics
-
     if delta_n_mode not in ("frozen", "full-closure"):
         raise InvalidParameterError(
             "delta_n_mode must be 'frozen' or 'full-closure'")
-    if init is None:
-        init = ReducedState()
-    if settings is None:
-        settings = _default_settings(params)
-    notes = _check_resolution(params, settings)
-    c = _coeffs(params)
-    optics = coefficients(params)
-    kx, eps = optics.kx, optics.eps_l
-    k, gd, gq = c["k"], c["g_d"], c["gamma_q"]
-    cb, cs = c["c_b"], c["c_sigma"]
+    init, settings, meta = _start(params, init, settings, ReducedState,
+                                  model="reduced", delta_n_mode=delta_n_mode)
+    c = coefficients(params)
+    kx, eps = c.kx, c.eps_l
+    k, gd, gq = 0.5j * kx, c.g_d, params.tls.tls_loss
+    cb, cs = _poles(params)
     cpp = -2j * params.optical.coupling - 2.0 * params.optical.cavity_loss
     sqrt2 = math.sqrt(2.0)
 
-    if delta_n_mode == "frozen":
-        if delta_n0 is None:
-            delta_n0 = steady_optics(params, 0.0, 0.0).delta_n
     frozen = delta_n_mode == "frozen"
-    dn0 = float(delta_n0 if delta_n0 is not None else 0.0)
+    if frozen and delta_n0 is None:
+        delta_n0 = c.terms(0.0)[4]  # the steady inversion at b = 0
+    dn0 = float(delta_n0) if frozen else None
+    meta["delta_n0"] = dn0
 
-    supermodes = optics.supermodes
+    supermodes = c.supermodes
 
     def closure(b):
         # steady supermode amplitudes at the current b (n_b = |b|^2)
@@ -268,44 +273,15 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
 
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
           float(init.sigma_z), dn0 if frozen else float(init.delta_n))
-    meta_stub = {"model": "reduced", "settings": settings, "warnings": notes,
-                 "delta_n_mode": delta_n_mode}
-    try:
-        if settings.method == "dop853":
-            times, states = _run_adaptive(rhs, y0, settings)
-        else:
-            times, states = _run_rk4(rhs, y0, settings)
-    except DivergenceError as err:
-        _attach_partial(err, REDUCED_FIELDS, meta_stub)
-        raise
-    if not frozen:
+    times, states = _solve(rhs, y0, settings, REDUCED_FIELDS, meta)
+    if frozen:
+        states[:, 4] = dn0
+    else:
         # recompute the reported inversion from the stored b
         for i in range(len(states)):
             states[i, 4] = inversion(*closure(complex(states[i, 1])))
-    else:
-        states[:, 4] = dn0
-    meta = {"model": "reduced", "settings": settings, "warnings": notes,
-            "delta_n_mode": delta_n_mode, "delta_n0": dn0 if frozen else None}
     return Trajectory(times=times, states=states, fields=REDUCED_FIELDS,
                       meta=meta)
-
-
-def _default_settings(params: SystemParams) -> IntegratorSettings:
-    fastest = max(params.mechanical.mech_freq, params.tls.tls_freq,
-                  2.0 * params.optical.coupling)
-    dt = 0.1 / fastest
-    t_final = 200.0 * 2.0 * math.pi / params.mechanical.mech_freq
-    return IntegratorSettings(dt=dt, t_final=t_final,
-                              stride=max(1, int(round(t_final / dt / 4000))))
-
-
-def _attach_partial(err: DivergenceError, fields, meta) -> None:
-    """Hang the finite prefix of a diverged run on the error."""
-    if getattr(err, "_raw", None) is not None:
-        times, rows = err._raw
-        err.partial = Trajectory(times=np.asarray(times, dtype=float),
-                                 states=np.asarray(rows, dtype=complex),
-                                 fields=fields, meta=dict(meta, diverged_at=err.time))
 
 
 def _run_rk4(rhs, y0, settings: IntegratorSettings):

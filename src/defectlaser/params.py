@@ -25,7 +25,7 @@ from .errors import InvalidParameterError
 
 # Defect coupling is a perturbative two-level term; warn when g_d/omega_q
 # exceeds this ratio (do not reject).
-DEFAULT_VALIDITY_RATIO = 0.05
+VALIDITY_RATIO = 0.05
 
 
 def _require(cond: bool, message: str) -> None:
@@ -180,15 +180,16 @@ class SystemParams:
         for message in self.validity_report():
             warnings.warn(message, UserWarning, stacklevel=3)
 
-    def validity_report(self, ratio: float = DEFAULT_VALIDITY_RATIO) -> list[str]:
+    def validity_report(self) -> list[str]:
         """Soft checks on the perturbative two-level description."""
         out = []
         tls = self.tls
         if tls is not None and tls.coupling > 0:
-            if tls.coupling_ratio >= ratio:
+            if tls.coupling_ratio >= VALIDITY_RATIO:
                 out.append(
                     f"defect coupling g_d/omega_q = {tls.coupling_ratio:.3g} "
-                    f"exceeds {ratio:g}; two-level treatment is marginal")
+                    f"exceeds {VALIDITY_RATIO:g}; two-level treatment is "
+                    "marginal")
             wm = self.mechanical.mech_freq
             if abs(tls.tls_freq - wm) > 0.5 * wm:
                 out.append(

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import InvalidParameterError
+from .params import SystemParams
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,15 @@ class EffectiveParams:
     gamma_m_eff: float  # may be negative (net mechanical gain)
     gamma_q: float
     g_d: float
+
+    @classmethod
+    def at(cls, params: SystemParams, n_b: float, G0: float) -> EffectiveParams:
+        """The block of ``params`` at phonon number n_b, whose optical
+        gain G0 offsets the mechanical loss: gamma_m_eff = gamma_m - G0."""
+        return cls(n_b=n_b, omega_m=params.mechanical.mech_freq,
+                   omega_q=params.tls.tls_freq,
+                   gamma_m_eff=params.mechanical.mech_loss - G0,
+                   gamma_q=params.tls.tls_loss, g_d=params.tls.coupling)
 
     def __post_init__(self):
         if self.n_b < 1:
@@ -54,20 +64,11 @@ class SpectrumResult:
     eigvec_overlap: float               # |<v+|v->|, -> 1 at the EP
     eff: EffectiveParams
 
-    CSV_FIELDS = ("E_plus_re", "E_plus_im", "E_minus_re", "E_minus_im",
-                  "gap", "L", "phase", "gamma_q_EP", "gamma_q_min")
-
     @property
     def localization(self) -> float:
         """max over eigenvectors of | |w_phonon|^2 - |w_defect|^2 |."""
         return max(abs(self.weights_plus[0] - self.weights_plus[1]),
                    abs(self.weights_minus[0] - self.weights_minus[1]))
-
-    def csv_row(self) -> list:
-        return [self.E_plus.real, self.E_plus.imag,
-                self.E_minus.real, self.E_minus.imag,
-                self.gap, self.localization, self.phase,
-                self.gamma_q_EP, self.gamma_q_min]
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,15 @@ def turning_point(eff: EffectiveParams) -> float:
     return optimize.brentq(dGd, 0.0, hi, xtol=1e-12 * max(1.0, math.sqrt(sat)))
 
 
-def eigenvalues(eff: EffectiveParams, ep_tol: float | None = None) -> SpectrumResult:
+def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     """Eigenvalues/eigenvectors of the effective block.
 
     The closed form uses the principal square root (Re >= 0); labels are
     fixed by that branch.  A direct 2x2 diagonalization cross-checks the
-    closed form to 1e-12 relative (raises on disagreement).  ``ep_tol`` is
-    the rate tolerance for the at-EP phase label (default 1e-9 omega_m).
+    closed form to 1e-12 relative (raises on disagreement).  The at-EP
+    phase label takes rates within 1e-9 omega_m of the EP.
     """
-    if ep_tol is None:
-        ep_tol = 1e-9 * eff.omega_m
+    ep_tol = 1e-9 * eff.omega_m
     zm = eff.omega_m - 1j * eff.gamma_m_eff
     zq = eff.omega_q - 1j * eff.gamma_q
     center = (eff.n_b - 0.5) * zm + 0.5 * zq

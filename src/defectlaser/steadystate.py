@@ -29,9 +29,10 @@ from dataclasses import dataclass, replace
 
 from .constants import HBAR
 from .errors import SingularParameterError
-from .params import SystemParams, derive_quantities
+from .params import DerivedQuantities, SystemParams, derive_quantities
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this N_b is reported as inf
+_RELAXATION = 0.5  # damping eta of the fixed-point iteration
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = 2.0 * _SQRT2
 
@@ -118,6 +119,7 @@ class GainCoefficients:
     """
 
     params: SystemParams
+    derived: DerivedQuantities
     g_d: float          # defect coupling
     gamma_m: float      # mechanical loss
     eps_l: float        # pump amplitude
@@ -194,7 +196,8 @@ def coefficients(params: SystemParams) -> GainCoefficients:
     dq = tls.tls_freq - params.mechanical.mech_freq
     g2 = tls.coupling ** 2
     return GainCoefficients(
-        params=params, g_d=tls.coupling, gamma_m=params.mechanical.mech_loss,
+        params=params, derived=d, g_d=tls.coupling,
+        gamma_m=params.mechanical.mech_loss,
         eps_l=d.eps_l, eps2=eps2, kx=kx, dj=dj, nj=nj,
         alpha0=J * J + gam * gam - delta * delta, alpha_n=0.25 * kx * kx,
         dg2=4.0 * delta * delta * gam * gam, dg_im=2j * gam * delta,
@@ -289,9 +292,8 @@ def threshold_power(params: SystemParams, n_b: float) -> tuple[float, float, flo
 
 
 def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
-                         tol: float = 1e-10, max_iter: int = 200,
-                         relaxation: float = 0.5,
-                         accelerate: bool = True) -> FixedPointReport:
+                         tol: float = 1e-10, max_iter: int = 200
+                         ) -> FixedPointReport:
     """Self-consistent phonon number from n_b = N_b(G(n_b)).
 
     Damped iteration n <- (1-eta) n + eta N_b(G(n)), with a safeguarded
@@ -332,9 +334,9 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         if not math.isfinite(fn):
             n = min(fn, 1e300) if fn > 0 else 0.0
         else:
-            n = (1.0 - relaxation) * n + relaxation * fn
+            n = (1.0 - _RELAXATION) * n + _RELAXATION * fn
         history.append(n)
-        if accelerate and len(history) >= 3 and it % 3 == 0:
+        if len(history) >= 3 and it % 3 == 0:
             x0, x1, x2 = history[-3], history[-2], history[-1]
             d1, d2 = x1 - x0, x2 - x1
             dd = d2 - d1

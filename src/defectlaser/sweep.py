@@ -5,8 +5,6 @@ A sweep walks one or two dotted parameter paths over linear or log grids
 independently at every grid point (row-major order, outer axis first) and
 collects one row per point.
 Per-point failures land in an ``error`` column and never abort the sweep.
-Grid points are independent, so they may be dispatched to a process pool;
-assembly order is deterministic regardless of completion order.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,12 +168,7 @@ def _eval_point(spec: SweepSpec, idx: int) -> list:
             errors.append(
                 f"spectrum skipped: n_b = {n_b:.3g} < 1 (needs one phonon)")
         else:
-            eff = EffectiveParams(
-                n_b=n_b, omega_m=params.mechanical.mech_freq,
-                omega_q=params.tls.tls_freq,
-                gamma_m_eff=params.mechanical.mech_loss - g.G0,
-                gamma_q=params.tls.tls_loss, g_d=params.tls.coupling)
-            res = eigenvalues(eff)
+            res = eigenvalues(EffectiveParams.at(params, n_b, g.G0))
             values.update(E_plus=res.E_plus, E_minus=res.E_minus,
                           gap=res.gap, L=res.localization, phase=res.phase,
                           gamma_q_EP=res.gamma_q_EP,
@@ -194,11 +186,6 @@ def _eval_point(spec: SweepSpec, idx: int) -> list:
             row.append(float(v) if v is not None else math.nan)
     row.append("; ".join(errors))
     return row
-
-
-def _eval_chunk(args) -> list[list]:
-    spec, indices = args
-    return [_eval_point(spec, i) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -237,21 +224,11 @@ def validate_spec(spec: SweepSpec) -> None:
                     f"axis {ax.path} endpoint {v:g} is invalid: {err}") from err
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepTable:
-    """Evaluate the grid; deterministic row-major row order."""
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the grid serially, in row-major order."""
     validate_spec(spec)
     n = int(np.prod(spec.grid_shape()))
-    indices = list(range(n))
-    if jobs > 1 and n > 1:
-        chunk = max(1, n // (jobs * 4))
-        batches = [(spec, indices[i:i + chunk])
-                   for i in range(0, n, chunk)]
-        rows: list[list] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_eval_chunk, batches):
-                rows.extend(part)
-    else:
-        rows = [_eval_point(spec, i) for i in indices]
+    rows = [_eval_point(spec, i) for i in range(n)]
 
     cols = _columns(spec)
     if spec.track_branches and "E_plus_re" in cols and "E_minus_re" in cols:

@@ -219,6 +219,26 @@ class TestReducedModel:
         assert sm[-1] == pytest.approx(0.1 * math.exp(-2e6 * traj.times[-1]),
                                        rel=1e-4)
 
+    def test_frozen_inversion_defaults_to_steady_value(self, rng):
+        from conftest import random_params
+        for _ in range(20):
+            p = random_params(rng)
+            s = IntegratorSettings(dt=0.05 / p.mechanical.mech_freq,
+                                   t_final=1.0 / p.mechanical.mech_freq)
+            traj = integrate_reduced(p, None, s)
+            dn0 = steady_optics(p, 0.0, 0.0).delta_n
+            assert traj.meta["delta_n0"] == dn0
+            assert np.all(traj.column("delta_n") == dn0)
+
+    def test_diverged_run_carries_the_run_meta(self, fig2_params):
+        with pytest.raises(DivergenceError) as exc:
+            integrate_reduced(fig2_params, None, settings_for(8e-6))
+        meta = exc.value.partial.meta
+        assert meta["model"] == "reduced"
+        assert meta["delta_n_mode"] == "frozen"
+        assert meta["delta_n0"] == steady_optics(fig2_params, 0, 0).delta_n
+        assert meta["diverged_at"] == exc.value.time
+
     def test_frozen_inversion_growth_rate(self):
         """With the drive off and the inversion frozen positive, b grows at
         the first gain term minus the mechanical loss."""

@@ -118,15 +118,6 @@ class TestRunSweep:
             emit_outputs(table, tmp_path, formats=("csv", "plot"))
         assert __import__("time").perf_counter() - t0 < 60.0
 
-    def test_parallel_equals_serial(self):
-        spec = small_spec(axes=(SweepAxis("tls.tls_loss", 0.5e6, 2e7, 24,
-                                          "log"),),
-                          mode="self-consistent", n_b_fixed=None)
-        serial = run_sweep(spec, jobs=1)
-        parallel = run_sweep(spec, jobs=2)
-        assert serial.rows == parallel.rows
-        assert serial.columns == parallel.columns
-
     def test_failures_annotated_not_fatal(self):
         # gamma_q = 0 with a resonant defect at n_b = 0 is singular
         spec = small_spec(
@@ -279,7 +270,7 @@ class TestCli:
                         "--axis", f"optical.pump_detuning:{0.3 * OMEGA_M}:"
                                   f"{0.7 * OMEGA_M}:3",
                         "--axis", f"tls.tls_loss:{1e6}:{1e7}:4:log",
-                        "--mode", "fixed-nb:2", "--jobs", "2",
+                        "--mode", "fixed-nb:2",
                         "--out", str(tmp_path), "--format", "csv")
         assert code == 0
         lines = open(tmp_path / "threshold-sweep.csv").read().splitlines()
@@ -314,7 +305,15 @@ class TestCli:
             self.run("preset", "fig2a")
 
     def test_usage_error_exit_code(self, capsys):
-        assert self.run("gain-sweep", "--jobs", "not-a-number") == 1
+        assert self.run("integrate", "--stride", "not-a-number") == 1
+
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path,
+                                                           capsys):
+        assert self.run("fixed-point", "--out", str(tmp_path)) == 1
+        assert self.run("ep-locate", "--mode", "fixed-nb:2") == 1
+        assert self.run("integrate", "--format", "csv",
+                        "--out", str(tmp_path)) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_help_exits_zero(self, capsys):
         assert self.run("--help") == 0
@@ -375,6 +374,33 @@ tls_loss              = 6.43 MHz
         files = os.listdir(tmp_path)
         assert "trajectory-reduced.csv" in files
 
+    @pytest.mark.parametrize("flag", ["--dt", "--t-final"])
+    def test_integrate_zero_step_or_duration_is_config_error(
+            self, tmp_path, capsys, flag):
+        assert self.run("integrate", flag, "0", "--out", str(tmp_path)) == 1
+        assert "must be > 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_integrate_default_time_grid(self, tmp_path, capsys):
+        # dt = 0.1 / max(omega_m, omega_q, 2J) up to 200 mechanical periods,
+        # every 10th step stored (and the last one)
+        from defectlaser.config import apply_override
+        sets = ("optical.pump_power=0 W", "optical.coupling=40 2pi.MHz")
+        code = self.run("integrate", "--set", sets[0], "--set", sets[1],
+                        "--out", str(tmp_path))
+        assert code == 0
+        p = base_params()
+        for assignment in sets:
+            p = apply_override(p, assignment)
+        dt = 0.1 / (2.0 * p.optical.coupling)  # 2J is the fastest rate here
+        n_steps = round(200.0 * 2.0 * math.pi / p.mechanical.mech_freq / dt)
+        steps = list(range(0, n_steps + 1, 10))
+        if steps[-1] != n_steps:
+            steps.append(n_steps)
+        times = np.loadtxt(tmp_path / "trajectory-full.csv", delimiter=",",
+                           skiprows=1, usecols=0)
+        assert times.tolist() == [i * dt for i in steps]
+
     def test_integrate_divergence_exit_code(self, tmp_path, capsys):
         # above threshold the run blows up; exit 2, finite prefix written
         code = self.run("integrate", "--model", "full",
@@ -415,8 +441,15 @@ tls_loss              = 6.43 MHz
         assert "coupling = 250000.0 rad/s" in base     # --set wins over file
 
     def test_console_script_entrypoint(self):
+        import defectlaser
+        # the child imports the package this process imported, installed
+        # or run from a checkout
+        src = os.path.dirname(os.path.dirname(defectlaser.__file__))
+        path = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "defectlaser.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "gain-sweep" in proc.stdout

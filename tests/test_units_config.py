@@ -3,12 +3,26 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from defectlaser import ConfigError, UnitError
+from defectlaser import (ConfigError, MaterialParams, SystemParams,
+                         UnitError)
+from defectlaser.constants import EV
 from defectlaser.config import (apply_override, params_from_config,
                                 params_to_config)
 from defectlaser.units import parse_quantity
 
 from conftest import make_params
+
+
+def material_params() -> SystemParams:
+    """The base point with its defect derived from material data."""
+    base = make_params()
+    return SystemParams(
+        optical=base.optical, mechanical=base.mechanical,
+        material=MaterialParams(
+            deformation_potential=EV, tunnel_splitting=1.4e8,
+            asymmetry=0.3e8, youngs_modulus=72e9, mode_volume=1e-19),
+        material_tls_loss=1.1e6)
+
 
 FIG2_CONFIG = """
 # reference hardware point
@@ -93,6 +107,22 @@ class TestConfig:
         p = make_params(pump_detuning=-0.3123456789012345 * 2e8)
         assert params_from_config(params_to_config(p)) \
             .optical.pump_detuning == p.optical.pump_detuning
+
+    def test_round_trip_keeps_material_block(self):
+        p = material_params()
+        text = params_to_config(p)
+        assert "[material]" in text and "\n[tls]" not in text
+        assert f"# coupling = {p.tls.coupling!r} rad/s" in text
+        assert params_from_config(text) == p  # material kept, tls bit-exact
+
+    def test_tls_override_of_material_params_writes_tls_block(self):
+        p = apply_override(material_params(), "tls.tls_loss=2 MHz")
+        text = params_to_config(p)
+        assert "[material]" not in text and "\n[tls]" in text
+        q = params_from_config(text)
+        assert q.material is None
+        assert (q.optical, q.mechanical, q.tls) == \
+            (p.optical, p.mechanical, p.tls)
 
     def test_error_reports_key_and_line(self):
         bad = "[optical]\ncavity_freq = 193 2pi.THz\ncavity_loss = 6.43 parsecs\n"

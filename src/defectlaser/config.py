@@ -102,14 +102,11 @@ def parse_config_text(text: str) -> dict[str, dict[str, float]]:
     return sections
 
 
-def _build(cls, section: str, data: dict[str, dict[str, float]],
-           *, drop: tuple[str, ...] = ()):
+def _build(cls, section: str, data: dict[str, dict[str, float]]):
     if section not in data:
         raise ConfigError(f"missing required section [{section}]")
-    given = dict(data[section])
-    for key in drop:
-        given.pop(key, None)
-    missing = sorted(set(SCHEMA[section]) - set(given) - set(drop))
+    given = data[section]
+    missing = sorted(set(SCHEMA[section]) - set(given))
     if missing:
         raise ConfigError(
             f"section [{section}] is missing: {', '.join(missing)}")
@@ -132,12 +129,9 @@ def params_from_config(text: str) -> SystemParams:
         if has_tls:
             tls = _build(TlsParams, "tls", data)
             return SystemParams(optical=optical, mechanical=mechanical, tls=tls)
-        if "tls_loss" not in data["material"]:
-            raise ConfigError("section [material] is missing: tls_loss")
-        material = _build(MaterialParams, "material", data, drop=("tls_loss",))
+        material = _build(MaterialParams, "material", data)
         return SystemParams(optical=optical, mechanical=mechanical,
-                            material=material,
-                            material_tls_loss=data["material"]["tls_loss"])
+                            material=material)
     except InvalidParameterError as err:
         raise ConfigError(str(err)) from err
 
@@ -165,11 +159,9 @@ def params_to_config(params: SystemParams) -> str:
     for section in ("optical", "mechanical"):
         block(f"[{section}]", section, vars(getattr(params, section)))
         lines.append("")
-    if (params.material is not None and params.material_tls_loss is not None
-            and params.tls == compute_gd(params.material, params.mechanical,
-                                         gamma_q=params.material_tls_loss)):
-        block("[material]", "material", dict(
-            vars(params.material), tls_loss=params.material_tls_loss))
+    if (params.material is not None
+            and params.tls == compute_gd(params.material, params.mechanical)):
+        block("[material]", "material", vars(params.material))
         block("derived from [material]:", "tls", vars(params.tls), "# ")
     else:
         block("[tls]", "tls", vars(params.tls))

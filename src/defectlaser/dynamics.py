@@ -11,11 +11,15 @@ and noise is dropped, so trajectories are deterministic: identical inputs
 give bit-identical outputs.  The reference method is fixed-step classical
 RK4; an adaptive high-order method is available for cross-checks.
 
-Above threshold the model has no saturation mechanism for the optical
-drive, so |b| grows without bound; extract rates over an early window
-instead of integrating long.  A constant radiation-pressure drive gives
-|b| a driven floor (typically >> any small seed); growth windows should
-sit a safe factor above that floor.
+Above threshold |b| grows until the optical drive saturates; extract
+rates over an early window instead of integrating long.  At the suite's
+base point (10 uW, J = Delta = omega_m/2, gamma_q = gamma) the full model
+settles on a limit cycle at |b| ~ 7.6e3 when RK4 runs 8 us at
+dt = 0.02/omega_m, while dt = 0.1/omega_m diverges at t = 1.79 us: the
+step rule does not see the defect's Bloch rotation at 2 g_d |b|, so a
+``DivergenceError`` there is a numerical blow-up.  A constant
+radiation-pressure drive gives |b| a driven floor (typically >> any small
+seed); growth windows should sit a safe factor above that floor.
 """
 
 from __future__ import annotations

@@ -38,9 +38,12 @@ class MaterialParams:
     """Amorphous-host material data used to derive the defect coupling.
 
     deformation_potential : J (accepts eV through the config layer)
-    tunnel_splitting, asymmetry : rad/s
+    tunnel_splitting, asymmetry, tls_loss : rad/s
     youngs_modulus : Pa
     mode_volume : m^3
+
+    The defect loss ``tls_loss`` is not fixed by material data; it is
+    given alongside it and passed through to the derived TlsParams.
     """
 
     deformation_potential: float
@@ -48,6 +51,7 @@ class MaterialParams:
     asymmetry: float
     youngs_modulus: float
     mode_volume: float
+    tls_loss: float
 
     def __post_init__(self):
         _require(self.youngs_modulus > 0, "youngs_modulus must be > 0")
@@ -127,14 +131,13 @@ class TlsParams:
         return self.coupling / self.tls_freq
 
 
-def compute_gd(material: MaterialParams, mech: MechanicalParams, *,
-               gamma_q: float) -> TlsParams:
+def compute_gd(material: MaterialParams, mech: MechanicalParams) -> TlsParams:
     """Defect parameters from material data.
 
     The splitting is omega_q = sqrt(tunnel^2 + asymmetry^2) and the strain
     coupling is g_d = (D_T/hbar) * (tunnel/omega_q) * S_zpf with the
     zero-point strain S_zpf = sqrt(hbar*omega_m / (2*Y*V_m)).  The defect
-    loss rate is not fixed by material data and must be supplied.
+    loss rate is the material's ``tls_loss``.
     """
     d0 = material.tunnel_splitting
     da = material.asymmetry
@@ -145,7 +148,8 @@ def compute_gd(material: MaterialParams, mech: MechanicalParams, *,
     s_zpf = math.sqrt(HBAR * mech.mech_freq /
                       (2.0 * material.youngs_modulus * material.mode_volume))
     g_d = (material.deformation_potential / HBAR) * (d0 / omega_q) * s_zpf
-    return TlsParams(tls_freq=omega_q, tls_loss=gamma_q, coupling=g_d)
+    return TlsParams(tls_freq=omega_q, tls_loss=material.tls_loss,
+                     coupling=g_d)
 
 
 @dataclass(frozen=True)
@@ -153,30 +157,24 @@ class SystemParams:
     """Complete parameter set: optics, mechanics and one defect.
 
     The defect block comes either directly (``tls``) or derived from
-    ``material`` (then ``material_tls_loss`` supplies the defect loss);
-    exactly one source must be given at construction.  When a material
-    block is present its derived TlsParams are stored in ``tls``, which is
-    authoritative from then on (the material is kept for provenance).
+    ``material``; exactly one source must be given at construction.  When
+    a material block is present its derived TlsParams are stored in
+    ``tls``, which is authoritative from then on (the material is kept
+    for provenance).
     """
 
     optical: OpticalParams
     mechanical: MechanicalParams
     tls: TlsParams | None = None
     material: MaterialParams | None = None
-    material_tls_loss: float | None = None
 
     def __post_init__(self):
         if self.tls is None and self.material is None:
             raise InvalidParameterError(
                 "exactly one of tls / material must be given")
         if self.tls is None:
-            if self.material_tls_loss is None:
-                raise InvalidParameterError(
-                    "material_tls_loss is required when deriving the defect "
-                    "from material data")
-            derived = compute_gd(self.material, self.mechanical,
-                                 gamma_q=self.material_tls_loss)
-            object.__setattr__(self, "tls", derived)
+            object.__setattr__(self, "tls",
+                               compute_gd(self.material, self.mechanical))
         for message in self.validity_report():
             warnings.warn(message, UserWarning, stacklevel=3)
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InvalidParameterError
 from .params import SystemParams
@@ -109,31 +108,25 @@ def gamma_q_ep_resonant(eff: EffectiveParams) -> float:
 
 
 def turning_point(eff: EffectiveParams) -> float:
-    """Defect loss at which the gain is minimal, sqrt(2 n_b) g_d on resonance.
+    """Defect loss at which the gain is minimal.
 
-    Off resonance the root of d(Gd)/d(gamma_q) = 0 is found numerically.
-    Returns 0 when n_b g_d = 0 on resonance (no interior minimum).
+    Gd is proportional to -gamma_q / (gamma_q^2 + sat) with
+    sat = (omega_q - omega_m)^2 + 2 g_d^2 n_b, so the minimum sits at
+    sqrt(sat): sqrt(2 n_b) g_d on resonance.  Returns 0 when n_b g_d = 0
+    on resonance (no interior minimum).
     """
     if eff.omega_q == eff.omega_m:
         return math.sqrt(2.0 * eff.n_b) * eff.g_d if eff.g_d > 0 else 0.0
     dq2 = (eff.omega_q - eff.omega_m) ** 2
-    sat = dq2 + 2.0 * eff.g_d ** 2 * eff.n_b
-
-    def dGd(gq):
-        # derivative of -g^2 gq / (gq^2 + sat), up to a positive factor
-        return sat - gq * gq
-
-    hi = 4.0 * math.sqrt(sat) + eff.omega_m
-    return optimize.brentq(dGd, 0.0, hi, xtol=1e-12 * max(1.0, math.sqrt(sat)))
+    return math.sqrt(dq2 + 2.0 * eff.g_d ** 2 * eff.n_b)
 
 
 def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     """Eigenvalues/eigenvectors of the effective block.
 
     The closed form uses the principal square root (Re >= 0); labels are
-    fixed by that branch.  A direct 2x2 diagonalization cross-checks the
-    closed form to 1e-12 relative (raises on disagreement).  The at-EP
-    phase label takes rates within 1e-9 omega_m of the EP.
+    fixed by that branch.  The at-EP phase label takes rates within
+    1e-9 omega_m of the EP.
     """
     ep_tol = 1e-9 * eff.omega_m
     zm = eff.omega_m - 1j * eff.gamma_m_eff
@@ -144,19 +137,6 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     e_minus = center - 0.5 * root
 
     mat = _matrix(eff)
-    ev = np.linalg.eigvals(mat)
-    # match eig output to the branch-labelled closed form
-    if (abs(ev[0] - e_plus) + abs(ev[1] - e_minus)
-            > abs(ev[1] - e_plus) + abs(ev[0] - e_minus)):
-        ev = ev[::-1]
-    scale = max(abs(e_plus), abs(e_minus), 1.0)
-    mismatch = max(abs(ev[0] - e_plus), abs(ev[1] - e_minus)) / scale
-    # eig loses ~sqrt(eps) digits at a defective point; only enforce the
-    # cross-check where the eigenproblem is well conditioned
-    if abs(root) > 1e-6 * scale and mismatch > 1e-12:
-        raise ArithmeticError(
-            f"closed form and 2x2 diagonalization disagree: {mismatch:.3e}")
-
     w_plus, v_plus = _eigvec(mat, e_plus)
     w_minus, v_minus = _eigvec(mat, e_minus)
     overlap = abs(np.vdot(v_plus, v_minus))
@@ -197,57 +177,41 @@ def _eigvec(mat: np.ndarray, e: complex) -> tuple[tuple[float, float], np.ndarra
 def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchResult:
     """Defect loss minimizing |discriminant| inside ``bracket``.
 
-    ``eff.gamma_q`` is ignored; the search treats gamma_q as free.  On
-    resonance the minimum is the exact EP; off resonance it is the closest
-    approach.  A minimum on the bracket edge is reported as not found.
+    ``eff.gamma_q`` is ignored; the search treats gamma_q as free.  With
+    x = gamma_q - gamma_m_eff and dq = omega_q - omega_m,
+    |disc|^2 = (4 n_b g_d^2 + dq^2 - x^2)^2 + 4 dq^2 x^2 is least at
+    x = +-sqrt(max(0, 4 n_b g_d^2 - dq^2)): on resonance the exact EP,
+    off resonance the closest approach.  The upper root is taken when both
+    lie in the bracket; when neither does, it is reported as not found.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if eff.omega_q == eff.omega_m:
-        gq = gamma_q_ep_resonant(eff)
+    dq = eff.omega_q - eff.omega_m
+    split = 2.0 * math.sqrt(eff.n_b) * eff.g_d
+    # sqrt(split * split) == split in binary floating point (barring
+    # underflow), so on resonance the upper root is gamma_q_ep_resonant
+    half = math.sqrt(max(0.0, split * split - dq * dq))
+    for gq in (eff.gamma_m_eff + half, eff.gamma_m_eff - half):
         if lo <= gq <= hi:
             return EpSearchResult(
                 gamma_q=gq, disc_abs=abs(discriminant(eff, gamma_q=gq)),
                 found=True)
-        return EpSearchResult(gamma_q=gq, disc_abs=math.nan, found=False,
-                              message="resonant EP lies outside the bracket")
-
-    def f(gq):
-        return abs(discriminant(eff, gamma_q=gq))
-
-    res = optimize.minimize_scalar(
-        f, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-9 * eff.omega_m})
-    gq = float(res.x)
-    edge = 2.0 * (hi - lo) * 1e-6
-    if gq - lo < edge or hi - gq < edge:
-        # check the interior point is actually better than the edges
-        if f(lo) <= res.fun or f(hi) <= res.fun:
-            return EpSearchResult(gamma_q=gq, disc_abs=float(res.fun),
-                                  found=False,
-                                  message="no interior minimum of the "
-                                          "discriminant in the bracket")
-    return EpSearchResult(gamma_q=gq, disc_abs=float(res.fun), found=True)
+    return EpSearchResult(gamma_q=eff.gamma_m_eff + half, disc_abs=math.nan,
+                          found=False, message="no minimum of the "
+                          "discriminant lies inside the bracket")
 
 
-def classify_phase(result: SpectrumResult, tol: float = 1e-6) -> PhaseClassification:
+def classify_phase(result: SpectrumResult) -> PhaseClassification:
     """Phase label plus eigenvector localization metric.
 
     Below the EP the two supermodes share phonon and defect weight equally
     (localization ~ 0); above it one localizes on the phonon, the other on
-    the defect.  ``tol`` separates the two regimes; degeneracy is flagged
-    through the eigenvector overlap.
+    the defect.  The label is the eigenvalue-based ``result.phase``, or
+    at-EP when the eigenvectors coalesce (overlap within 1e-6 of 1).
     """
-    loc = result.localization
     degenerate = result.eigvec_overlap > 1.0 - 1e-6
-    if result.phase == "at-EP" or degenerate:
-        label = "at-EP"
-    else:
-        label = "below-EP" if loc <= tol else "above-EP"
-        # trust the eigenvalue-based label when they disagree
-        if label != result.phase:
-            label = result.phase
-    return PhaseClassification(phase=label, localization=loc,
-                               eigvec_overlap=result.eigvec_overlap,
-                               degenerate=degenerate)
+    return PhaseClassification(
+        phase="at-EP" if degenerate else result.phase,
+        localization=result.localization,
+        eigvec_overlap=result.eigvec_overlap, degenerate=degenerate)

@@ -71,24 +71,6 @@ class GainResult:
     P_th: float
     P_th0: float
     P_thd: float
-    a_plus: complex
-    a_minus: complex
-    p: complex
-    sigma_minus: complex
-
-    CSV_FIELDS = ("G", "G0", "Gd", "omega_prime", "C_re", "C_im", "alpha",
-                  "delta_n", "n_b", "N_b", "P_th", "P_th0", "P_thd",
-                  "a_plus_re", "a_plus_im", "a_minus_re", "a_minus_im",
-                  "p_re", "p_im", "sigma_minus_re", "sigma_minus_im")
-
-    def csv_row(self) -> list[float]:
-        return [self.G, self.G0, self.Gd, self.omega_prime,
-                self.C.real, self.C.imag, self.alpha, self.delta_n,
-                self.n_b, self.N_b, self.P_th, self.P_th0, self.P_thd,
-                self.a_plus.real, self.a_plus.imag,
-                self.a_minus.real, self.a_minus.imag,
-                self.p.real, self.p.imag,
-                self.sigma_minus.real, self.sigma_minus.imag]
 
 
 @dataclass(frozen=True)
@@ -213,17 +195,6 @@ def inversion(a_plus: complex, a_minus: complex) -> float:
     return abs(a_plus) ** 2 - abs(a_minus) ** 2
 
 
-def _coherences(c, b, a_plus, a_minus, delta_n, tls_den):
-    """Supermode coherence p and defect coherence sigma_- at b."""
-    gam = c.params.optical.cavity_loss
-    drive = (c.eps_l * a_plus + c.eps_l * a_minus.conjugate()) / _SQRT2
-    p = (drive - 0.5j * c.kx * delta_n * b) / (1j * c.dj + 2.0 * gam)
-    if tls_den is None:
-        return p, 0j
-    g, gq = c.g_d, c.params.tls.tls_loss
-    return p, -(g * c.dq + 1j * g * gq) / tls_den * b
-
-
 def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     """Closed-form steady supermode amplitudes at mechanical amplitude b.
 
@@ -237,8 +208,12 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     b = complex(b)
     alpha, _, a_plus, a_minus = c.supermodes(n_b, b)
     delta_n = inversion(a_plus, a_minus)
-    p, sigma_minus = _coherences(c, b, a_plus, a_minus, delta_n,
-                                 c.defect_den(n_b))
+    gam = params.optical.cavity_loss
+    drive = (c.eps_l * a_plus + c.eps_l * a_minus.conjugate()) / _SQRT2
+    p = (drive - 0.5j * c.kx * delta_n * b) / (1j * c.dj + 2.0 * gam)
+    tls_den = c.defect_den(n_b)
+    sigma_minus = 0j if tls_den is None else (
+        -(c.g_d * c.dq + 1j * c.g_d * params.tls.tls_loss) / tls_den * b)
     return SteadyOptics(a_plus=a_plus, a_minus=a_minus, p=p,
                         sigma_minus=sigma_minus, alpha=alpha, delta_n=delta_n)
 
@@ -254,8 +229,7 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
     if n_b < 0:
         raise ValueError("n_b must be >= 0")
     c = coefficients(params)
-    (alpha, denom_sq, a_plus, a_minus, delta_n, tls_den,
-     G0, Gd, G, N_b) = c.terms(n_b)
+    alpha, denom_sq, _, _, delta_n, tls_den, G0, Gd, G, N_b = c.terms(n_b)
     opt = params.optical
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
     kx, dj, nj, eps2 = c.kx, c.dj, c.nj, c.eps2
@@ -268,8 +242,6 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
     C = (1j * eps2 * kx / (2j * dj + 4.0 * gam)
          * ((gam - 1j * J) * alpha + 2.0 * delta * delta * gam) / denom_sq)
 
-    p, sigma_minus = _coherences(c, 0j, a_plus, a_minus, delta_n, tls_den)
-
     wcj = opt.cavity_freq + J
     kx2 = kx ** 2  # pow, not kx * kx: they can differ in the last bit
     P_th0 = (2.0 * HBAR * nj * wcj * c.gamma_m / kx2
@@ -280,9 +252,7 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
 
     return GainResult(G=G, G0=G0, Gd=Gd, omega_prime=omega_prime, C=C,
                       alpha=alpha, delta_n=delta_n, n_b=n_b, N_b=N_b,
-                      P_th=P_th0 + P_thd, P_th0=P_th0, P_thd=P_thd,
-                      a_plus=a_plus, a_minus=a_minus, p=p,
-                      sigma_minus=sigma_minus)
+                      P_th=P_th0 + P_thd, P_th0=P_th0, P_thd=P_thd)
 
 
 def threshold_power(params: SystemParams, n_b: float) -> tuple[float, float, float]:

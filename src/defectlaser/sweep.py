@@ -75,7 +75,6 @@ class SweepSpec:
     quantities: tuple[str, ...]
     mode: str = "self-consistent"
     n_b_fixed: float | None = None
-    track_branches: bool = True
     name: str = "sweep"
     defaulted: tuple[str, ...] = ()
     grids: tuple[np.ndarray, ...] = field(init=False, repr=False,
@@ -231,7 +230,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     rows = [_eval_point(spec, i) for i in range(n)]
 
     cols = _columns(spec)
-    if spec.track_branches and "E_plus_re" in cols and "E_minus_re" in cols:
+    if "E_plus_re" in cols and "E_minus_re" in cols:
         _track_branches(cols, rows, inner=spec.axes[-1].num)
     prov = _provenance(spec)
     return SweepTable(columns=tuple(cols),
@@ -275,7 +274,6 @@ def _provenance(spec: SweepSpec) -> dict:
         "quantities": list(spec.quantities),
         "mode": spec.mode,
         "n_b_fixed": spec.n_b_fixed,
-        "track_branches": spec.track_branches,
         "defaulted": list(spec.defaulted),
         "rows": int(np.prod(spec.grid_shape())),
     }

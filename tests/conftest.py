@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from defectlaser import (MechanicalParams, OpticalParams, SystemParams,
-                         TlsParams)
+                         TlsParams, discriminant, eigenvalues)
 
 OMEGA_M = 2.0 * math.pi * 23.4e6
 GAMMA = 6.43e6
@@ -54,3 +55,31 @@ def random_params(rng: np.random.Generator, g_d=None) -> SystemParams:
         mass=rng.uniform(1e-12, 1e-10),
         radius=rng.uniform(10e-6, 100e-6),
     )
+
+
+def assert_matches_eig(eff) -> bool:
+    """Compare ``eigenvalues(eff)`` with direct 2x2 diagonalization.
+
+    The eig output is matched to the branch-labelled closed form, and the
+    two must agree to 1e-12 relative.  eig loses ~sqrt(eps) digits at a
+    defective point, so the bound is enforced only where the eigenproblem
+    is well conditioned (|sqrt(disc)| > 1e-6 scale).  Returns whether the
+    comparison was enforced.
+    """
+    r = eigenvalues(eff)
+    zm = eff.omega_m - 1j * eff.gamma_m_eff
+    zq = eff.omega_q - 1j * eff.gamma_q
+    kappa = eff.g_d * math.sqrt(eff.n_b)
+    mat = np.array([[eff.n_b * zm, kappa],
+                    [kappa, (eff.n_b - 1.0) * zm + zq]], dtype=complex)
+    ev = np.linalg.eigvals(mat)
+    if (abs(ev[0] - r.E_plus) + abs(ev[1] - r.E_minus)
+            > abs(ev[1] - r.E_plus) + abs(ev[0] - r.E_minus)):
+        ev = ev[::-1]
+    scale = max(abs(r.E_plus), abs(r.E_minus), 1.0)
+    mismatch = max(abs(ev[0] - r.E_plus), abs(ev[1] - r.E_minus)) / scale
+    if abs(cmath.sqrt(discriminant(eff))) <= 1e-6 * scale:
+        return False
+    assert mismatch <= 1e-12, (
+        f"closed form and 2x2 diagonalization disagree: {mismatch:.3e}")
+    return True

@@ -13,10 +13,10 @@ from conftest import OMEGA_M, make_params
 MECH = MechanicalParams(mech_freq=OMEGA_M, mech_loss=0.24e6, eff_mass=50e-12)
 
 
-def silica_material(tunnel=OMEGA_M, asym=0.0):
+def silica_material(tunnel=OMEGA_M, asym=0.0, tls_loss=1e6):
     return MaterialParams(deformation_potential=EV, tunnel_splitting=tunnel,
                           asymmetry=asym, youngs_modulus=72e9,
-                          mode_volume=1e-19)
+                          mode_volume=1e-19, tls_loss=tls_loss)
 
 
 class TestInvariants:
@@ -44,9 +44,9 @@ class TestInvariants:
         opt = make_params().optical
         with pytest.raises(InvalidParameterError):
             SystemParams(optical=opt, mechanical=MECH)
-        with pytest.raises(InvalidParameterError, match="material_tls_loss"):
+        with pytest.raises(InvalidParameterError, match="tls_loss"):
             SystemParams(optical=opt, mechanical=MECH,
-                         material=silica_material())
+                         material=silica_material(tls_loss=-1.0))
 
     def test_validity_warning_on_strong_coupling(self):
         with pytest.warns(UserWarning, match="g_d/omega_q"):
@@ -60,36 +60,33 @@ class TestInvariants:
 
 class TestComputeGd:
     def test_zero_tunnel_splitting_gives_zero_coupling(self):
-        tls = compute_gd(silica_material(tunnel=0.0, asym=OMEGA_M), MECH,
-                         gamma_q=1e6)
+        tls = compute_gd(silica_material(tunnel=0.0, asym=OMEGA_M), MECH)
         assert tls.coupling == 0.0
         assert tls.tls_freq == OMEGA_M
 
     def test_symmetric_defect(self):
         # asymmetry = 0: omega_q = tunnel splitting, full coupling strength
-        tls = compute_gd(silica_material(), MECH, gamma_q=2e6)
+        tls = compute_gd(silica_material(tls_loss=2e6), MECH)
         assert tls.tls_freq == OMEGA_M
         assert tls.tls_loss == 2e6
         # frozen from a 40-digit independent evaluation
         assert tls.coupling == pytest.approx(1576481.6869309786, rel=1e-13)
 
     def test_silica_values_give_mhz_scale(self):
-        tls = compute_gd(silica_material(asym=0.75 * OMEGA_M), MECH,
-                         gamma_q=1e6)
+        tls = compute_gd(silica_material(asym=0.75 * OMEGA_M), MECH)
         assert tls.tls_freq == pytest.approx(183783170.2350029, rel=1e-13)
         assert tls.coupling == pytest.approx(1261185.3495447829, rel=1e-13)
         assert 1e5 < tls.coupling < 1e7  # MHz scale
 
     def test_both_splittings_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
-            compute_gd(silica_material(tunnel=0.0, asym=0.0), MECH,
-                       gamma_q=1e6)
+            compute_gd(silica_material(tunnel=0.0, asym=0.0), MECH)
 
     @given(st.floats(min_value=1e5, max_value=1e10),
            st.floats(min_value=0.0, max_value=1e10))
     def test_splitting_quadrature(self, d0, da):
-        tls = compute_gd(silica_material(tunnel=d0, asym=da), MECH,
-                         gamma_q=0.0)
+        tls = compute_gd(silica_material(tunnel=d0, asym=da, tls_loss=0.0),
+                         MECH)
         assert tls.tls_freq ** 2 == pytest.approx(d0 * d0 + da * da,
                                                   rel=1e-12)
 
@@ -128,7 +125,7 @@ class TestWithValue:
     def test_material_path_rederives(self):
         opt = make_params().optical
         p = SystemParams(optical=opt, mechanical=MECH,
-                         material=silica_material(), material_tls_loss=1e6)
+                         material=silica_material())
         base_gd = p.tls.coupling
         p2 = with_value(p, "material.mode_volume", 4e-19)
         assert p2.tls.coupling == pytest.approx(base_gd / 2.0, rel=1e-12)

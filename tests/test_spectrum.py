@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from defectlaser import (EffectiveParams, InvalidParameterError,
                          classify_phase, discriminant, eigenvalues, gain,
-                         gamma_q_ep_resonant, locate_ep, turning_point,
-                         with_value)
+                         gamma_q_ep_resonant, locate_ep, preset, run_sweep,
+                         solve_nb_fixed_point, turning_point, with_value)
 
-from conftest import GAMMA, OMEGA_M, make_params
+from conftest import GAMMA, OMEGA_M, assert_matches_eig, make_params
 
 WM = OMEGA_M
 
@@ -48,7 +48,8 @@ class TestEigenvalues:
         assert (r.E_plus + r.E_minus) == pytest.approx(center2, rel=1e-12)
 
     def test_closed_form_vs_eig_random(self):
-        """Internal cross-check over 10^4 random valid parameter sets.
+        """Closed form against 2x2 diagonalization over 10^4 random valid
+        parameter sets.
 
         Near-defective points are excluded: there the eigenproblem itself
         has O(sqrt(eps)) conditioning and no solver can do better.
@@ -65,7 +66,29 @@ class TestEigenvalues:
             if abs(discriminant(e)) < (1e-5 * scale) ** 2:
                 continue
             count += 1
-            eigenvalues(e)  # raises if the two routes disagree > 1e-12
+            assert_matches_eig(e)
+
+    def test_fig4_rows_match_eig(self):
+        """Every spectrum row of the fig4 preset: the row holds the closed
+        form's eigenvalue pair at its effective block, and that pair
+        agrees with 2x2 diagonalization."""
+        spec = preset("fig4")
+        table = run_sweep(spec)
+        i_err = table.columns.index("error")
+        checked = 0
+        for i, row in enumerate(table.rows):
+            if "spectrum skipped" in row[i_err]:
+                continue
+            _, p = spec.point_params(i)
+            n_b = solve_nb_fixed_point(p).n_b_star
+            e = EffectiveParams.at(p, n_b, gain(p, n_b).G0)
+            r = eigenvalues(e)
+            pair = {complex(row[table.columns.index(f"E_{s}_re")],
+                            row[table.columns.index(f"E_{s}_im")])
+                    for s in ("plus", "minus")}
+            assert pair == {r.E_plus, r.E_minus}
+            checked += assert_matches_eig(e)
+        assert checked > 400
 
     def test_weights_normalized(self):
         r = eigenvalues(eff(n_b=4.0, gamma_q=8e6))
@@ -102,14 +125,21 @@ class TestLocateEp:
         assert res.gamma_q == pytest.approx(4.5e6, rel=1e-12)
 
     def test_off_resonant_matches_dense_scan(self):
-        e = eff(n_b=1.0, omega_q=WM + 0.3e6, gamma_m_eff=0.0, g_d=1e6)
-        res = locate_ep(e, (1e5, 1e7))
-        assert res.found
-        gqs = np.linspace(1e5, 1e7, 100_000)
-        vals = np.abs([discriminant(e, gamma_q=g) for g in gqs])
-        scan = gqs[int(np.argmin(vals))]
-        assert res.gamma_q == pytest.approx(scan, abs=2 * (gqs[1] - gqs[0]))
-        assert res.disc_abs <= vals.min() * (1 + 1e-9)
+        # the second point has 4 n_b g_d^2 < dq^2: no EP, and the closest
+        # approach sits at gamma_m_eff
+        weak = eff(n_b=1.0, omega_q=WM + 3e6, gamma_m_eff=0.4e6, g_d=1e6)
+        assert 4.0 * weak.n_b * weak.g_d ** 2 < (weak.omega_q - WM) ** 2
+        for e in (eff(n_b=1.0, omega_q=WM + 0.3e6, gamma_m_eff=0.0, g_d=1e6),
+                  weak):
+            res = locate_ep(e, (1e5, 1e7))
+            assert res.found
+            gqs = np.linspace(1e5, 1e7, 100_000)
+            vals = np.abs([discriminant(e, gamma_q=g) for g in gqs])
+            scan = gqs[int(np.argmin(vals))]
+            assert res.gamma_q == pytest.approx(scan,
+                                                abs=2 * (gqs[1] - gqs[0]))
+            assert res.disc_abs <= vals.min() * (1 + 1e-9)
+        assert res.gamma_q == weak.gamma_m_eff
 
     def test_not_found_outside_bracket(self):
         res = locate_ep(eff(n_b=1.0, gamma_m_eff=0.0, g_d=1e6), (1e7, 2e7))
@@ -143,7 +173,7 @@ class TestTurningPoint:
         step = gqs[i + 1] - gqs[i - 1]
         assert abs(gqs[i] - analytic) <= step
 
-    def test_off_resonant_numeric_root(self):
+    def test_off_resonant_closed_form(self):
         e = eff(n_b=2.0, omega_q=WM + 0.4e6, g_d=1e6)
         expected = math.sqrt(0.4e6 ** 2 + 2 * 2.0 * 1e6 ** 2)
         assert turning_point(e) == pytest.approx(expected, rel=1e-9)

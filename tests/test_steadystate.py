@@ -168,13 +168,6 @@ class TestThreshold:
         p_th, p_th0, p_thd = threshold_power(fig2_params, 1.5)
         assert (g.P_th, g.P_th0, g.P_thd) == (p_th, p_th0, p_thd)
 
-    def test_gain_result_csv_row_schema(self, fig2_params):
-        g = gain(fig2_params, 1.5)
-        row = g.csv_row()
-        assert len(row) == len(g.CSV_FIELDS)
-        assert row[g.CSV_FIELDS.index("G")] == g.G
-        assert row[g.CSV_FIELDS.index("C_im")] == g.C.imag
-
 
 class TestFixedPoint:
     def test_undriven_contracts_fast(self):

@@ -11,6 +11,7 @@ from defectlaser import (SweepAxis, SweepSpec, SweepError,
                          UnknownPresetError, emit_outputs, gain, preset,
                          run_sweep, with_value)
 from defectlaser.cli import EXIT_CONFIG, main as cli_main
+from defectlaser.config import load_config
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
 from conftest import GAMMA, OMEGA_M, make_params
@@ -331,7 +332,7 @@ class TestCli:
     def test_missing_config_file_is_io_error(self):
         assert self.run("validate-config", "--config", "/nonexistent.cfg") == 3
 
-    def test_validate_config_with_material_block(self, tmp_path, capsys):
+    def material_config(self, tmp_path):
         cfg = tmp_path / "mat.cfg"
         cfg.write_text("""
 [optical]
@@ -355,9 +356,41 @@ youngs_modulus        = 72 GPa
 mode_volume           = 0.1 um^3
 tls_loss              = 6.43 MHz
 """)
-        assert self.run("validate-config", "--config", str(cfg)) == 0
+        return str(cfg)
+
+    def test_validate_config_with_material_block(self, tmp_path, capsys):
+        cfg = self.material_config(tmp_path)
+        assert self.run("validate-config", "--config", cfg) == 0
         out = capsys.readouterr().out
         assert "coupling = 1576481.686" in out  # derived defect coupling
+
+    def test_set_material_tls_loss(self, tmp_path, capsys):
+        cfg = self.material_config(tmp_path)
+        assert self.run("validate-config", "--config", cfg,
+                        "--set", "material.tls_loss=2 MHz") == 0
+        out = capsys.readouterr().out
+        assert "[material]" in out and "\n[tls]" not in out
+        assert "\ntls_loss = 2000000.0 rad/s" in out
+        assert "# tls_loss = 2000000.0 rad/s" in out  # the derived defect
+        assert "coupling = 1576481.686" in out  # coupling unchanged
+
+    def test_sweep_over_material_tls_loss(self, tmp_path):
+        cfg = self.material_config(tmp_path)
+        code = self.run("gain-sweep", "--config", cfg,
+                        "--axis", "material.tls_loss:1e6:1e7:4:log",
+                        "--mode", "fixed-nb:2", "--out", str(tmp_path),
+                        "--format", "csv")
+        assert code == 0
+        lines = open(tmp_path / "gain-sweep.csv").read().splitlines()
+        header = lines[0].split(",")
+        assert header[0] == "material.tls_loss" and len(lines) == 1 + 4
+        base = load_config(cfg)
+        i_g, i_err = header.index("G"), header.index("error")
+        for line in lines[1:]:
+            cells = line.split(",")
+            gq = float(cells[0])
+            expected = gain(with_value(base, "tls.tls_loss", gq), 2.0).G
+            assert float(cells[i_g]) == expected and cells[i_err] == ""
 
     def test_ep_locate(self, capsys):
         assert self.run("ep-locate", "--nb", "4") == 0
@@ -440,16 +473,26 @@ tls_loss              = 6.43 MHz
         assert "pump_power = 3e-06 W" in base          # from the config file
         assert "coupling = 250000.0 rad/s" in base     # --set wins over file
 
-    def test_console_script_entrypoint(self):
+    def run_child(self, *argv):
         import defectlaser
         # the child imports the package this process imported, installed
         # or run from a checkout
         src = os.path.dirname(os.path.dirname(defectlaser.__file__))
         path = os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "defectlaser.cli", "--help"],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=path))
+        return subprocess.run([sys.executable, *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    def test_import_loads_no_scipy(self):
+        proc = self.run_child(
+            "-c", "import sys, defectlaser, defectlaser.cli; "
+                  "print(sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_console_script_entrypoint(self):
+        proc = self.run_child("-m", "defectlaser.cli", "--help")
         assert proc.returncode == 0
         assert "gain-sweep" in proc.stdout

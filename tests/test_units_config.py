@@ -20,8 +20,8 @@ def material_params() -> SystemParams:
         optical=base.optical, mechanical=base.mechanical,
         material=MaterialParams(
             deformation_potential=EV, tunnel_splitting=1.4e8,
-            asymmetry=0.3e8, youngs_modulus=72e9, mode_volume=1e-19),
-        material_tls_loss=1.1e6)
+            asymmetry=0.3e8, youngs_modulus=72e9, mode_volume=1e-19,
+            tls_loss=1.1e6))
 
 
 FIG2_CONFIG = """
@@ -109,11 +109,14 @@ class TestConfig:
             .optical.pump_detuning == p.optical.pump_detuning
 
     def test_round_trip_keeps_material_block(self):
-        p = material_params()
-        text = params_to_config(p)
-        assert "[material]" in text and "\n[tls]" not in text
-        assert f"# coupling = {p.tls.coupling!r} rad/s" in text
-        assert params_from_config(text) == p  # material kept, tls bit-exact
+        lossy = apply_override(material_params(), "material.tls_loss=2 MHz")
+        assert lossy.tls.tls_loss == 2e6
+        assert lossy.tls.coupling == material_params().tls.coupling
+        for p in (material_params(), lossy):
+            text = params_to_config(p)
+            assert "[material]" in text and "\n[tls]" not in text
+            assert f"# coupling = {p.tls.coupling!r} rad/s" in text
+            assert params_from_config(text) == p  # material kept, tls exact
 
     def test_tls_override_of_material_params_writes_tls_block(self):
         p = apply_override(material_params(), "tls.tls_loss=2 MHz")

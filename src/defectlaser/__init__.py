@@ -17,10 +17,9 @@ from .params import (DerivedQuantities, MaterialParams, MechanicalParams,
 from .steadystate import (FixedPointReport, GainResult, SteadyOptics, gain,
                           solve_nb_fixed_point, steady_optics,
                           threshold_power)
-from .spectrum import (EffectiveParams, EpSearchResult, PhaseClassification,
-                       SpectrumResult, classify_phase, discriminant,
-                       eigenvalues, gamma_q_ep_resonant, locate_ep,
-                       turning_point)
+from .spectrum import (EffectiveParams, EpSearchResult, SpectrumResult,
+                       discriminant, eigenvalues, gamma_q_ep_resonant,
+                       locate_ep, turning_point)
 from .dynamics import (GrowthRateFit, IntegratorSettings, MeanFieldState,
                        ReducedState, Trajectory, crossing_time,
                        demodulated_envelope, growth_rate, integrate_full,

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .config import apply_override, load_config, params_to_config
 from .dynamics import _default_settings, integrate_full, integrate_reduced
@@ -193,16 +193,9 @@ def cmd_fixed_point(args) -> int:
     params = _load_params(args)
     report = solve_nb_fixed_point(params, n_b0=args.nb0, tol=args.tol,
                                   max_iter=args.max_iter)
-    out = {
-        "n_b_star": report.n_b_star,
-        "iterations": report.iterations,
-        "residual": report.residual,
-        "converged": report.converged,
-        "method": report.method,
-        "evaluations": report.evaluations,
-    }
-    if args.history:
-        out["history"] = list(report.history)
+    out = asdict(report)
+    if not args.history:
+        del out["history"]
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
@@ -301,9 +294,6 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except DefectLaserError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NONCONVERGED

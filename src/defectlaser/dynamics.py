@@ -84,7 +84,6 @@ class ReducedState:
     b: complex = DEFAULT_SEED
     sigma_minus: complex = 0.0
     sigma_z: float = -1.0
-    delta_n: float = 0.0
 
 
 FULL_FIELDS = ("a_plus", "a_minus", "b", "sigma_minus", "sigma_z")
@@ -166,20 +165,27 @@ def _start(params: SystemParams, init, settings: IntegratorSettings | None,
     return (default_init() if init is None else init), settings, meta
 
 
-def _solve(rhs, y0, settings: IntegratorSettings, fields, meta):
-    """Run ``settings.method`` from y0.  A diverged run carries its finite
-    prefix as ``err.partial``."""
+def _solve(rhs, y0, settings: IntegratorSettings, fields, meta,
+           fill=None) -> Trajectory:
+    """Run ``settings.method`` from y0.  ``fill(states)`` completes the
+    columns the steps do not integrate, in place, for a finished run and
+    for the finite prefix a diverged run carries as ``err.partial``."""
     run = _run_adaptive if settings.method == "dop853" else _run_rk4
     try:
-        return run(rhs, y0, settings)
+        times, states = run(rhs, y0, settings)
     except DivergenceError as err:
         if getattr(err, "_raw", None) is not None:
             times, rows = err._raw
+            states = np.asarray(rows, dtype=complex)
+            if fill is not None:
+                fill(states)
             err.partial = Trajectory(
-                times=np.asarray(times, dtype=float),
-                states=np.asarray(rows, dtype=complex), fields=fields,
-                meta=dict(meta, diverged_at=err.time))
+                times=np.asarray(times, dtype=float), states=states,
+                fields=fields, meta=dict(meta, diverged_at=err.time))
         raise
+    if fill is not None:
+        fill(states)
+    return Trajectory(times=times, states=states, fields=fields, meta=meta)
 
 
 def _poles(params: SystemParams) -> tuple[complex, complex]:
@@ -215,8 +221,7 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
 
     y0 = (complex(init.a_plus), complex(init.a_minus), complex(init.b),
           complex(init.sigma_minus), float(init.sigma_z))
-    times, states = _solve(rhs, y0, settings, FULL_FIELDS, meta)
-    return Trajectory(times=times, states=states, fields=FULL_FIELDS, meta=meta)
+    return _solve(rhs, y0, settings, FULL_FIELDS, meta)
 
 
 def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
@@ -275,17 +280,17 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                 -2.0 * gq * (sz + 1.0) + 4.0 * gd * (sm.conjugate() * b).imag,
                 0.0)
 
+    def fill(states):
+        if frozen:
+            states[:, 4] = dn0
+        else:
+            # recompute the reported inversion from the stored b
+            for i in range(len(states)):
+                states[i, 4] = inversion(*closure(complex(states[i, 1])))
+
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
-          float(init.sigma_z), dn0 if frozen else float(init.delta_n))
-    times, states = _solve(rhs, y0, settings, REDUCED_FIELDS, meta)
-    if frozen:
-        states[:, 4] = dn0
-    else:
-        # recompute the reported inversion from the stored b
-        for i in range(len(states)):
-            states[i, 4] = inversion(*closure(complex(states[i, 1])))
-    return Trajectory(times=times, states=states, fields=REDUCED_FIELDS,
-                      meta=meta)
+          float(init.sigma_z), dn0 if frozen else 0.0)
+    return _solve(rhs, y0, settings, REDUCED_FIELDS, meta, fill)
 
 
 def _run_rk4(rhs, y0, settings: IntegratorSettings):

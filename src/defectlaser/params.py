@@ -240,7 +240,8 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
     sub = getattr(params, group)
     if sub is None:
         raise InvalidParameterError(f"parameter group {group!r} is not set")
-    if not hasattr(sub, name):
+    # the dataclass fields only: a property such as x_zpf is not settable
+    if name not in sub.__dataclass_fields__:
         raise InvalidParameterError(f"unknown field {name!r} in {group!r}")
     new_sub = replace(sub, **{name: value})
     if group == "material":

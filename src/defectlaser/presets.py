@@ -21,23 +21,19 @@ OMEGA_M = 2.0 * math.pi * 23.4e6
 GAMMA = 6.43e6
 
 
-def base_params(pump_power: float = 10e-6,
-                pump_detuning: float = 0.5 * OMEGA_M,
-                coupling_j: float = 0.5 * OMEGA_M,
-                gamma_q: float = GAMMA,
-                g_d: float = 1e6,
-                omega_q: float = OMEGA_M) -> SystemParams:
-    """Shared experimentally accessible parameter point."""
+def base_params(pump_power: float = 10e-6) -> SystemParams:
+    """Shared experimentally accessible parameter point: J = Delta =
+    omega_m / 2 and a resonant defect with gamma_q = gamma."""
     return SystemParams(
         optical=OpticalParams(cavity_freq=2.0 * math.pi * 193e12,
                               cavity_loss=GAMMA,
-                              coupling=coupling_j,
+                              coupling=0.5 * OMEGA_M,
                               radius=34.5e-6,
                               pump_power=pump_power,
-                              pump_detuning=pump_detuning),
+                              pump_detuning=0.5 * OMEGA_M),
         mechanical=MechanicalParams(mech_freq=OMEGA_M, mech_loss=0.24e6,
                                     eff_mass=50e-12),
-        tls=TlsParams(tls_freq=omega_q, tls_loss=gamma_q, coupling=g_d),
+        tls=TlsParams(tls_freq=OMEGA_M, tls_loss=GAMMA, coupling=1e6),
     )
 
 

@@ -61,11 +61,12 @@ class SpectrumResult:
     gamma_q_min: float
     phase: str                          # below-EP | at-EP | above-EP
     eigvec_overlap: float               # |<v+|v->|, -> 1 at the EP
-    eff: EffectiveParams
 
     @property
     def localization(self) -> float:
-        """max over eigenvectors of | |w_phonon|^2 - |w_defect|^2 |."""
+        """max over eigenvectors of | |w_phonon|^2 - |w_defect|^2 |: ~0
+        below the EP, where both share phonon and defect weight equally;
+        toward 1 above it, where one localizes on each."""
         return max(abs(self.weights_plus[0] - self.weights_plus[1]),
                    abs(self.weights_minus[0] - self.weights_minus[1]))
 
@@ -76,14 +77,6 @@ class EpSearchResult:
     disc_abs: float
     found: bool
     message: str = ""
-
-
-@dataclass(frozen=True)
-class PhaseClassification:
-    phase: str
-    localization: float
-    eigvec_overlap: float
-    degenerate: bool
 
 
 def _matrix(eff: EffectiveParams) -> np.ndarray:
@@ -156,7 +149,7 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
                           gap=abs(e_plus - e_minus),
                           gamma_q_EP=gq_ep,
                           gamma_q_min=turning_point(eff),
-                          phase=phase, eigvec_overlap=overlap, eff=eff)
+                          phase=phase, eigvec_overlap=overlap)
 
 
 def _eigvec(mat: np.ndarray, e: complex) -> tuple[tuple[float, float], np.ndarray]:
@@ -186,7 +179,7 @@ def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchRes
     """
     lo, hi = bracket
     if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
+        raise InvalidParameterError("bracket must satisfy lo < hi")
     dq = eff.omega_q - eff.omega_m
     split = 2.0 * math.sqrt(eff.n_b) * eff.g_d
     # sqrt(split * split) == split in binary floating point (barring
@@ -201,17 +194,3 @@ def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchRes
                           found=False, message="no minimum of the "
                           "discriminant lies inside the bracket")
 
-
-def classify_phase(result: SpectrumResult) -> PhaseClassification:
-    """Phase label plus eigenvector localization metric.
-
-    Below the EP the two supermodes share phonon and defect weight equally
-    (localization ~ 0); above it one localizes on the phonon, the other on
-    the defect.  The label is the eigenvalue-based ``result.phase``, or
-    at-EP when the eigenvectors coalesce (overlap within 1e-6 of 1).
-    """
-    degenerate = result.eigvec_overlap > 1.0 - 1e-6
-    return PhaseClassification(
-        phase="at-EP" if degenerate else result.phase,
-        localization=result.localization,
-        eigvec_overlap=result.eigvec_overlap, degenerate=degenerate)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import HBAR
-from .errors import SingularParameterError
+from .errors import InvalidParameterError, SingularParameterError
 from .params import DerivedQuantities, SystemParams, derive_quantities
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this N_b is reported as inf
@@ -100,7 +100,6 @@ class GainCoefficients:
     closed form written out in full.
     """
 
-    params: SystemParams
     derived: DerivedQuantities
     g_d: float          # defect coupling
     gamma_m: float      # mechanical loss
@@ -178,8 +177,7 @@ def coefficients(params: SystemParams) -> GainCoefficients:
     dq = tls.tls_freq - params.mechanical.mech_freq
     g2 = tls.coupling ** 2
     return GainCoefficients(
-        params=params, derived=d, g_d=tls.coupling,
-        gamma_m=params.mechanical.mech_loss,
+        derived=d, g_d=tls.coupling, gamma_m=params.mechanical.mech_loss,
         eps_l=d.eps_l, eps2=eps2, kx=kx, dj=dj, nj=nj,
         alpha0=J * J + gam * gam - delta * delta, alpha_n=0.25 * kx * kx,
         dg2=4.0 * delta * delta * gam * gam, dg_im=2j * gam * delta,
@@ -202,8 +200,8 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     decide whether it equals |b|^2 (dynamics closure) or labels a sector
     (linear-response gain).
     """
-    if n_b < 0:
-        raise ValueError("n_b must be >= 0")
+    if not 0.0 <= n_b < math.inf:
+        raise InvalidParameterError("n_b must be >= 0 and finite")
     c = coefficients(params)
     b = complex(b)
     alpha, _, a_plus, a_minus = c.supermodes(n_b, b)
@@ -226,8 +224,8 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
     consistent with the linearized mechanical equation; the drive-induced
     piece carries gamma^2 over the supermode response bandwidth.
     """
-    if n_b < 0:
-        raise ValueError("n_b must be >= 0")
+    if not 0.0 <= n_b < math.inf:
+        raise InvalidParameterError("n_b must be >= 0 and finite")
     c = coefficients(params)
     alpha, denom_sq, _, _, delta_n, tls_den, G0, Gd, G, N_b = c.terms(n_b)
     opt = params.optical
@@ -280,8 +278,8 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     ``GainCoefficients.terms``, the same evaluation ``gain`` reports, so
     N_b(G(n)) here equals ``gain(params, n).N_b`` bit for bit.
     """
-    if n_b0 < 0:
-        raise ValueError("n_b0 must be >= 0")
+    if not 0.0 <= n_b0 < math.inf:
+        raise InvalidParameterError("n_b0 must be >= 0 and finite")
     c = coefficients(params)
     evaluations = 0
 

@@ -4,7 +4,8 @@ A sweep walks one or two dotted parameter paths over linear or log grids
 (built once per spec, not per row), evaluates the requested quantities
 independently at every grid point (row-major order, outer axis first) and
 collects one row per point.
-Per-point failures land in an ``error`` column and never abort the sweep.
+Every package error at a point lands in that row's ``error`` column and
+never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class SweepSpec:
             raise SweepError(
                 f"unknown quantities {unknown}; known: {KNOWN_QUANTITIES}")
         if self.mode == "fixed-nb":
-            if self.n_b_fixed is None or self.n_b_fixed < 0:
-                raise SweepError("fixed-nb mode needs n_b_fixed >= 0")
+            if self.n_b_fixed is None or not 0 <= self.n_b_fixed < math.inf:
+                raise SweepError("fixed-nb mode needs a finite n_b_fixed >= 0")
             asked = [q for q in self.quantities if q in FP_QUANTITIES]
             if asked:
                 raise SweepError(
@@ -128,9 +129,8 @@ def _columns(spec: SweepSpec) -> list[str]:
 
 
 def _eval_point(spec: SweepSpec, idx: int) -> list:
-    """Evaluate one grid point; failures go to the error cell."""
-    axis_vals, params = None, None
-    errors: list[str] = []
+    """Evaluate one grid point.  Any package error lands in the error
+    cell; the quantities the row did not reach stay NaN (text: empty)."""
     try:
         axis_vals, params = spec.point_params(idx)
     except DefectLaserError as err:
@@ -138,40 +138,28 @@ def _eval_point(spec: SweepSpec, idx: int) -> list:
         return [math.nan] * width + [f"point construction failed: {err}"]
 
     values: dict[str, object] = {}
-    n_b = spec.n_b_fixed if spec.mode == "fixed-nb" else None
-    fp = None
-    if spec.mode == "self-consistent":
-        fp = solve_nb_fixed_point(params)
-        n_b = fp.n_b_star
-        if not fp.converged:
-            errors.append(
-                f"fixed point not converged (residual {fp.residual:.3g})")
-    values["n_b_star"] = fp.n_b_star if fp else math.nan
-    values["fp_iterations"] = fp.iterations if fp else math.nan
-    values["fp_converged"] = float(fp.converged) if fp else math.nan
-
-    g = None
+    errors: list[str] = []
     try:
+        n_b = spec.n_b_fixed
+        if spec.mode == "self-consistent":
+            fp = solve_nb_fixed_point(params)
+            n_b = fp.n_b_star
+            values.update(n_b_star=n_b, fp_iterations=fp.iterations,
+                          fp_converged=float(fp.converged))
+            if not fp.converged:
+                errors.append(
+                    f"fixed point not converged (residual {fp.residual:.3g})")
         g = gain(params, n_b)
+        values.update(vars(g))
+        if any(q in SPECTRUM_QUANTITIES for q in spec.quantities):
+            if n_b < 1.0:
+                errors.append(f"spectrum skipped: n_b = {n_b:.3g} < 1 "
+                              "(needs one phonon)")
+            else:
+                res = eigenvalues(EffectiveParams.at(params, n_b, g.G0))
+                values.update(vars(res), L=res.localization)
     except DefectLaserError as err:
         errors.append(str(err))
-    if g is not None:
-        values.update(G=g.G, G0=g.G0, Gd=g.Gd, omega_prime=g.omega_prime,
-                      C=g.C, alpha=g.alpha, delta_n=g.delta_n, N_b=g.N_b,
-                      P_th=g.P_th, P_th0=g.P_th0, P_thd=g.P_thd, n_b=g.n_b)
-
-    if any(q in SPECTRUM_QUANTITIES for q in spec.quantities):
-        if g is None:
-            errors.append("spectrum skipped: gain unavailable")
-        elif n_b < 1.0:
-            errors.append(
-                f"spectrum skipped: n_b = {n_b:.3g} < 1 (needs one phonon)")
-        else:
-            res = eigenvalues(EffectiveParams.at(params, n_b, g.G0))
-            values.update(E_plus=res.E_plus, E_minus=res.E_minus,
-                          gap=res.gap, L=res.localization, phase=res.phase,
-                          gamma_q_EP=res.gamma_q_EP,
-                          gamma_q_min=res.gamma_q_min)
 
     row: list = list(axis_vals)
     for q in spec.quantities:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from defectlaser import (DivergenceError, EffectiveParams,
-                         IntegratorSettings, classify_phase, crossing_time,
+                         IntegratorSettings, crossing_time,
                          eigenvalues, gain, gamma_q_ep_resonant, growth_rate,
                          integrate_full, integrate_reduced, preset,
                          run_sweep, threshold_power, turning_point,
@@ -271,7 +271,6 @@ class TestAcceptance:
             hi = eigenvalues(EffectiveParams(
                 n_b=n_b, omega_m=OMEGA_M, omega_q=OMEGA_M,
                 gamma_m_eff=gpm, gamma_q=5.0 * gq_ep, g_d=g_d))
-            if not (classify_phase(lo).localization <= 1e-6
-                    and classify_phase(hi).localization >= 0.5):
+            if not (lo.localization <= 1e-6 and hi.localization >= 0.5):
                 ok = False
         verdict("C9 phase classification", ok, f"{tested} resonant samples")

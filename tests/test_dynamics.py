@@ -239,6 +239,21 @@ class TestReducedModel:
         assert meta["delta_n0"] == steady_optics(fig2_params, 0, 0).delta_n
         assert meta["diverged_at"] == exc.value.time
 
+    def test_diverged_full_closure_reports_the_closure_inversion(self):
+        """A diverged full-closure run's prefix reports delta_n from the
+        closure at each stored b, as a finished run does."""
+        p = make_params(pump_power=12e-6)
+        with pytest.raises(DivergenceError) as exc:
+            integrate_reduced(p, None, settings_for(4e-6, stride=1),
+                              delta_n_mode="full-closure")
+        part = exc.value.partial
+        assert 1.9e-6 < exc.value.time < 2.0e-6
+        expected = [steady_optics(p, b, b.real * b.real + b.imag * b.imag)
+                    .delta_n for b in map(complex, part.column("b"))]
+        dn = part.column("delta_n").real
+        assert np.array_equal(dn, expected)
+        assert np.all(dn[:-2] > 1e7)  # all but the last two blow-up samples
+
     def test_frozen_inversion_growth_rate(self):
         """With the drive off and the inversion frozen positive, b grows at
         the first gain term minus the mechanical loss."""

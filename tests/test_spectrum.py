@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from defectlaser import (EffectiveParams, InvalidParameterError,
-                         classify_phase, discriminant, eigenvalues, gain,
+                         discriminant, eigenvalues, gain,
                          gamma_q_ep_resonant, locate_ep, preset, run_sweep,
                          solve_nb_fixed_point, turning_point, with_value)
 
@@ -228,11 +228,10 @@ class TestPhase:
         r = eigenvalues(EffectiveParams(
             n_b=4.0, omega_m=WM, omega_q=WM, gamma_m_eff=0.5e6,
             gamma_q=0.3 * gq_ep, g_d=1e6))
-        c = classify_phase(r)
-        assert c.phase == "below-EP"
+        assert r.phase == "below-EP"
         assert r.weights_plus[0] == pytest.approx(0.5, abs=1e-9)
         assert r.weights_minus[0] == pytest.approx(0.5, abs=1e-9)
-        assert c.localization <= 1e-9
+        assert r.localization <= 1e-9
 
     def test_localized_above_ep(self):
         e = eff(n_b=4.0, gamma_m_eff=0.5e6, g_d=1e6)
@@ -240,9 +239,8 @@ class TestPhase:
         r = eigenvalues(EffectiveParams(
             n_b=4.0, omega_m=WM, omega_q=WM, gamma_m_eff=0.5e6,
             gamma_q=10.0 * gq_ep, g_d=1e6))
-        c = classify_phase(r)
-        assert c.phase == "above-EP"
-        assert c.localization > 0.9
+        assert r.phase == "above-EP"
+        assert r.localization > 0.9
         # one branch phonon-dominated, the other defect-dominated
         weights = sorted([r.weights_plus[0], r.weights_minus[0]])
         assert weights[0] < 0.1 and weights[1] > 0.9
@@ -250,10 +248,8 @@ class TestPhase:
     def test_degenerate_at_ep(self):
         e = eff(n_b=1.0, gamma_m_eff=0.0, gamma_q=2e6, g_d=1e6)
         r = eigenvalues(e)
-        c = classify_phase(r)
-        assert c.phase == "at-EP"
-        assert c.degenerate
-        assert c.eigvec_overlap == pytest.approx(1.0, abs=1e-6)
+        assert r.phase == "at-EP"
+        assert r.eigvec_overlap == pytest.approx(1.0, abs=1e-6)
 
     def test_localization_grows_monotonically_above_ep(self):
         e = eff(n_b=2.0, gamma_m_eff=0.2e6, g_d=1e6)

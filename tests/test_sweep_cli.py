@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,14 @@ from defectlaser.config import load_config
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
 from conftest import GAMMA, OMEGA_M, make_params
+
+#: sha256 prefixes of the eight preset CSVs; any moved cell shows here
+PRESET_CSV_SHA256 = {
+    "fig2a": "f90e98434047", "fig2b": "ef7ac52a7e12",
+    "fig3a": "a7103696cf6a", "fig3b": "72d5c747f5f9",
+    "fig4": "3494f08fdc69", "fig5": "edcb29bfdaf3",
+    "fig6a": "bbe8f306ce9d", "fig6b": "e58136a597ba",
+}
 
 
 def small_spec(**kw):
@@ -129,6 +138,27 @@ class TestRunSweep:
         assert errs[0] != "" and errs[1] == "" and errs[2] == ""
         g = table.column("G")
         assert math.isnan(g[0]) and not math.isnan(g[1])
+
+    def test_self_consistent_sweep_from_lossless_defect(self):
+        """gamma_q = 0 on resonance makes the fixed point singular: that
+        row carries the error with NaN cells, and the sweep goes on."""
+        spec = small_spec(axes=(SweepAxis("tls.tls_loss", 0.0, 1e6, 3),),
+                          quantities=("G", "n_b_star", "fp_converged"),
+                          mode="self-consistent", n_b_fixed=None)
+        table = run_sweep(spec)
+        errs = table.column("error")
+        assert "undamped resonant defect" in errs[0]
+        assert errs[1] == errs[2] == ""
+        for q in ("G", "n_b_star", "fp_converged"):
+            col = table.column(q)
+            assert math.isnan(col[0])
+            assert all(math.isfinite(v) for v in col[1:])
+
+    def test_preset_csv_bytes_are_pinned(self):
+        for name, prefix in PRESET_CSV_SHA256.items():
+            text = run_sweep(preset(name)).to_csv_text()
+            assert hashlib.sha256(text.encode()).hexdigest()[:12] == prefix, \
+                name
 
     def test_no_nan_without_annotation(self):
         for name in ("fig4", "fig5"):
@@ -252,6 +282,69 @@ class TestCli:
         assert out["converged"] is True
         assert out["method"] == "damped"
         assert out["evaluations"] > out["iterations"]
+
+    def test_fixed_point_history_only_on_request(self, capsys):
+        assert self.run("fixed-point") == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert self.run("fixed-point", "--history") == 0
+        full = json.loads(capsys.readouterr().out)
+        assert set(plain) == {"n_b_star", "iterations", "residual",
+                              "converged", "method", "evaluations"}
+        assert full.pop("history")[0] == 0.0
+        assert full == plain
+
+    def test_gain_sweep_from_lossless_defect(self, tmp_path):
+        code = self.run("gain-sweep", "--axis", "tls.tls_loss:0:1e6:3",
+                        "--out", str(tmp_path), "--format", "csv")
+        assert code == 0
+        lines = open(tmp_path / "gain-sweep.csv").read().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 3
+        assert "undamped resonant defect" in rows[0]["error"]
+        assert rows[0]["G"] == "nan" and rows[0]["n_b_star"] == "nan"
+        for row in rows[1:]:
+            assert row["error"] == ""
+            assert math.isfinite(float(row["G"]))
+            assert math.isfinite(float(row["n_b_star"]))
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                      "--mode", "fixed-nb:nan"), "n_b_fixed",
+                     id="fixed-nb-nan"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                      "--mode", "fixed-nb:-1"), "n_b_fixed",
+                     id="fixed-nb-negative"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                      "--mode", "fixed-nb:inf"), "n_b_fixed",
+                     id="fixed-nb-inf"),
+        pytest.param(("ep-locate", "--nb", "-1"), "n_b must be >= 0",
+                     id="ep-locate-nb-negative"),
+        pytest.param(("ep-locate", "--nb", "nan"), "n_b must be >= 0",
+                     id="ep-locate-nb-nan"),
+        pytest.param(("ep-locate", "--nb", "inf"), "n_b must be >= 0",
+                     id="ep-locate-nb-inf"),
+        pytest.param(("ep-locate", "--bracket-lo", "2e6",
+                      "--bracket-hi", "1e6"), "bracket",
+                     id="ep-locate-bracket-inverted"),
+        pytest.param(("fixed-point", "--nb0", "-1"), "n_b0 must be >= 0",
+                     id="fixed-point-nb0-negative"),
+        pytest.param(("fixed-point", "--nb0", "nan"), "n_b0 must be >= 0",
+                     id="fixed-point-nb0-nan"),
+        pytest.param(("gain-sweep", "--axis", "mechanical.x_zpf:1:2:3"),
+                     "unknown field", id="property-x_zpf"),
+        pytest.param(("gain-sweep", "--axis",
+                      "tls.coupling_ratio:0.01:0.02:3"),
+                     "unknown field", id="property-coupling_ratio"),
+    ])
+    def test_invalid_input_is_a_config_error(self, argv, message, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert self.run(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+        assert not list(tmp_path.iterdir())
 
     def test_gain_sweep_with_axis(self, tmp_path, capsys):
         code = self.run("gain-sweep", "--axis",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -141,6 +142,13 @@ def _run_spec_command(args) -> int:
     return _run_and_emit(spec, args)
 
 
+def _print_json(out: dict) -> None:
+    """Print ``out`` as strict JSON, a non-finite float as null."""
+    print(json.dumps({k: None if isinstance(v, float) and not math.isfinite(v)
+                      else v for k, v in out.items()},
+                     indent=2, sort_keys=True, allow_nan=False))
+
+
 def cmd_integrate(args) -> int:
     params = _load_params(args)
     # --dt and --t-final default to the integrators' own defaults
@@ -182,7 +190,7 @@ def cmd_ep_locate(args) -> int:
         "gamma_m_eff": eff.gamma_m_eff,
         "n_b": args.nb,
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _print_json(out)
     if not res.found:
         print(res.message, file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -196,7 +204,7 @@ def cmd_fixed_point(args) -> int:
     out = asdict(report)
     if not args.history:
         del out["history"]
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _print_json(out)
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 

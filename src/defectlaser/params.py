@@ -2,7 +2,7 @@
 
 All rates and (angular) frequencies are stored in rad/s, lengths in m,
 masses in kg, powers in W, energies in J.  Parameter objects are frozen
-dataclasses: immutable after construction, safe to share across workers.
+dataclasses; a ``SystemParams`` also carries its cached coefficient bundle.
 
 Conventions
 -----------
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import HBAR
 from .errors import InvalidParameterError
@@ -235,16 +235,18 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
     group, _, name = path.partition(".")
     if not name:
         raise InvalidParameterError(f"path {path!r} must look like group.field")
-    if group not in ("optical", "mechanical", "tls", "material"):
+    groups = dict(optical=params.optical, mechanical=params.mechanical,
+                  tls=params.tls, material=params.material)
+    if group not in groups:
         raise InvalidParameterError(f"unknown parameter group {group!r}")
-    sub = getattr(params, group)
+    sub = groups[group]
     if sub is None:
         raise InvalidParameterError(f"parameter group {group!r} is not set")
     # the dataclass fields only: a property such as x_zpf is not settable
     if name not in sub.__dataclass_fields__:
         raise InvalidParameterError(f"unknown field {name!r} in {group!r}")
-    new_sub = replace(sub, **{name: value})
+    # built directly, not by dataclasses.replace: vars() are the fields
+    groups[group] = type(sub)(**{**vars(sub), name: value})
     if group == "material":
-        # the defect block is derived from the material, so rebuild it
-        return replace(params, material=new_sub, tls=None)
-    return replace(params, **{group: new_sub})
+        groups["tls"] = None  # derived from the material, so rebuild it
+    return SystemParams(**groups)

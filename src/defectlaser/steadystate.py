@@ -16,8 +16,8 @@ README's *Known model limitation*).
 
 The closed forms depend on the phonon number n_b only through alpha(n_b)
 and the defect denominator.  ``coefficients`` hoists everything else into
-a ``GainCoefficients`` bundle, built once per parameter point, and
-``GainCoefficients.terms`` evaluates G and N_b at one n_b.  ``gain``,
+a ``GainCoefficients`` bundle, cached on the (frozen) parameter object,
+and ``GainCoefficients.terms`` evaluates G and N_b at one n_b.  ``gain``,
 ``threshold_power`` and ``solve_nb_fixed_point``, which closes the loop
 n_b = N_b(G(n_b)) self-consistently, all read that one evaluation.
 """
@@ -166,7 +166,9 @@ class GainCoefficients:
 
 
 def coefficients(params: SystemParams) -> GainCoefficients:
-    """Hoist every n_b-independent factor of the closed forms."""
+    """Hoist every n_b-independent factor; cached in ``params.__dict__``."""
+    if "_coefficients" in params.__dict__:
+        return params.__dict__["_coefficients"]
     d = derive_quantities(params)
     opt, tls = params.optical, params.tls
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
@@ -176,7 +178,7 @@ def coefficients(params: SystemParams) -> GainCoefficients:
     nj = dj * dj + 4.0 * gam * gam
     dq = tls.tls_freq - params.mechanical.mech_freq
     g2 = tls.coupling ** 2
-    return GainCoefficients(
+    c = params.__dict__["_coefficients"] = GainCoefficients(
         derived=d, g_d=tls.coupling, gamma_m=params.mechanical.mech_loss,
         eps_l=d.eps_l, eps2=eps2, kx=kx, dj=dj, nj=nj,
         alpha0=J * J + gam * gam - delta * delta, alpha_n=0.25 * kx * kx,
@@ -186,6 +188,7 @@ def coefficients(params: SystemParams) -> GainCoefficients:
         g0=kx * kx * gam / (2.0 * nj), g0_pump=delta * dj * eps2,
         dq=dq, tls_den0=tls.tls_loss ** 2 + dq * dq, tls_den_n=2.0 * g2,
         gd_num=-g2 * tls.tls_loss)
+    return c
 
 
 def inversion(a_plus: complex, a_minus: complex) -> float:
@@ -274,12 +277,14 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     bisection on N_b(G(n)) - n, which the report flags via ``method``.
     Genuine non-convergence is reported, not raised.
 
-    The coefficient bundle is built once; each step evaluates only
-    ``GainCoefficients.terms``, the same evaluation ``gain`` reports, so
-    N_b(G(n)) here equals ``gain(params, n).N_b`` bit for bit.
+    The coefficient bundle is shared with ``gain``; each step evaluates
+    only ``GainCoefficients.terms``, the same evaluation ``gain`` reports,
+    so N_b(G(n)) here equals ``gain(params, n).N_b`` bit for bit.
     """
     if not 0.0 <= n_b0 < math.inf:
         raise InvalidParameterError("n_b0 must be >= 0 and finite")
+    if max_iter < 1 or not 0.0 < tol < math.inf:
+        raise InvalidParameterError("max_iter must be >= 1 and tol > 0 finite")
     c = coefficients(params)
     evaluations = 0
 

@@ -107,12 +107,10 @@ class SweepSpec:
 
     def point_params(self, idx: int) -> tuple[list[float], SystemParams]:
         """Axis values and the parameter set at flat row-major index."""
-        vals = []
-        p = self.base
         coords = np.unravel_index(idx, self.grid_shape())
-        for ax, grid, c in zip(self.axes, self.grids, coords):
-            v = float(grid[c])
-            vals.append(v)
+        vals = [float(grid[c]) for grid, c in zip(self.grids, coords)]
+        p = self.base
+        for ax, v in zip(self.axes, vals):
             p = with_value(p, ax.path, v)
         return vals, p
 
@@ -128,14 +126,31 @@ def _columns(spec: SweepSpec) -> list[str]:
     return cols
 
 
-def _eval_point(spec: SweepSpec, idx: int) -> list:
+def _grid_points(spec: SweepSpec):
+    """(axis values, parameters or the error building them raised) of each
+    row, row-major; each outer-axis value is applied once, not per row."""
+    def point(p, ax, v):
+        if isinstance(p, DefectLaserError):
+            return p
+        try:
+            return with_value(p, ax.path, v)
+        except DefectLaserError as err:
+            return err
+    *outer, (inner, grid) = zip(spec.axes, spec.grids)
+    points = [((), spec.base)]
+    for ax, g in outer:
+        points = [((*vals, v), point(p, ax, v))
+                  for vals, p in points for v in g.tolist()]
+    return (([*vals, v], point(p, inner, v))
+            for vals, p in points for v in grid.tolist())
+
+
+def _eval_point(spec: SweepSpec, axis_vals: list, params) -> list:
     """Evaluate one grid point.  Any package error lands in the error
     cell; the quantities the row did not reach stay NaN (text: empty)."""
-    try:
-        axis_vals, params = spec.point_params(idx)
-    except DefectLaserError as err:
-        width = len(_columns(spec)) - 1
-        return [math.nan] * width + [f"point construction failed: {err}"]
+    if isinstance(params, DefectLaserError):
+        return ([math.nan] * (len(_columns(spec)) - 1)
+                + [f"point construction failed: {params}"])
 
     values: dict[str, object] = {}
     errors: list[str] = []
@@ -214,15 +229,13 @@ def validate_spec(spec: SweepSpec) -> None:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid serially, in row-major order."""
     validate_spec(spec)
-    n = int(np.prod(spec.grid_shape()))
-    rows = [_eval_point(spec, i) for i in range(n)]
+    rows = [_eval_point(spec, vals, p) for vals, p in _grid_points(spec)]
 
     cols = _columns(spec)
     if "E_plus_re" in cols and "E_minus_re" in cols:
         _track_branches(cols, rows, inner=spec.axes[-1].num)
-    prov = _provenance(spec)
-    return SweepTable(columns=tuple(cols),
-                      rows=tuple(tuple(r) for r in rows), provenance=prov)
+    return SweepTable(columns=tuple(cols), rows=tuple(map(tuple, rows)),
+                      provenance=_provenance(spec))
 
 
 def _track_branches(cols: list[str], rows: list[list], inner: int) -> None:
@@ -231,10 +244,8 @@ def _track_branches(cols: list[str], rows: list[list], inner: int) -> None:
     The closed-form branch labelling can jump across an EP; minimal-distance
     matching with the previous grid point keeps each curve continuous.
     """
-    i_pr = cols.index("E_plus_re")
-    i_pi = cols.index("E_plus_im")
-    i_mr = cols.index("E_minus_re")
-    i_mi = cols.index("E_minus_im")
+    i_pr, i_pi, i_mr, i_mi = map(
+        cols.index, ("E_plus_re", "E_plus_im", "E_minus_re", "E_minus_im"))
     for start in range(0, len(rows), inner):
         prev = None
         for r in rows[start:start + inner]:
@@ -339,9 +350,7 @@ def _plot_script(table: SweepTable, csv_name: str) -> str:
             f"outer = col({outer!r})",
             "groups = sorted(set(outer))",
         ]
-    lines += [
-        "for ax, q in zip(axs[:, 0], quantities):",
-    ]
+    lines.append("for ax, q in zip(axs[:, 0], quantities):")
     if two_axis:
         lines += [
             "    for gval in groups:",
@@ -351,12 +360,8 @@ def _plot_script(table: SweepTable, csv_name: str) -> str:
             "    ax.legend(fontsize=7)",
         ]
     else:
-        lines += [
-            "    ax.plot(x, col(q))",
-        ]
-    lines += [
-        "    ax.set_ylabel(q)",
-    ]
+        lines.append("    ax.plot(x, col(q))")
+    lines.append("    ax.set_ylabel(q)")
     if log_x:
         lines += ["    ax.set_xscale('log')"]
     lines += [

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +131,51 @@ class TestWithValue:
         base_gd = p.tls.coupling
         p2 = with_value(p, "material.mode_volume", 4e-19)
         assert p2.tls.coupling == pytest.approx(base_gd / 2.0, rel=1e-12)
+
+    @staticmethod
+    def replace_reference(params, path, value):
+        """with_value spelled with dataclasses.replace."""
+        group, _, name = path.partition(".")
+        sub = dataclasses.replace(getattr(params, group), **{name: value})
+        if group == "material":
+            return dataclasses.replace(params, material=sub, tls=None)
+        return dataclasses.replace(params, **{group: sub})
+
+    @staticmethod
+    def outcome(build, *args):
+        """(result or error type and text, warnings) of one build."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = build(*args)
+            except InvalidParameterError as err:
+                out = (type(err), str(err))
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("scale", [1.5, 0.0, -1.0, 40.0])
+    def test_equals_dataclasses_replace_on_every_field(self, scale):
+        tls_params = make_params()
+        material_params = SystemParams(optical=tls_params.optical,
+                                       mechanical=MECH,
+                                       material=silica_material())
+        checked = 0
+        for params in (tls_params, material_params):
+            for group in ("optical", "mechanical", "tls", "material"):
+                sub = getattr(params, group)
+                if sub is None or (group == "tls" and params.material):
+                    continue
+                for f in dataclasses.fields(sub):
+                    path = f"{group}.{f.name}"
+                    value = getattr(sub, f.name) * scale
+                    got = self.outcome(with_value, params, path, value)
+                    want = self.outcome(self.replace_reference, params,
+                                        path, value)
+                    assert got == want, path
+                    if isinstance(got[0], SystemParams):
+                        assert repr(got[0]) == repr(want[0])
+                        assert got[0].tls == want[0].tls
+                    checked += 1
+        assert checked == 2 * (6 + 3) + 3 + 6
 
     def test_unknown_path_rejected(self, fig2_params):
         with pytest.raises(InvalidParameterError):

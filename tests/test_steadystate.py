@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from defectlaser import (IntegratorSettings, SingularParameterError, gain,
                          integrate_full, solve_nb_fixed_point, steady_optics,
                          threshold_power, with_value)
 from defectlaser import steadystate
+from defectlaser.config import params_to_config
 from defectlaser.constants import HBAR
 from defectlaser.params import derive_quantities
 from defectlaser.steadystate import coefficients
@@ -296,3 +298,50 @@ class TestGainKernel:
         assert r.converged
         assert r.method == ("damped" if pump_power == 10e-6 else "bisection")
         assert r.evaluations == len(calls) > 0
+
+
+class TestCoefficientCache:
+    """``coefficients`` builds one bundle per parameter object and keeps it
+    on that object; nothing else about the object changes."""
+
+    def test_one_bundle_per_object(self, fig2_params):
+        assert coefficients(fig2_params) is coefficients(fig2_params)
+
+    def test_object_unchanged_by_the_bundle(self):
+        p, twin = make_params(), make_params()
+        before = (hash(p), repr(p), params_to_config(p))
+        coefficients(p)
+        assert "_coefficients" in vars(p)
+        assert p == twin and twin == p
+        assert (hash(p), repr(p), params_to_config(p)) == before
+        q = pickle.loads(pickle.dumps(p))
+        assert q == twin and hash(q) == hash(twin) and repr(q) == repr(twin)
+        assert coefficients(q) == coefficients(twin) == coefficients(p)
+
+    def test_child_gets_its_own_bundle(self, fig2_params):
+        parent = coefficients(fig2_params)
+        child = with_value(fig2_params, "optical.pump_power",
+                           4.0 * fig2_params.optical.pump_power)
+        assert "_coefficients" not in vars(child)
+        assert coefficients(child) is not parent
+        assert coefficients(child).eps_l == pytest.approx(2.0 * parent.eps_l,
+                                                          rel=1e-15)
+        assert coefficients(fig2_params) is parent
+
+    def test_fixed_point_gain_and_optics_share_one_bundle(self, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return derive_quantities(params)
+
+        monkeypatch.setattr(steadystate, "derive_quantities", counted)
+        p = make_params()
+        n_b = solve_nb_fixed_point(p).n_b_star
+        g = gain(p, n_b)
+        steady_optics(p, 0j, n_b)
+        threshold_power(p, n_b)
+        assert calls == [p]
+        fresh = make_params()
+        assert gain(fresh, n_b) == g and len(calls) == 2
+

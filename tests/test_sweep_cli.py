@@ -154,6 +154,41 @@ class TestRunSweep:
             assert math.isnan(col[0])
             assert all(math.isfinite(v) for v in col[1:])
 
+    @pytest.mark.parametrize("mode, n_b", [("fixed-nb", 2.0),
+                                           ("self-consistent", None)])
+    def test_outer_axis_reuse_keeps_every_row(self, mode, n_b):
+        """Outer cavity_freq and inner pump_detuning, where some pairs give
+        a negative pump frequency: exactly those rows fail construction,
+        with point_params's error, and the others are the direct values."""
+        from defectlaser import InvalidParameterError, solve_nb_fixed_point
+        spec = small_spec(
+            axes=(SweepAxis("optical.cavity_freq", 1e8, 1e9, 3),
+                  SweepAxis("optical.pump_detuning", -5e8, 1e8, 7)),
+            quantities=("G", "G0", "Gd", "N_b")
+            + (("n_b_star",) if n_b is None else ()),
+            mode=mode, n_b_fixed=n_b)
+        table = run_sweep(spec)
+        assert len(table.rows) == 21
+        failed = 0
+        for i, row in enumerate(table.rows):
+            cells = dict(zip(table.columns, row))
+            try:
+                vals, p = spec.point_params(i)
+            except InvalidParameterError as err:
+                failed += 1
+                assert cells["error"] == f"point construction failed: {err}"
+                assert all(math.isnan(v) for v in row[:-1])
+                continue
+            assert "point construction failed" not in cells["error"]
+            assert [cells[ax.path] for ax in spec.axes] == vals
+            n = n_b if n_b is not None else solve_nb_fixed_point(p).n_b_star
+            direct = gain(p, n)
+            for q in ("G", "G0", "Gd", "N_b"):
+                assert cells[q] == getattr(direct, q), (i, q)
+            if n_b is None:
+                assert cells["n_b_star"] == n
+        assert 0 < failed < 21
+
     def test_preset_csv_bytes_are_pinned(self):
         for name, prefix in PRESET_CSV_SHA256.items():
             text = run_sweep(preset(name)).to_csv_text()
@@ -331,6 +366,18 @@ class TestCli:
                      id="fixed-point-nb0-negative"),
         pytest.param(("fixed-point", "--nb0", "nan"), "n_b0 must be >= 0",
                      id="fixed-point-nb0-nan"),
+        pytest.param(("fixed-point", "--max-iter", "0"), "max_iter",
+                     id="fixed-point-max-iter-zero"),
+        pytest.param(("fixed-point", "--max-iter", "-3"), "max_iter",
+                     id="fixed-point-max-iter-negative"),
+        pytest.param(("fixed-point", "--tol", "-1"), "tol",
+                     id="fixed-point-tol-negative"),
+        pytest.param(("fixed-point", "--tol", "0"), "tol",
+                     id="fixed-point-tol-zero"),
+        pytest.param(("fixed-point", "--tol", "nan"), "tol",
+                     id="fixed-point-tol-nan"),
+        pytest.param(("fixed-point", "--tol", "inf"), "tol",
+                     id="fixed-point-tol-inf"),
         pytest.param(("gain-sweep", "--axis", "mechanical.x_zpf:1:2:3"),
                      "unknown field", id="property-x_zpf"),
         pytest.param(("gain-sweep", "--axis",
@@ -492,6 +539,32 @@ tls_loss              = 6.43 MHz
         expected = (0.24e6 - gain(base_params(), 4.0).G0) + 2 * 2 * 1e6
         assert out["gamma_q_EP"] == pytest.approx(expected, rel=1e-9)
 
+    @staticmethod
+    def strict_json(text):
+        """json.loads that rejects NaN and Infinity."""
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_ep_locate_without_minimum_prints_strict_json(self, capsys):
+        code = self.run("ep-locate", "--bracket-lo", "1e3",
+                        "--bracket-hi", "2e3")
+        assert code == 2
+        out = self.strict_json(capsys.readouterr().out)
+        assert out["found"] is False and out["disc_abs"] is None
+
+    def test_fixed_point_infinite_residual_prints_strict_json(
+            self, capsys, monkeypatch):
+        from defectlaser import FixedPointReport, cli
+        report = FixedPointReport(n_b_star=1e300, iterations=3,
+                                  residual=math.inf, converged=False,
+                                  history=(0.0,))
+        monkeypatch.setattr(cli, "solve_nb_fixed_point",
+                            lambda *args, **kwargs: report)
+        assert self.run("fixed-point") == 2
+        out = self.strict_json(capsys.readouterr().out)
+        assert out["residual"] is None and out["n_b_star"] == 1e300
+
     def test_integrate_writes_trajectory(self, tmp_path, capsys):
         code = self.run("integrate", "--model", "reduced",
                         "--set", "optical.pump_power=0 W",
@@ -584,6 +657,18 @@ tls_loss              = 6.43 MHz
                   "if m == 'scipy' or m.startswith('scipy.')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_benchmark_self_tests_pass(self):
+        """The benchmark's own checks run here too: they pin one ``gain``
+        call per fixed-n_b sweep row and patch the module attribute
+        ``sweep.solve_nb_fixed_point``.  A child process, because
+        ``perfbench`` and ``tests`` each import their own ``conftest``."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "perfbench", "-q",
+             "-p", "no:cacheprovider"],
+            cwd=root, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
 
     def test_console_script_entrypoint(self):
         proc = self.run_child("-m", "defectlaser.cli", "--help")

@@ -1,0 +1,208 @@
+/* Fixed-step classical RK4 for the two mean-field models of dynamics.py.
+
+   Each model's right-hand side transcribes its Python ``rhs`` closure, and
+   the stepper transcribes ``_run_rk4``, operation for operation as CPython
+   3.11 evaluates them, so every trajectory is bit-identical to the Python
+   loop (the tests pin this against the loop on the running interpreter):
+
+   - operations run left to right, one rounding each (build with
+     -ffp-contract=off, so no multiply-add is fused);
+   - a float operand of a complex operation is promoted to (x, 0.0) and the
+     operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or _Py_c_quot;
+   - x ** 2 of a float is float_pow: its special cases, then libm
+     pow(|x|, 2.0) (build with -fno-builtin, or gcc folds pow into x * x,
+     which can differ in the last bit);
+   - components the Python loop keeps as floats (sigma_z in both models,
+     delta_n in the reduced one) step in real arithmetic and are stored as
+     (x, 0.0), as numpy stores a float in a complex array.
+
+   Arguments: the complex coefficients of the model (their order is set in
+   dynamics.py), a flag (the reduced model's full closure; the full model
+   ignores it), y0 (5 complex), h, the number of steps n, the stride, then
+   times (rows) and states (rows x 5 complex) to fill; the caller sizes
+   the rows as 1 + ceil(n / stride).  Row r holds the state after step
+   r * stride, and the last row the state after step n.
+
+   Returns n when the run finished, and -i when the squared norm of the
+   state after step i was not < 1e250 (that state is not stored; rows 0 to
+   (i - 1) / stride are).  Returns 0 where CPython raises instead (complex
+   division by zero, an overflowing x ** 2, a singular supermode
+   elimination): the caller then replays the Python loop, which raises the
+   same exception. */
+
+#include <errno.h>
+#include <math.h>
+#include <stdint.h>
+
+typedef struct { double re, im; } cx;
+
+static cx C(double re, double im) { cx r; r.re = re; r.im = im; return r; }
+static cx F(double x) { return C(x, 0.0); } /* float operand, promoted */
+static cx add(cx a, cx b) { return C(a.re + b.re, a.im + b.im); }
+static cx sub(cx a, cx b) { return C(a.re - b.re, a.im - b.im); }
+static cx mul(cx a, cx b)
+{
+    return C(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re);
+}
+static cx conj_(cx a) { return C(a.re, -a.im); }
+
+static cx quot(cx a, cx b, int *fault)
+{
+    const double abs_br = b.re < 0 ? -b.re : b.re;
+    const double abs_bi = b.im < 0 ? -b.im : b.im;
+    if (abs_br >= abs_bi) {
+        if (abs_br == 0.0) { /* ZeroDivisionError */
+            *fault = 1;
+            return C(0.0, 0.0);
+        }
+        const double ratio = b.im / b.re;
+        const double denom = b.re + b.im * ratio;
+        return C((a.re + a.im * ratio) / denom, (a.im - a.re * ratio) / denom);
+    }
+    if (abs_bi >= abs_br) {
+        const double ratio = b.re / b.im;
+        const double denom = b.re * ratio + b.im;
+        return C((a.re * ratio + a.im) / denom, (a.im * ratio - a.re) / denom);
+    }
+    return C(NAN, NAN);
+}
+
+/* x ** 2 of a Python float; a fault where float_pow raises OverflowError */
+static double sq(double x, int *fault)
+{
+    if (x != x)
+        return x;
+    if (x == HUGE_VAL || x == -HUGE_VAL || x == 0.0)
+        return x * x;
+    if (x < 0.0)
+        x = -x;
+    if (x == 1.0)
+        return 1.0;
+    errno = 0;
+    const double r = pow(x, 2.0);
+    if (errno == 0 ? (r == HUGE_VAL || r == -HUGE_VAL)
+                   : !(errno == ERANGE && r == 0.0))
+        *fault = 1;
+    return r;
+}
+
+static const cx I = {0.0, 1.0};
+
+typedef int (*rhs_fn)(const cx *c, int flag, const cx *y, cx *k);
+
+/* integrate_full's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
+static int rhs_full(const cx *c, int flag, const cx *y, cx *k)
+{
+    const cx ap = y[0], am = y[1], b = y[2], sm = y[3];
+    const double sz = y[4].re, drv = c[5].re, gd = c[6].re, gq = c[7].re;
+    (void)flag;
+    k[0] = add(add(mul(c[0], ap), mul(mul(c[4], am), b)), F(drv));
+    k[1] = add(add(mul(c[1], am), mul(mul(c[4], ap), conj_(b))), F(drv));
+    k[2] = sub(add(mul(c[2], b), mul(mul(c[4], conj_(am)), ap)),
+               mul(mul(I, F(gd)), sm));
+    k[3] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
+    k[4] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
+    return 0;
+}
+
+/* integrate_reduced's rhs, with GainCoefficients.supermodes(|b|^2, b) as
+   the closure; c = (cpp, k, cb, cs, dg_im, x_plus, x_minus, kx, eps_l, gd,
+   gq, sqrt 2, alpha0, alpha_n, dg2, sqrt 8); flag = full closure */
+static int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
+{
+    const cx p = y[0], b = y[1], sm = y[2];
+    const double kx = c[7].re, eps = c[8].re, gd = c[9].re, gq = c[10].re;
+    const double sz = y[3].re;
+    double dn = y[4].re;
+    int fault = 0;
+
+    const double alpha = c[12].re + c[13].re * (b.re * b.re + b.im * b.im);
+    if (alpha * alpha + c[14].re == 0.0) /* SingularParameterError */
+        return 1;
+    const cx denom = mul(F(c[15].re), sub(F(alpha), c[4]));
+    const cx ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))),
+                       denom, &fault);
+    const cx am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))),
+                       denom, &fault);
+    if (flag)
+        dn = (sq(ap.re, &fault) + sq(ap.im, &fault))
+             - (sq(am.re, &fault) + sq(am.im, &fault));
+    const cx drive = quot(add(mul(F(eps), ap), mul(F(eps), conj_(am))),
+                          F(c[11].re), &fault);
+    k[0] = add(sub(mul(c[0], p),
+                   mul(mul(mul(mul(I, F(0.5)), F(kx)), F(dn)), b)), drive);
+    k[1] = sub(add(mul(c[2], b), mul(c[1], p)), mul(mul(I, F(gd)), sm));
+    k[2] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
+    k[3] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
+    k[4] = F(0.0);
+    return fault;
+}
+
+/* s = y + hh * k; the first nc components are complex */
+static void stage(const cx *y, double hh, const cx *k, int nc, cx *s)
+{
+    int j;
+    for (j = 0; j < nc; j++)
+        s[j] = add(y[j], mul(F(hh), k[j]));
+    for (; j < 5; j++)
+        s[j] = F(y[j].re + hh * k[j].re);
+}
+
+static int64_t rk4(rhs_fn f, const cx *c, int flag, int nc, const cx *y0,
+                   double h, int64_t n, int64_t stride, double *times,
+                   cx *states)
+{
+    const double h2 = 0.5 * h, h6 = h / 6.0;
+    cx y[5], s[5], k1[5], k2[5], k3[5], k4[5];
+    int64_t i, r = 1;
+    int j;
+
+    for (j = 0; j < 5; j++)
+        y[j] = states[j] = j < nc ? y0[j] : F(y0[j].re);
+    times[0] = 0.0;
+    for (i = 1; i <= n; i++) {
+        if (f(c, flag, y, k1))
+            return 0;
+        stage(y, h2, k1, nc, s);
+        if (f(c, flag, s, k2))
+            return 0;
+        stage(y, h2, k2, nc, s);
+        if (f(c, flag, s, k3))
+            return 0;
+        stage(y, h, k3, nc, s);
+        if (f(c, flag, s, k4))
+            return 0;
+        for (j = 0; j < nc; j++)
+            y[j] = add(y[j], mul(F(h6), add(add(k1[j], mul(F(2.0),
+                       add(k2[j], k3[j]))), k4[j])));
+        for (; j < 5; j++)
+            y[j] = F(y[j].re + h6 * (k1[j].re + 2.0 * (k2[j].re + k3[j].re)
+                                     + k4[j].re));
+        double mag2 = y[0].re * y[0].re + y[0].im * y[0].im;
+        for (j = 1; j < 5; j++)
+            mag2 = mag2 + y[j].re * y[j].re + y[j].im * y[j].im;
+        if (!(mag2 < 1e250))
+            return -i;
+        if (i % stride == 0 || i == n) {
+            times[r] = (double)i * h;
+            for (j = 0; j < 5; j++)
+                states[5 * r + j] = y[j];
+            r++;
+        }
+    }
+    return n;
+}
+
+int64_t integrate_full(const cx *c, int flag, const cx *y0, double h,
+                       int64_t n, int64_t stride, double *times, cx *states)
+{
+    return rk4(rhs_full, c, flag, 4, y0, h, n, stride, times, states);
+}
+
+int64_t integrate_reduced(const cx *c, int full_closure, const cx *y0,
+                          double h, int64_t n, int64_t stride, double *times,
+                          cx *states)
+{
+    return rk4(rhs_reduced, c, full_closure, 3, y0, h, n, stride, times,
+               states);
+}

@@ -24,15 +24,18 @@ seed); growth windows should sit a safe factor above that floor.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
 from .params import SystemParams
-from .steadystate import coefficients, inversion
+from .steadystate import _SQRT8, coefficients, inversion
 
 #: default seed phonon amplitude: smallest that still gives clean log fits
 DEFAULT_SEED = 1e-3
@@ -165,17 +168,17 @@ def _start(params: SystemParams, init, settings: IntegratorSettings | None,
     return (default_init() if init is None else init), settings, meta
 
 
-def _solve(rhs, y0, settings: IntegratorSettings, fields, meta,
+def _solve(rhs, y0, settings: IntegratorSettings, fields, meta, native,
            fill=None) -> Trajectory:
-    """Run ``settings.method`` from y0.  ``fill(states)`` completes the
-    columns the steps do not integrate, in place, for a finished run and
-    for the finite prefix a diverged run carries as ``err.partial``."""
-    run = _run_adaptive if settings.method == "dop853" else _run_rk4
+    """Run ``settings.method`` ("rk4": ``_run_c(*native, ...)``) from y0;
+    ``fill(states)`` fills in place the columns the steps leave out."""
+    run = (_run_adaptive if settings.method == "dop853"
+           else functools.partial(_run_c, *native, meta))
     try:
         times, states = run(rhs, y0, settings)
     except DivergenceError as err:
         if getattr(err, "_raw", None) is not None:
-            times, rows = err._raw
+            times, rows, meta["steps"] = err._raw
             states = np.asarray(rows, dtype=complex)
             if fill is not None:
                 fill(states)
@@ -200,7 +203,8 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
     """Integrate the five mean-field equations of the full supermode model.
 
     Raises :class:`DivergenceError` carrying the blow-up time if the state
-    leaves the representable range (expected far above threshold).
+    leaves the representable range: above threshold that is RK4 instability
+    at the defect's 2 g_d |b| rotation, which ``_fastest_rate`` leaves out.
     """
     init, settings, meta = _start(params, init, settings, MeanFieldState,
                                   model="full")
@@ -221,7 +225,8 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
 
     y0 = (complex(init.a_plus), complex(init.a_minus), complex(init.b),
           complex(init.sigma_minus), float(init.sigma_z))
-    return _solve(rhs, y0, settings, FULL_FIELDS, meta)
+    return _solve(rhs, y0, settings, FULL_FIELDS, meta,
+                  ("integrate_full", (cp, cm, cb, cs, k, drv, gd, gq), 0))
 
 
 def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
@@ -290,7 +295,10 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
 
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
           float(init.sigma_z), dn0 if frozen else 0.0)
-    return _solve(rhs, y0, settings, REDUCED_FIELDS, meta, fill)
+    native = ("integrate_reduced",
+              (cpp, k, cb, cs, c.dg_im, c.x_plus, c.x_minus, kx, eps, gd, gq,
+               sqrt2, c.alpha0, c.alpha_n, c.dg2, _SQRT8), not frozen)
+    return _solve(rhs, y0, settings, REDUCED_FIELDS, meta, native, fill)
 
 
 def _run_rk4(rhs, y0, settings: IntegratorSettings):
@@ -325,12 +333,64 @@ def _run_rk4(rhs, y0, settings: IntegratorSettings):
         # nan fails the comparison too, so this catches nan and overflow
         if not mag2 < 1e250:
             err = DivergenceError(i * h)
-            err._raw = (times, rows)
+            err._raw = (times, rows, i)
             raise err
         if i % stride == 0 or i == n_steps:
             times.append(i * h)
             rows.append((y1, y2, y3, y4, y5))
     return np.asarray(times, dtype=float), np.asarray(rows, dtype=complex)
+
+
+@functools.cache
+def _kernel():
+    """``_rk4.c``, built once into ``__pycache__``, or None and a warning."""
+    import ctypes
+    import subprocess
+    import sysconfig
+    import zlib
+    src = Path(__file__).resolve().with_name("_rk4.c")
+    cmd = [*(sysconfig.get_config_var("CC") or "cc").split(), "-O2",
+           "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
+    try:
+        key = zlib.crc32(src.read_bytes() + " ".join(cmd).encode())
+        path = src.parent / "__pycache__" / f"_rk4.{key:08x}.so"
+        if not path.exists():
+            path.parent.mkdir(exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            subprocess.run([*cmd, str(src), "-o", str(tmp), "-lm"],
+                           check=True, capture_output=True)
+            os.replace(tmp, path)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.CalledProcessError) as err:
+        warnings.warn(f"RK4 runs in Python: no C kernel ({err})",
+                      RuntimeWarning, stacklevel=5)
+        return None
+    cx, re = (np.ctypeslib.ndpointer(t, flags="C") for t in (complex, float))
+    for fn in (lib.integrate_full, lib.integrate_reduced):
+        fn.argtypes = [cx, ctypes.c_int, cx, ctypes.c_double, ctypes.c_int64,
+                       ctypes.c_int64, re, cx]
+        fn.restype = ctypes.c_int64
+    return lib
+
+
+def _run_c(entry, coefs, flag, meta, rhs, y0, settings):
+    """``_run_rk4`` in the C kernel, bit for bit; sets meta rk4 and steps."""
+    meta["rk4"] = "c" if (lib := _kernel()) else "python"
+    n_steps = max(1, int(round(settings.t_final / settings.dt)))
+    times = np.empty(1 + -(-n_steps // settings.stride))
+    states = np.empty((len(times), 5), dtype=complex)
+    steps = 0 if lib is None else getattr(lib, entry)(
+        np.array(coefs, dtype=complex), flag, np.array(y0, dtype=complex),
+        settings.dt, n_steps, settings.stride, times, states)
+    if steps == 0:  # no kernel, or Python raises here: the loop runs
+        times, states = _run_rk4(rhs, y0, settings)
+    elif steps < 0:  # the state after step -steps is not finite
+        rows = 1 + (-steps - 1) // settings.stride
+        err = DivergenceError(-steps * settings.dt)
+        err._raw = (times[:rows], states[:rows], -steps)
+        raise err
+    meta["steps"] = n_steps
+    return times, states
 
 
 def _run_adaptive(rhs, y0, settings: IntegratorSettings):

@@ -298,7 +298,7 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
         manifest["csv"] = csv_path
 
         sidecar = dict(table.provenance)
-        sidecar["written_at_unix"] = time.time()
+        sidecar["written_at_unix"] = int(time.time())
         prov_path = os.path.join(out_dir, f"{name}.provenance.json")
         with open(prov_path, "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)

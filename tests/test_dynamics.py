@@ -1,16 +1,19 @@
+import ctypes
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from defectlaser import (DivergenceError, IntegratorSettings, MeanFieldState,
-                         ReducedState, Trajectory, crossing_time,
-                         demodulated_envelope, gain, growth_rate,
-                         integrate_full, integrate_reduced, steady_optics,
-                         with_value)
+                         ReducedState, SingularParameterError, Trajectory,
+                         crossing_time, demodulated_envelope, dynamics, gain,
+                         growth_rate, integrate_full, integrate_reduced,
+                         steady_optics, with_value)
 from defectlaser.params import derive_quantities
 
-from conftest import GAMMA, GAMMA_M, OMEGA_M, make_params
+from conftest import GAMMA, GAMMA_M, OMEGA_M, make_params, random_params
 
 
 def settings_for(t_final, dt_factor=0.1, stride=5):
@@ -438,3 +441,132 @@ class TestTrajectoryIO:
         header = path.read_text().splitlines()[0].split(",")
         assert header[:3] == ["t", "re_p", "im_p"]
         assert "delta_n" in header and "sigma_z" in header
+
+
+def outcome(integrate, *args, **kwargs):
+    """(trajectory or diverged prefix, divergence time or None)."""
+    try:
+        return integrate(*args, **kwargs), None
+    except DivergenceError as err:
+        return err.partial, err.time
+
+
+def python_loop(monkeypatch, integrate, *args, **kwargs):
+    """The same run through ``_run_rk4``, the Python loop."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_kernel", lambda: None)
+        return outcome(integrate, *args, **kwargs)
+
+
+def assert_same_bits(a, b):
+    (ta, at_a), (tb, at_b) = a, b
+    assert at_a == at_b
+    assert ta.times.tobytes() == tb.times.tobytes()
+    assert ta.states.tobytes() == tb.states.tobytes()
+    assert ta.fields == tb.fields
+    assert dict(ta.meta, rk4=None) == dict(tb.meta, rk4=None)
+
+
+class TestCompiledKernel:
+    """The C kernel against ``_run_rk4``, its oracle: equal bits."""
+
+    @pytest.mark.parametrize("mode", ["full", "frozen", "full-closure"])
+    def test_bit_identical_to_python_loop(self, monkeypatch, mode):
+        rng = np.random.default_rng(
+            {"full": 11, "frozen": 12, "full-closure": 13}[mode])
+
+        def cz(scale):
+            return complex(*rng.normal(size=2)) * scale
+
+        # 20 random points with random initial states, half of them with
+        # the defect off and |b| = 1e4..1e8, which saturates the supermodes
+        # without a blow-up (there the closure's x ** 2 shows in p); then,
+        # from the default state, two that diverge after thousands of steps
+        # and an undriven one
+        points = []
+        for i in range(20):
+            off = i % 2 == 1
+            p = random_params(rng, g_d=0.0 if off else None)
+            dt = rng.uniform(0.02, 0.3) / p.mechanical.mech_freq
+            n_steps = int(rng.integers(150, 400))
+            log_b = rng.uniform(4.0, 8.0) if off else rng.uniform(-3.0, 7.0)
+            points.append((p, dt, n_steps, 10.0 ** log_b))
+        points += [(make_params(pump_power=pw), 0.1 / OMEGA_M, 2950, None)
+                   for pw in (10e-6, 12e-6, 0.0)]
+        diverged = 0
+        for p, dt, n_steps, b_abs in points:
+            full = mode == "full"
+            integrate = integrate_full if full else integrate_reduced
+            kwargs = {} if full else {"delta_n_mode": mode}
+            if b_abs is None:
+                init = None
+            elif full:
+                init = MeanFieldState(a_plus=cz(100.0), a_minus=cz(100.0),
+                                      b=cz(b_abs), sigma_minus=cz(0.3),
+                                      sigma_z=rng.uniform(-1.0, 1.0))
+            else:
+                init = ReducedState(p=cz(1e3), b=cz(b_abs),
+                                    sigma_minus=cz(0.3),
+                                    sigma_z=rng.uniform(-1.0, 1.0))
+            odd = next(k for k in range(3, 40) if n_steps % k)
+            for stride in (1, odd):
+                s = IntegratorSettings(dt=dt, t_final=n_steps * dt,
+                                       stride=stride)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    c = outcome(integrate, p, init, s, **kwargs)
+                    py = python_loop(monkeypatch, integrate, p, init, s,
+                                     **kwargs)
+                assert (c[0].meta["rk4"], py[0].meta["rk4"]) == ("c", "python")
+                assert_same_bits(c, py)
+                diverged += c[1] is not None
+        assert diverged >= 6
+
+    def test_steps_in_meta(self, fig2_params):
+        s = settings_for(1e-6, stride=7)
+        for integrate in (integrate_full, integrate_reduced):
+            assert integrate(fig2_params, None, s).meta["steps"] \
+                == round(s.t_final / s.dt)
+            with pytest.raises(DivergenceError) as exc:
+                integrate(fig2_params, None, settings_for(8e-6))
+            meta = exc.value.partial.meta
+            assert meta["steps"] == round(exc.value.time / (0.1 / OMEGA_M))
+            assert meta["steps"] * (0.1 / OMEGA_M) == exc.value.time
+
+    def test_python_exception_is_raised_by_the_loop(self, monkeypatch):
+        """Where Python raises mid-run (here a supermode elimination that
+        underflows to singular at b = 0), the kernel's caller replays the
+        loop, which raises the same error."""
+        p = make_params(gamma=1e-200, pump_detuning=1e-200, coupling_j=0.0)
+        s = settings_for(20 / OMEGA_M)
+        replays = []
+        loop = dynamics._run_rk4
+        monkeypatch.setattr(dynamics, "_run_rk4",
+                            lambda *a: replays.append(1) or loop(*a))
+        errors = []
+        for kernel in (dynamics._kernel, lambda: None):
+            monkeypatch.setattr(dynamics, "_kernel", kernel)
+            with pytest.raises(SingularParameterError) as exc:
+                integrate_reduced(p, ReducedState(b=0j), s,
+                                  delta_n_mode="full-closure")
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] and len(replays) == 2
+
+    def test_fallback_warns_once_and_gives_the_same_bits(self, monkeypatch,
+                                                          fig2_params):
+        s = settings_for(8e-6, stride=3)
+        c = outcome(integrate_full, fig2_params, None, s)
+
+        def unloadable(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        monkeypatch.setattr(dynamics, "_kernel",
+                            functools.cache(dynamics._kernel.__wrapped__))
+        with pytest.warns(RuntimeWarning, match="RK4 runs in Python"):
+            py = outcome(integrate_full, fig2_params, None, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome(integrate_full, fig2_params, None, s)  # no second warning
+        assert py[0].meta["rk4"] == "python" and c[1] is not None
+        assert_same_bits(c, py)

@@ -234,8 +234,11 @@ class TestEmit:
         assert b1 == b2
         prov = json.load(open(out1["provenance"]))
         assert prov["tool"] == "defectlaser"
-        assert "written_at_unix" in prov
+        assert type(prov["written_at_unix"]) is int
         assert "written_at_unix" not in b1.decode()
+        # the timestamp's width does not move the sidecar's byte count
+        assert os.path.getsize(out1["provenance"]) \
+            == os.path.getsize(out2["provenance"])
 
     def test_plot_script_is_self_contained(self, tmp_path):
         table = run_sweep(small_spec())

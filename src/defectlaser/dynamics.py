@@ -58,10 +58,10 @@ class IntegratorSettings:
     atol: float = 1e-12
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidParameterError("dt must be > 0")
-        if self.t_final <= 0:
-            raise InvalidParameterError("t_final must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise InvalidParameterError("dt must be > 0 and finite")
+        if not 0 < self.t_final < math.inf:
+            raise InvalidParameterError("t_final must be > 0 and finite")
         if self.stride < 1:
             raise InvalidParameterError("stride must be >= 1")
         if self.method not in ("rk4", "dop853"):
@@ -151,12 +151,13 @@ def _default_settings(params: SystemParams) -> IntegratorSettings:
                               stride=max(1, int(round(t_final / dt / 4000))))
 
 
-def _start(params: SystemParams, init, settings: IntegratorSettings | None,
-           default_init, **meta):
-    """Fill in the default initial state and settings, warn when dt
-    under-resolves the fastest rate and open the run's ``meta`` dict."""
-    if settings is None:
-        settings = _default_settings(params)
+def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
+           y0, fields, native, fill=None, **meta) -> Trajectory:
+    """Run ``settings.method`` (default ``_default_settings``) from y0 and
+    warn when dt under-resolves.  "rk4" runs the kernel entry ``native`` =
+    (name, coefficients, flag), or ``_run_rk4`` where that returns 0.
+    ``fill(states)`` fills in place the columns the steps leave out."""
+    settings = settings or _default_settings(params)
     resolution = settings.dt * _fastest_rate(params)
     notes = []
     if resolution > 0.1:
@@ -165,30 +166,30 @@ def _start(params: SystemParams, init, settings: IntegratorSettings | None,
             "> 0.1: the fastest oscillation is under-resolved")
         warnings.warn(notes[-1], UserWarning, stacklevel=3)
     meta.update(settings=settings, warnings=notes)
-    return (default_init() if init is None else init), settings, meta
-
-
-def _solve(rhs, y0, settings: IntegratorSettings, fields, meta, native,
-           fill=None) -> Trajectory:
-    """Run ``settings.method`` ("rk4": ``_run_c(*native, ...)``) from y0;
-    ``fill(states)`` fills in place the columns the steps leave out."""
-    run = (_run_adaptive if settings.method == "dop853"
-           else functools.partial(_run_c, *native, meta))
-    try:
-        times, states = run(rhs, y0, settings)
-    except DivergenceError as err:
-        if getattr(err, "_raw", None) is not None:
-            times, rows, meta["steps"] = err._raw
-            states = np.asarray(rows, dtype=complex)
-            if fill is not None:
-                fill(states)
-            err.partial = Trajectory(
-                times=np.asarray(times, dtype=float), states=states,
-                fields=fields, meta=dict(meta, diverged_at=err.time))
-        raise
+    if settings.method == "dop853":
+        times, states = _run_adaptive(rhs, y0, settings)
+    else:
+        h, stride = settings.dt, settings.stride
+        n_steps = max(1, int(round(settings.t_final / h)))
+        times = np.empty(1 + -(-n_steps // stride))
+        states = np.empty((len(times), 5), dtype=complex)
+        meta["rk4"] = "c" if (lib := _kernel()) else "python"
+        steps = 0 if lib is None else getattr(lib, native[0])(
+            np.array(native[1], dtype=complex), native[2],
+            np.array(y0, dtype=complex), h, n_steps, stride, times, states)
+        if steps == 0:  # no kernel, or Python raises here: the loop runs
+            steps = _run_rk4(rhs, y0, h, n_steps, stride, times, states)
+        meta["steps"] = abs(steps)
+        if steps < 0:  # the state after step -steps is not finite
+            rows = 1 + (-steps - 1) // stride
+            times, states = times[:rows], states[:rows]
+            meta["diverged_at"] = -steps * h
     if fill is not None:
         fill(states)
-    return Trajectory(times=times, states=states, fields=fields, meta=meta)
+    traj = Trajectory(times=times, states=states, fields=fields, meta=meta)
+    if "diverged_at" in meta:
+        raise DivergenceError(meta["diverged_at"], partial=traj)
+    return traj
 
 
 def _poles(params: SystemParams) -> tuple[complex, complex]:
@@ -206,8 +207,7 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
     leaves the representable range: above threshold that is RK4 instability
     at the defect's 2 g_d |b| rotation, which ``_fastest_rate`` leaves out.
     """
-    init, settings, meta = _start(params, init, settings, MeanFieldState,
-                                  model="full")
+    init = init or MeanFieldState()
     c = coefficients(params)
     d, gam = c.derived, params.optical.cavity_loss
     cp = -1j * d.omega_plus - gam
@@ -225,8 +225,9 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
 
     y0 = (complex(init.a_plus), complex(init.a_minus), complex(init.b),
           complex(init.sigma_minus), float(init.sigma_z))
-    return _solve(rhs, y0, settings, FULL_FIELDS, meta,
-                  ("integrate_full", (cp, cm, cb, cs, k, drv, gd, gq), 0))
+    return _solve(params, settings, rhs, y0, FULL_FIELDS,
+                  ("integrate_full", (cp, cm, cb, cs, k, drv, gd, gq), 0),
+                  model="full")
 
 
 def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
@@ -252,8 +253,7 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     if delta_n_mode not in ("frozen", "full-closure"):
         raise InvalidParameterError(
             "delta_n_mode must be 'frozen' or 'full-closure'")
-    init, settings, meta = _start(params, init, settings, ReducedState,
-                                  model="reduced", delta_n_mode=delta_n_mode)
+    init = init or ReducedState()
     c = coefficients(params)
     kx, eps = c.kx, c.eps_l
     k, gd, gq = 0.5j * kx, c.g_d, params.tls.tls_loss
@@ -265,7 +265,6 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     if frozen and delta_n0 is None:
         delta_n0 = c.terms(0.0)[4]  # the steady inversion at b = 0
     dn0 = float(delta_n0) if frozen else None
-    meta["delta_n0"] = dn0
 
     supermodes = c.supermodes
 
@@ -286,31 +285,31 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                 0.0)
 
     def fill(states):
-        if frozen:
-            states[:, 4] = dn0
-        else:
-            # recompute the reported inversion from the stored b
-            for i in range(len(states)):
-                states[i, 4] = inversion(*closure(complex(states[i, 1])))
+        # recompute the reported inversion from the stored b
+        for i in range(len(states)):
+            states[i, 4] = inversion(*closure(complex(states[i, 1])))
 
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
           float(init.sigma_z), dn0 if frozen else 0.0)
     native = ("integrate_reduced",
               (cpp, k, cb, cs, c.dg_im, c.x_plus, c.x_minus, kx, eps, gd, gq,
                sqrt2, c.alpha0, c.alpha_n, c.dg2, _SQRT8), not frozen)
-    return _solve(rhs, y0, settings, REDUCED_FIELDS, meta, native, fill)
+    return _solve(params, settings, rhs, y0, REDUCED_FIELDS, native,
+                  None if frozen else fill, model="reduced",
+                  delta_n_mode=delta_n_mode, delta_n0=dn0)
 
 
-def _run_rk4(rhs, y0, settings: IntegratorSettings):
-    """Classical fixed-step RK4 over a tuple state of 5 scalars."""
-    h = settings.dt
-    n_steps = max(1, int(round(settings.t_final / h)))
-    stride = settings.stride
+def _run_rk4(rhs, y0, h, n_steps, stride, times, states) -> int:
+    """Classical fixed-step RK4 over a tuple state of 5 scalars, the oracle
+    of ``_rk4.c`` with its contract: fills row 0 of the preallocated times
+    and states with y0, then one row every stride-th step and at the last;
+    returns n_steps, or -i when the state after step i is not finite (not
+    stored); raises only where CPython raises, where the kernel returns 0.
+    """
     h2 = 0.5 * h
     h6 = h / 6.0
 
-    times = [0.0]
-    rows = [y0]
+    times[0], states[0], r = 0.0, y0, 1
     y1, y2, y3, y4, y5 = y0
     for i in range(1, n_steps + 1):
         a1, b1, c1, d1, e1 = rhs(y1, y2, y3, y4, y5)
@@ -332,20 +331,17 @@ def _run_rk4(rhs, y0, settings: IntegratorSettings):
                 + y5.real * y5.real + y5.imag * y5.imag)
         # nan fails the comparison too, so this catches nan and overflow
         if not mag2 < 1e250:
-            err = DivergenceError(i * h)
-            err._raw = (times, rows, i)
-            raise err
+            return -i
         if i % stride == 0 or i == n_steps:
-            times.append(i * h)
-            rows.append((y1, y2, y3, y4, y5))
-    return np.asarray(times, dtype=float), np.asarray(rows, dtype=complex)
+            times[r], states[r] = i * h, (y1, y2, y3, y4, y5)
+            r += 1
+    return n_steps
 
 
 @functools.cache
 def _kernel():
     """``_rk4.c``, built once into ``__pycache__``, or None and a warning."""
     import ctypes
-    import subprocess
     import sysconfig
     import zlib
     src = Path(__file__).resolve().with_name("_rk4.c")
@@ -355,13 +351,15 @@ def _kernel():
         key = zlib.crc32(src.read_bytes() + " ".join(cmd).encode())
         path = src.parent / "__pycache__" / f"_rk4.{key:08x}.so"
         if not path.exists():
+            import subprocess
             path.parent.mkdir(exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            subprocess.run([*cmd, str(src), "-o", str(tmp), "-lm"],
-                           check=True, capture_output=True)
+            if subprocess.run([*cmd, str(src), "-o", str(tmp), "-lm"],
+                              capture_output=True).returncode:
+                raise OSError(f"{cmd[0]} could not build {src.name}")
             os.replace(tmp, path)
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.CalledProcessError) as err:
+    except OSError as err:
         warnings.warn(f"RK4 runs in Python: no C kernel ({err})",
                       RuntimeWarning, stacklevel=5)
         return None
@@ -371,26 +369,6 @@ def _kernel():
                        ctypes.c_int64, re, cx]
         fn.restype = ctypes.c_int64
     return lib
-
-
-def _run_c(entry, coefs, flag, meta, rhs, y0, settings):
-    """``_run_rk4`` in the C kernel, bit for bit; sets meta rk4 and steps."""
-    meta["rk4"] = "c" if (lib := _kernel()) else "python"
-    n_steps = max(1, int(round(settings.t_final / settings.dt)))
-    times = np.empty(1 + -(-n_steps // settings.stride))
-    states = np.empty((len(times), 5), dtype=complex)
-    steps = 0 if lib is None else getattr(lib, entry)(
-        np.array(coefs, dtype=complex), flag, np.array(y0, dtype=complex),
-        settings.dt, n_steps, settings.stride, times, states)
-    if steps == 0:  # no kernel, or Python raises here: the loop runs
-        times, states = _run_rk4(rhs, y0, settings)
-    elif steps < 0:  # the state after step -steps is not finite
-        rows = 1 + (-steps - 1) // settings.stride
-        err = DivergenceError(-steps * settings.dt)
-        err._raw = (times[:rows], states[:rows], -steps)
-        raise err
-    meta["steps"] = n_steps
-    return times, states
 
 
 def _run_adaptive(rhs, y0, settings: IntegratorSettings):

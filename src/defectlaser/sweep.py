@@ -49,6 +49,8 @@ class SweepAxis:
     def __post_init__(self):
         if self.num < 1:
             raise SweepError("axis point count must be >= 1")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise SweepError("axis endpoints must be finite")
         if self.scale not in ("linear", "log"):
             raise SweepError("axis scale must be 'linear' or 'log'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):

@@ -233,6 +233,17 @@ class TestReducedModel:
             assert traj.meta["delta_n0"] == dn0
             assert np.all(traj.column("delta_n") == dn0)
 
+    @pytest.mark.parametrize("delta_n0", [None, 0.37])
+    def test_frozen_inversion_is_held_by_dop853(self, fig2_params, delta_n0):
+        """delta_n has derivative 0.0, so the adaptive integrator keeps the
+        frozen inversion bit for bit, as RK4 does."""
+        s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=0.5e-6,
+                               method="dop853", stride=5)
+        traj = integrate_reduced(fig2_params, None, s, delta_n0=delta_n0)
+        dn = traj.column("delta_n")
+        want = np.full(len(dn), complex(traj.meta["delta_n0"]))
+        assert len(dn) > 2 and dn.tobytes() == want.tobytes()
+
     def test_diverged_run_carries_the_run_meta(self, fig2_params):
         with pytest.raises(DivergenceError) as exc:
             integrate_reduced(fig2_params, None, settings_for(8e-6))

@@ -54,6 +54,12 @@ class TestSweepSpec:
         with pytest.raises(SweepError, match="log"):
             SweepAxis("optical.pump_detuning", -1e6, 1e6, 5, "log")
 
+    @pytest.mark.parametrize("start, stop", [(1e6, math.inf), (math.nan, 1e6),
+                                             (-math.inf, 1e6)])
+    def test_rejects_non_finite_endpoint(self, start, stop):
+        with pytest.raises(SweepError, match="finite"):
+            SweepAxis("tls.tls_loss", start, stop, 3)
+
     def test_rejects_fixed_mode_without_value(self):
         with pytest.raises(SweepError, match="n_b_fixed"):
             small_spec(mode="fixed-nb", n_b_fixed=None)
@@ -576,10 +582,14 @@ tls_loss              = 6.43 MHz
         files = os.listdir(tmp_path)
         assert "trajectory-reduced.csv" in files
 
-    @pytest.mark.parametrize("flag", ["--dt", "--t-final"])
+    @pytest.mark.parametrize("flag", ["--dt", "--t-final", "--dt=nan",
+                                      "--dt=inf", "--t-final=nan",
+                                      "--t-final=inf"])
     def test_integrate_zero_step_or_duration_is_config_error(
             self, tmp_path, capsys, flag):
-        assert self.run("integrate", flag, "0", "--out", str(tmp_path)) == 1
+        # a bare flag gets 0
+        args = flag.split("=") if "=" in flag else [flag, "0"]
+        assert self.run("integrate", *args, "--out", str(tmp_path)) == 1
         assert "must be > 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 

@@ -224,9 +224,6 @@ def cmd_preset(args) -> int:
 def cmd_validate_config(args) -> int:
     params = _load_params(args)
     print(params_to_config(params))
-    notes = params.validity_report()
-    for note in notes:
-        print(f"note: {note}")
     g = gain(params, 0.0)
     print(f"# G(n_b=0) = {g.G:.6g} rad/s, threshold P_th = {g.P_th:.6g} W")
     return EXIT_OK

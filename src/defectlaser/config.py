@@ -21,49 +21,26 @@ carries a unit tag, e.g.::
     tls_loss = 6.43 MHz
     coupling = 1 MHz
 
-A ``[material]`` section (deformation_potential, tunnel_splitting,
-asymmetry, youngs_modulus, mode_volume, tls_loss) may replace ``[tls]``;
-the defect coupling is then derived from material data.  ``#`` and ``;``
+A ``[material]`` section (the fields of ``MaterialParams``) may replace
+``[tls]``; the defect coupling is then derived from material data.  The
+keys and unit classes of every section are the fields of the parameter
+dataclasses and their ``unit`` metadata.  ``#`` and ``;``
 start comments.  Parse errors report the key, line number and expected
 unit class.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import ConfigError, InvalidParameterError, UnitError
-from .params import (MaterialParams, MechanicalParams, OpticalParams,
-                     SystemParams, TlsParams, compute_gd)
+from .params import GROUPS, SystemParams, compute_gd, with_value
 from .units import format_si, parse_quantity
 
-# section -> key -> unit class
+# section -> key -> unit class, read off the parameter dataclasses
 SCHEMA: dict[str, dict[str, str]] = {
-    "optical": {
-        "cavity_freq": "angular_rate",
-        "cavity_loss": "angular_rate",
-        "coupling": "angular_rate",
-        "radius": "length",
-        "pump_power": "power",
-        "pump_detuning": "angular_rate",
-    },
-    "mechanical": {
-        "mech_freq": "angular_rate",
-        "mech_loss": "angular_rate",
-        "eff_mass": "mass",
-    },
-    "tls": {
-        "tls_freq": "angular_rate",
-        "tls_loss": "angular_rate",
-        "coupling": "angular_rate",
-    },
-    "material": {
-        "deformation_potential": "energy",
-        "tunnel_splitting": "angular_rate",
-        "asymmetry": "angular_rate",
-        "youngs_modulus": "pressure",
-        "mode_volume": "volume",
-        "tls_loss": "angular_rate",
-    },
-}
+    section: {f.name: f.metadata["unit"] for f in fields(cls)}
+    for section, cls in GROUPS.items()}
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, float]]:
@@ -102,7 +79,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, float]]:
     return sections
 
 
-def _build(cls, section: str, data: dict[str, dict[str, float]]):
+def _build(section: str, data: dict[str, dict[str, float]]):
     if section not in data:
         raise ConfigError(f"missing required section [{section}]")
     given = data[section]
@@ -111,7 +88,7 @@ def _build(cls, section: str, data: dict[str, dict[str, float]]):
         raise ConfigError(
             f"section [{section}] is missing: {', '.join(missing)}")
     try:
-        return cls(**given)
+        return GROUPS[section](**given)
     except InvalidParameterError as err:
         raise ConfigError(f"invalid [{section}] block: {err}") from err
 
@@ -119,19 +96,13 @@ def _build(cls, section: str, data: dict[str, dict[str, float]]):
 def params_from_config(text: str) -> SystemParams:
     """Build a validated SystemParams from config text."""
     data = parse_config_text(text)
-    optical = _build(OpticalParams, "optical", data)
-    mechanical = _build(MechanicalParams, "mechanical", data)
+    blocks = {s: _build(s, data) for s in ("optical", "mechanical")}
     has_tls = "tls" in data
-    has_material = "material" in data
-    if has_tls == has_material:
+    if has_tls == ("material" in data):
         raise ConfigError("exactly one of [tls] / [material] must be present")
+    defect = "tls" if has_tls else "material"
     try:
-        if has_tls:
-            tls = _build(TlsParams, "tls", data)
-            return SystemParams(optical=optical, mechanical=mechanical, tls=tls)
-        material = _build(MaterialParams, "material", data)
-        return SystemParams(optical=optical, mechanical=mechanical,
-                            material=material)
+        return SystemParams(**blocks, **{defect: _build(defect, data)})
     except InvalidParameterError as err:
         raise ConfigError(str(err)) from err
 
@@ -175,8 +146,6 @@ def apply_override(params: SystemParams, assignment: str) -> SystemParams:
     Values may carry unit tags exactly as in config files; bare numbers
     are taken as SI.
     """
-    from .params import with_value
-
     path, sep, value = assignment.partition("=")
     if not sep:
         raise ConfigError("override must look like group.key=value",

@@ -171,8 +171,15 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
     else:
         h, stride = settings.dt, settings.stride
         n_steps = max(1, int(round(settings.t_final / h)))
-        times = np.empty(1 + -(-n_steps // stride))
-        states = np.empty((len(times), 5), dtype=complex)
+        where = f"t_final / dt = {n_steps:.3g} steps at stride {stride:.3g}"
+        try:
+            times = np.empty(1 + -(-n_steps // stride))
+            states = np.empty((len(times), 5), dtype=complex)
+        except (ValueError, MemoryError) as err:
+            raise InvalidParameterError(
+                f"{where}: cannot allocate the stored rows ({err})") from err
+        if max(n_steps, stride) >= 2 ** 63:  # the kernel counts in int64_t
+            raise InvalidParameterError(f"{where}: more than int64 counts")
         meta["rk4"] = "c" if (lib := _kernel()) else "python"
         steps = 0 if lib is None else getattr(lib, native[0])(
             np.array(native[1], dtype=complex), native[2],

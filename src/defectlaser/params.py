@@ -1,7 +1,9 @@
 """Physical parameters of the defect-coupled phonon-laser model.
 
 All rates and (angular) frequencies are stored in rad/s, lengths in m,
-masses in kg, powers in W, energies in J.  Parameter objects are frozen
+masses in kg, powers in W, energies in J, pressures in Pa and volumes in
+m^3; each field's ``unit`` metadata names its unit class, and
+``config.SCHEMA`` is read off it.  Parameter objects are frozen
 dataclasses; a ``SystemParams`` also carries its cached coefficient bundle.
 
 Conventions
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constants import HBAR
 from .errors import InvalidParameterError
@@ -33,25 +35,25 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidParameterError(message)
 
 
+def _unit(unit_class: str):
+    """A required field whose config value carries ``unit_class``."""
+    return field(metadata={"unit": unit_class})
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Amorphous-host material data used to derive the defect coupling.
-
-    deformation_potential : J (accepts eV through the config layer)
-    tunnel_splitting, asymmetry, tls_loss : rad/s
-    youngs_modulus : Pa
-    mode_volume : m^3
 
     The defect loss ``tls_loss`` is not fixed by material data; it is
     given alongside it and passed through to the derived TlsParams.
     """
 
-    deformation_potential: float
-    tunnel_splitting: float
-    asymmetry: float
-    youngs_modulus: float
-    mode_volume: float
-    tls_loss: float
+    deformation_potential: float = _unit("energy")
+    tunnel_splitting: float = _unit("angular_rate")
+    asymmetry: float = _unit("angular_rate")
+    youngs_modulus: float = _unit("pressure")
+    mode_volume: float = _unit("volume")
+    tls_loss: float = _unit("angular_rate")
 
     def __post_init__(self):
         _require(self.youngs_modulus > 0, "youngs_modulus must be > 0")
@@ -62,19 +64,14 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class OpticalParams:
-    """Two coupled optical modes plus the coherent pump.
+    """Two coupled optical modes plus the coherent pump."""
 
-    cavity_freq, cavity_loss, coupling, pump_detuning : rad/s
-    radius : m
-    pump_power : W
-    """
-
-    cavity_freq: float
-    cavity_loss: float
-    coupling: float
-    radius: float
-    pump_power: float
-    pump_detuning: float
+    cavity_freq: float = _unit("angular_rate")
+    cavity_loss: float = _unit("angular_rate")
+    coupling: float = _unit("angular_rate")
+    radius: float = _unit("length")
+    pump_power: float = _unit("power")
+    pump_detuning: float = _unit("angular_rate")
 
     def __post_init__(self):
         _require(self.cavity_loss > 0, "cavity_loss must be > 0")
@@ -88,15 +85,11 @@ class OpticalParams:
 
 @dataclass(frozen=True)
 class MechanicalParams:
-    """Mechanical breathing mode.
+    """Mechanical breathing mode."""
 
-    mech_freq, mech_loss : rad/s
-    eff_mass : kg
-    """
-
-    mech_freq: float
-    mech_loss: float
-    eff_mass: float
+    mech_freq: float = _unit("angular_rate")
+    mech_loss: float = _unit("angular_rate")
+    eff_mass: float = _unit("mass")
 
     def __post_init__(self):
         _require(self.mech_freq > 0, "mech_freq must be > 0")
@@ -111,14 +104,11 @@ class MechanicalParams:
 
 @dataclass(frozen=True)
 class TlsParams:
-    """Two-level defect coupled to the mechanical mode via strain.
+    """Two-level defect coupled to the mechanical mode via strain."""
 
-    tls_freq, tls_loss, coupling : rad/s
-    """
-
-    tls_freq: float
-    tls_loss: float
-    coupling: float
+    tls_freq: float = _unit("angular_rate")
+    tls_loss: float = _unit("angular_rate")
+    coupling: float = _unit("angular_rate")
 
     def __post_init__(self):
         _require(self.tls_freq > 0, "tls_freq must be > 0")
@@ -129,6 +119,12 @@ class TlsParams:
     def coupling_ratio(self) -> float:
         """g_d / omega_q, the small parameter of the two-level description."""
         return self.coupling / self.tls_freq
+
+
+# config section -> parameter block, in config order; the sections are
+# also SystemParams's fields
+GROUPS = {"optical": OpticalParams, "mechanical": MechanicalParams,
+          "tls": TlsParams, "material": MaterialParams}
 
 
 def compute_gd(material: MaterialParams, mech: MechanicalParams) -> TlsParams:
@@ -175,25 +171,26 @@ class SystemParams:
         if self.tls is None:
             object.__setattr__(self, "tls",
                                compute_gd(self.material, self.mechanical))
+        # one text per condition, warned from this one line: Python's
+        # warning registry then reports each condition once, not per row
         for message in self.validity_report():
-            warnings.warn(message, UserWarning, stacklevel=3)
+            warnings.warn(message, UserWarning)
 
     def validity_report(self) -> list[str]:
-        """Soft checks on the perturbative two-level description."""
+        """Soft checks on the perturbative two-level description: one
+        fixed message per failed condition."""
         out = []
         tls = self.tls
-        if tls is not None and tls.coupling > 0:
+        if tls.coupling > 0:
             if tls.coupling_ratio >= VALIDITY_RATIO:
-                out.append(
-                    f"defect coupling g_d/omega_q = {tls.coupling_ratio:.3g} "
-                    f"exceeds {VALIDITY_RATIO:g}; two-level treatment is "
-                    "marginal")
+                out.append(f"defect coupling g_d/omega_q exceeds "
+                           f"{VALIDITY_RATIO:g}; two-level treatment is "
+                           "marginal")
             wm = self.mechanical.mech_freq
             if abs(tls.tls_freq - wm) > 0.5 * wm:
-                out.append(
-                    f"defect splitting omega_q = {tls.tls_freq:.3g} rad/s is "
-                    f"far from omega_m = {wm:.3g} rad/s; the resonant "
-                    "rotating-wave model is inaccurate")
+                out.append("defect splitting omega_q is more than omega_m/2 "
+                           "from omega_m; the resonant rotating-wave model "
+                           "is inaccurate")
         return out
 
 
@@ -235,10 +232,9 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
     group, _, name = path.partition(".")
     if not name:
         raise InvalidParameterError(f"path {path!r} must look like group.field")
-    groups = dict(optical=params.optical, mechanical=params.mechanical,
-                  tls=params.tls, material=params.material)
-    if group not in groups:
+    if group not in GROUPS:
         raise InvalidParameterError(f"unknown parameter group {group!r}")
+    groups = {g: getattr(params, g) for g in GROUPS}
     sub = groups[group]
     if sub is None:
         raise InvalidParameterError(f"parameter group {group!r} is not set")

@@ -245,6 +245,9 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
 
     wcj = opt.cavity_freq + J
     kx2 = kx ** 2  # pow, not kx * kx: they can differ in the last bit
+    if kx2 == 0.0:
+        raise SingularParameterError(
+            "(xi x0)^2 underflowed to 0; the threshold power is singular")
     P_th0 = (2.0 * HBAR * nj * wcj * c.gamma_m / kx2
              + HBAR * delta * dj * wcj * gam * eps2 / denom_sq)
     P_thd = 0.0 if tls_den is None else (

@@ -38,7 +38,6 @@ UNIT_CLASSES: dict[str, dict[str, float]] = {
     "energy": {"j": 1.0, "ev": 1.602176634e-19, "mev": 1.602176634e-22},
     "pressure": {"pa": 1.0, "kpa": 1e3, "mpa": 1e6, "gpa": 1e9},
     "volume": {"m^3": 1.0, "um^3": 1e-18, "nm^3": 1e-27},
-    "dimensionless": {"": 1.0},
 }
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -72,22 +71,20 @@ def parse_quantity(text: str, unit_class: str) -> float:
         raise UnitError(
             f"could not read a number from {text!r} (expected {unit_class})"
         )
-    value = float(num_text)
     tag = _normalize_tag(parts[1]) if len(parts) > 1 else ""
-    if tag == "" and "" not in table:
-        # bare number: already SI
-        return value
-    if tag not in table:
+    if tag and tag not in table:
         allowed = ", ".join(sorted(table))
         raise UnitError(
             f"unit {parts[1]!r} is not a {unit_class} unit (allowed: {allowed})"
         )
-    return value * table[tag]
+    value = float(num_text) * table.get(tag, 1.0)  # a bare number is SI
+    if not math.isfinite(value):
+        raise UnitError(f"{text!r} is not a finite {unit_class} quantity")
+    return value
 
 
 def format_si(value: float, unit_class: str) -> str:
     """Render a value as an exactly round-trippable SI-tagged string."""
     base = {"angular_rate": "rad/s", "length": "m", "mass": "kg", "power": "W",
-            "energy": "J", "pressure": "Pa", "volume": "m^3",
-            "dimensionless": ""}[unit_class]
-    return f"{value!r} {base}".strip()
+            "energy": "J", "pressure": "Pa", "volume": "m^3"}[unit_class]
+    return f"{value!r} {base}"

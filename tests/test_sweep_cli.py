@@ -212,20 +212,26 @@ class TestRunSweep:
                     assert row[i_err] != ""
 
     def test_branch_tracking_keeps_curves_continuous(self):
-        base = make_params(pump_power=7e-6)
-        spec = SweepSpec(
-            base=base,
-            axes=(SweepAxis("tls.tls_loss", 0.05 * GAMMA, 6 * GAMMA, 300,
-                            "log"),),
-            quantities=("E_plus", "E_minus", "gap"),
-            mode="fixed-nb", n_b_fixed=1.0)
-        table = run_sweep(spec)
-        re_p = np.array(table.column("E_plus_re"))
-        im_p = np.array(table.column("E_plus_im"))
-        # continuity: adjacent steps move much less than the overall span
-        span = re_p.max() - re_p.min() + im_p.max() - im_p.min()
-        jumps = np.abs(np.diff(re_p)) + np.abs(np.diff(im_p))
-        assert jumps.max() < 0.2 * span
+        # along gamma_q the closed-form labels never jump; along omega_q
+        # they swap where omega_q - omega_m changes sign above the EP
+        # (20 of the 41 rows), and Im E+ would jump by its whole span
+        cases = [
+            (make_params(pump_power=7e-6),
+             SweepAxis("tls.tls_loss", 0.05 * GAMMA, 6 * GAMMA, 300, "log")),
+            (make_params(pump_power=7e-6, gamma_q=6 * GAMMA),
+             SweepAxis("tls.tls_freq", 0.95 * OMEGA_M, 1.05 * OMEGA_M, 41)),
+        ]
+        for base, axis in cases:
+            table = run_sweep(SweepSpec(
+                base=base, axes=(axis,),
+                quantities=("E_plus", "E_minus", "gap"),
+                mode="fixed-nb", n_b_fixed=1.0))
+            re_p = np.array(table.column("E_plus_re"))
+            im_p = np.array(table.column("E_plus_im"))
+            # continuity: adjacent steps move much less than the span
+            span = re_p.max() - re_p.min() + im_p.max() - im_p.min()
+            jumps = np.abs(np.diff(re_p)) + np.abs(np.diff(im_p))
+            assert jumps.max() < 0.2 * span, axis.path
 
 
 class TestEmit:
@@ -389,6 +395,19 @@ class TestCli:
                      id="fixed-point-tol-inf"),
         pytest.param(("gain-sweep", "--axis", "mechanical.x_zpf:1:2:3"),
                      "unknown field", id="property-x_zpf"),
+        pytest.param(("validate-config", "--set",
+                      "optical.cavity_loss=1e999"), "not a finite",
+                     id="set-cavity-loss-overflow"),
+        pytest.param(("validate-config", "--set", "optical.radius=1e999"),
+                     "not a finite", id="set-radius-overflow"),
+        pytest.param(("integrate", "--dt", "1e-300", "--t-final", "1"),
+                     "cannot allocate", id="integrate-rows-unallocatable"),
+        # 3 rows, but 2**64 + 4096 steps at stride 2**64 + 1 do not fit
+        # the kernel's int64_t counts
+        pytest.param(("integrate", "--dt", repr(2.0 ** -32), "--t-final",
+                      repr((2 ** 64 + 4096) * 2.0 ** -32), "--stride",
+                      str(2 ** 64 + 1)), "more than int64 counts",
+                     id="integrate-steps-beyond-int64"),
         pytest.param(("gain-sweep", "--axis",
                       "tls.coupling_ratio:0.01:0.02:3"),
                      "unknown field", id="property-coupling_ratio"),
@@ -438,6 +457,37 @@ class TestCli:
         header = open(tmp_path / "spectrum-sweep.csv").readline().split(",")
         assert header[:6] == ["tls.tls_loss", "E_plus_re", "E_plus_im",
                               "E_minus_re", "E_minus_im", "gap"]
+
+    @pytest.mark.parametrize("assignment", ["optical.radius=1e300",
+                                            "mechanical.eff_mass=1e300"])
+    def test_underflowed_kx_is_singular(self, assignment, capsys):
+        # kx = xi x0 squares to 0, and P_th divides by kx^2
+        assert self.run("validate-config", "--set", assignment) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "underflowed to 0" in err
+
+    def test_underflowed_kx_lands_in_its_row(self, tmp_path):
+        code = self.run("gain-sweep", "--axis", "optical.radius:1e-5:1e300:3",
+                        "--mode", "fixed-nb:0", "--out", str(tmp_path),
+                        "--format", "csv")
+        assert code == 0
+        lines = open(tmp_path / "gain-sweep.csv").read().splitlines()
+        errors = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert errors[0] == "" and len(errors) == 3
+        assert all("underflowed to 0" in e for e in errors[1:])
+
+    def test_validity_warning_once_per_command(self, tmp_path):
+        # 155 of the 200 rows exceed g_d/omega_q = 0.05
+        proc = self.run_child(
+            "-m", "defectlaser.cli", "gain-sweep",
+            "--axis", "tls.coupling:1e6:3e7:200", "--mode", "fixed-nb:0",
+            "--out", str(tmp_path), "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("g_d/omega_q") == 1
+        proc = self.run_child("-m", "defectlaser.cli", "validate-config",
+                              "--set", "tls.coupling=2e7")
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout + proc.stderr).count("g_d/omega_q") == 1
 
     def test_missing_axis_is_config_error(self):
         assert self.run("gain-sweep") == 1

@@ -78,6 +78,14 @@ class TestUnits:
         with pytest.raises(UnitError):
             parse_quantity("fast", "angular_rate")
 
+    @pytest.mark.parametrize("text, unit_class", [
+        ("1e999", "length"), ("-1e999 um", "length"),
+        ("1e300 THz", "angular_rate")])
+    def test_non_finite_rejected(self, text, unit_class):
+        # the number itself overflows, or its product with the unit does
+        with pytest.raises(UnitError, match=f"not a finite {unit_class}"):
+            parse_quantity(text, unit_class)
+
     @given(st.floats(min_value=1e-3, max_value=1e9,
                      allow_nan=False, allow_infinity=False))
     def test_mhz_round_trip_is_identity(self, value):

@@ -15,15 +15,13 @@ from .params import (DerivedQuantities, MaterialParams, MechanicalParams,
                      OpticalParams, SystemParams, TlsParams, compute_gd,
                      derive_quantities, with_value)
 from .steadystate import (FixedPointReport, GainResult, SteadyOptics, gain,
-                          solve_nb_fixed_point, steady_optics,
-                          threshold_power)
+                          solve_nb_fixed_point, steady_optics)
 from .spectrum import (EffectiveParams, EpSearchResult, SpectrumResult,
                        discriminant, eigenvalues, gamma_q_ep_resonant,
                        locate_ep, turning_point)
 from .dynamics import (GrowthRateFit, IntegratorSettings, MeanFieldState,
-                       ReducedState, Trajectory, crossing_time,
-                       demodulated_envelope, growth_rate, integrate_full,
-                       integrate_reduced)
+                       ReducedState, Trajectory, crossing_time, growth_rate,
+                       integrate_full, integrate_reduced)
 from .config import (apply_override, load_config, params_from_config,
                      params_to_config)
 from .sweep import (SweepAxis, SweepSpec, SweepTable, emit_outputs,

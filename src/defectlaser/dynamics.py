@@ -47,15 +47,13 @@ class IntegratorSettings:
 
     dt and t_final are in seconds.  ``stride`` thins the stored output.
     ``method`` is "rk4" (reference, bit-reproducible) or "dop853"
-    (adaptive cross-check, uses rtol/atol).
+    (adaptive cross-check at rtol 1e-10, atol 1e-12).
     """
 
     dt: float
     t_final: float
     method: str = "rk4"
     stride: int = 1
-    rtol: float = 1e-10
-    atol: float = 1e-12
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -388,7 +386,7 @@ def _run_adaptive(rhs, y0, settings: IntegratorSettings):
     t_eval = np.linspace(0.0, settings.t_final, n_out + 1)
     sol = solve_ivp(f, (0.0, settings.t_final),
                     np.asarray(y0, dtype=complex), method="DOP853",
-                    rtol=settings.rtol, atol=settings.atol, t_eval=t_eval)
+                    rtol=1e-10, atol=1e-12, t_eval=t_eval)
     if not sol.success:
         raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0,
                               f"adaptive integration failed: {sol.message}")
@@ -436,29 +434,6 @@ def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
     stderr = math.sqrt(ss / max(n - 2, 1) / var_t) if var_t > 0 else math.inf
     return GrowthRateFit(rate=float(coef[0]), stderr=stderr, n_points=n,
                          window=(t0, t1))
-
-
-def demodulated_envelope(traj: Trajectory, omega_ref: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """|b| envelope after demodulating the carrier at ``omega_ref``.
-
-    Mixing b(t) with exp(+i omega_ref t) and boxcar-averaging over one
-    carrier period isolates the resonant component; constant driven
-    offsets and counter-rotating ripple average out.
-    """
-    t = traj.times
-    z = traj.column("b") * np.exp(1j * omega_ref * t)
-    if len(t) < 3:
-        return t, np.abs(z)
-    dt = float(np.median(np.diff(t)))
-    span = 2.0 * math.pi / omega_ref
-    w = max(1, int(round(span / dt)))
-    if w <= 1:
-        return t, np.abs(z)
-    kernel = np.ones(w) / w
-    sm = np.convolve(z, kernel, mode="valid")
-    tc = t[w - 1:] - 0.5 * (w - 1) * dt
-    return tc, np.abs(sm)
 
 
 def crossing_time(times: np.ndarray, values: np.ndarray, level: float) -> float:

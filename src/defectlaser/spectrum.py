@@ -79,15 +79,6 @@ class EpSearchResult:
     message: str = ""
 
 
-def _matrix(eff: EffectiveParams) -> np.ndarray:
-    """Explicit 2x2 block of the effective Hamiltonian."""
-    zm = eff.omega_m - 1j * eff.gamma_m_eff
-    zq = eff.omega_q - 1j * eff.gamma_q
-    kappa = eff.g_d * math.sqrt(eff.n_b)
-    return np.array([[eff.n_b * zm, kappa],
-                     [kappa, (eff.n_b - 1.0) * zm + zq]], dtype=complex)
-
-
 def discriminant(eff: EffectiveParams, gamma_q: float | None = None) -> complex:
     """4 n_b g_d^2 + [omega_q - omega_m - i(gamma_q - gamma_m_eff)]^2."""
     gq = eff.gamma_q if gamma_q is None else gamma_q
@@ -129,9 +120,11 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     e_plus = center + 0.5 * root
     e_minus = center - 0.5 * root
 
-    mat = _matrix(eff)
-    w_plus, v_plus = _eigvec(mat, e_plus)
-    w_minus, v_minus = _eigvec(mat, e_minus)
+    # the block [[a, kappa], [kappa, d]] in the basis {|n_b,g>, |n_b-1,e>}
+    a, d = eff.n_b * zm, (eff.n_b - 1.0) * zm + zq
+    kappa = eff.g_d * math.sqrt(eff.n_b)
+    w_plus, v_plus = _eigvec(a, kappa, d, e_plus)
+    w_minus, v_minus = _eigvec(a, kappa, d, e_minus)
     overlap = abs(np.vdot(v_plus, v_minus))
 
     gq_ep = gamma_q_ep_resonant(eff)
@@ -152,11 +145,12 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
                           phase=phase, eigvec_overlap=overlap)
 
 
-def _eigvec(mat: np.ndarray, e: complex) -> tuple[tuple[float, float], np.ndarray]:
+def _eigvec(a: complex, kappa: float, d: complex, e: complex
+            ) -> tuple[tuple[float, float], np.ndarray]:
     """Normalized eigenvector for eigenvalue e; stable at degeneracy."""
-    # (mat - e) v = 0 for a 2x2: use the better-conditioned row
-    r1 = (mat[0, 1], e - mat[0, 0])
-    r2 = (e - mat[1, 1], mat[1, 0])
+    # (M - e) v = 0 for a 2x2: use the better-conditioned row
+    r1 = (kappa, e - a)
+    r2 = (e - d, kappa)
     v = np.array(r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1])
                  else r2, dtype=complex)
     norm = np.linalg.norm(v)

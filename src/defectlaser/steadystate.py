@@ -17,9 +17,9 @@ README's *Known model limitation*).
 The closed forms depend on the phonon number n_b only through alpha(n_b)
 and the defect denominator.  ``coefficients`` hoists everything else into
 a ``GainCoefficients`` bundle, cached on the (frozen) parameter object,
-and ``GainCoefficients.terms`` evaluates G and N_b at one n_b.  ``gain``,
-``threshold_power`` and ``solve_nb_fixed_point``, which closes the loop
-n_b = N_b(G(n_b)) self-consistently, all read that one evaluation.
+and ``GainCoefficients.terms`` evaluates G and N_b at one n_b.  ``gain``
+and ``solve_nb_fixed_point``, which closes the loop n_b = N_b(G(n_b))
+self-consistently, both read that one evaluation.
 """
 
 from __future__ import annotations
@@ -165,29 +165,45 @@ class GainCoefficients:
                 G0, Gd, G, N_b)
 
 
+_OUT_OF_RANGE = "the gain's closed forms leave the floating-point range"
+
+
 def coefficients(params: SystemParams) -> GainCoefficients:
     """Hoist every n_b-independent factor; cached in ``params.__dict__``."""
     if "_coefficients" in params.__dict__:
         return params.__dict__["_coefficients"]
-    d = derive_quantities(params)
     opt, tls = params.optical, params.tls
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
-    kx = d.xi * d.x0
-    eps2 = d.eps_l ** 2
     dj = 2.0 * J - params.mechanical.mech_freq
     nj = dj * dj + 4.0 * gam * gam
     dq = tls.tls_freq - params.mechanical.mech_freq
-    g2 = tls.coupling ** 2
-    c = params.__dict__["_coefficients"] = GainCoefficients(
+    try:  # ** raises on overflow, / on a zero divisor
+        d = derive_quantities(params)
+        kx = d.xi * d.x0
+        eps2, g2, gq2 = d.eps_l ** 2, tls.coupling ** 2, tls.tls_loss ** 2
+        g0 = kx * kx * gam / (2.0 * nj)
+    except (OverflowError, ZeroDivisionError):
+        why = ": (2J - omega_m)^2 + 4 gamma^2 is 0" if nj == 0.0 else ""
+        raise SingularParameterError(_OUT_OF_RANGE + why) from None
+    c = GainCoefficients(
         derived=d, g_d=tls.coupling, gamma_m=params.mechanical.mech_loss,
         eps_l=d.eps_l, eps2=eps2, kx=kx, dj=dj, nj=nj,
         alpha0=J * J + gam * gam - delta * delta, alpha_n=0.25 * kx * kx,
         dg2=4.0 * delta * delta * gam * gam, dg_im=2j * gam * delta,
         x_plus=2j * d.omega_minus + 2.0 * gam,
         x_minus=2j * d.omega_plus + 2.0 * gam,
-        g0=kx * kx * gam / (2.0 * nj), g0_pump=delta * dj * eps2,
-        dq=dq, tls_den0=tls.tls_loss ** 2 + dq * dq, tls_den_n=2.0 * g2,
+        g0=g0, g0_pump=delta * dj * eps2,
+        dq=dq, tls_den0=gq2 + dq * dq, tls_den_n=2.0 * g2,
         gd_num=-g2 * tls.tls_loss)
+    # 0.0 * x is nan unless x is finite.  The coefficients left out are
+    # finite when these are: eps_l by eps2, kx by alpha_n, dj by nj, dq by
+    # tls_den0, g_d by tls_den_n, dg_im by dg2, x_plus and x_minus by alpha0
+    if not math.isfinite(0.0 * c.gamma_m + 0.0 * c.eps2 + 0.0 * c.nj
+                         + 0.0 * c.alpha0 + 0.0 * c.alpha_n + 0.0 * c.dg2
+                         + 0.0 * c.g0 + 0.0 * c.g0_pump + 0.0 * c.tls_den0
+                         + 0.0 * c.tls_den_n + 0.0 * c.gd_num):
+        raise SingularParameterError(_OUT_OF_RANGE)
+    params.__dict__["_coefficients"] = c
     return c
 
 
@@ -257,12 +273,6 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
     return GainResult(G=G, G0=G0, Gd=Gd, omega_prime=omega_prime, C=C,
                       alpha=alpha, delta_n=delta_n, n_b=n_b, N_b=N_b,
                       P_th=P_th0 + P_thd, P_th0=P_th0, P_thd=P_thd)
-
-
-def threshold_power(params: SystemParams, n_b: float) -> tuple[float, float, float]:
-    """Pump power at which G = gamma_m: total, defect-free and defect parts."""
-    g = gain(params, n_b)
-    return g.P_th, g.P_th0, g.P_thd
 
 
 def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,

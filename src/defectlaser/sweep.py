@@ -293,31 +293,22 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
     name = table.provenance.get("name", "sweep")
     os.makedirs(out_dir, exist_ok=True)
     manifest: dict[str, str] = {}
-    try:
-        csv_path = os.path.join(out_dir, f"{name}.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(table.to_csv_text())
-        manifest["csv"] = csv_path
 
-        sidecar = dict(table.provenance)
-        sidecar["written_at_unix"] = int(time.time())
-        prov_path = os.path.join(out_dir, f"{name}.provenance.json")
-        with open(prov_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest["provenance"] = prov_path
+    def write(kind, filename, text):
+        path = manifest[kind] = os.path.join(out_dir, filename)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
-        if "plot" in formats:
-            plot_path = os.path.join(out_dir, f"{name}.plot.py")
-            with open(plot_path, "w", encoding="utf-8") as fh:
-                fh.write(_plot_script(table, f"{name}.csv"))
-            manifest["plot"] = plot_path
-    except OSError as err:
-        raise SweepError(f"IO failure writing {out_dir}: {err}") from err
+    write("csv", f"{name}.csv", table.to_csv_text())
+    sidecar = {**table.provenance, "written_at_unix": int(time.time())}
+    write("provenance", f"{name}.provenance.json",
+          json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    if "plot" in formats:
+        write("plot", f"{name}.plot.py", _plot_script(table, name))
     return manifest
 
 
-def _plot_script(table: SweepTable, csv_name: str) -> str:
+def _plot_script(table: SweepTable, name: str) -> str:
     prov = table.provenance
     axes = prov["axes"]
     x = axes[-1]["path"]
@@ -329,12 +320,14 @@ def _plot_script(table: SweepTable, csv_name: str) -> str:
     outer = axes[0]["path"] if two_axis else None
     lines = [
         "#!/usr/bin/env python3",
-        f'"""Plot {prov.get("name", "sweep")} from {csv_name} (auto-generated)."""',
+        f'"""Plot {name} from {name}.csv (auto-generated)."""',
         "import csv",
+        "from pathlib import Path",
         "import matplotlib.pyplot as plt",
         "",
+        "here = Path(__file__).resolve().parent",
         "rows = []",
-        f"with open({csv_name!r}) as fh:",
+        f"with open(here / {name + '.csv'!r}) as fh:",
         "    for rec in csv.DictReader(fh):",
         "        rows.append(rec)",
         "",
@@ -369,8 +362,8 @@ def _plot_script(table: SweepTable, csv_name: str) -> str:
     lines += [
         f"axs[-1, 0].set_xlabel({x!r})",
         "fig.tight_layout()",
-        f"fig.savefig({(prov.get('name', 'sweep') + '.png')!r}, dpi=160)",
-        "print('wrote', " + repr(prov.get("name", "sweep") + ".png") + ")",
+        f"fig.savefig(here / {name + '.png'!r}, dpi=160)",
+        f"print('wrote', here / {name + '.png'!r})",
         "",
     ]
     return "\n".join(lines)

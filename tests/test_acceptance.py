@@ -25,8 +25,7 @@ from defectlaser import (DivergenceError, EffectiveParams,
                          IntegratorSettings, crossing_time,
                          eigenvalues, gain, gamma_q_ep_resonant, growth_rate,
                          integrate_full, integrate_reduced, preset,
-                         run_sweep, threshold_power, turning_point,
-                         with_value)
+                         run_sweep, turning_point, with_value)
 from defectlaser.dynamics import MeanFieldState
 
 from conftest import (GAMMA, GAMMA_M, OMEGA_M, assert_matches_eig,

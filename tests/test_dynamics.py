@@ -8,9 +8,9 @@ import pytest
 
 from defectlaser import (DivergenceError, IntegratorSettings, MeanFieldState,
                          ReducedState, SingularParameterError, Trajectory,
-                         crossing_time, demodulated_envelope, dynamics, gain,
-                         growth_rate, integrate_full, integrate_reduced,
-                         steady_optics, with_value)
+                         crossing_time, dynamics, gain, growth_rate,
+                         integrate_full, integrate_reduced, steady_optics,
+                         with_value)
 from defectlaser.params import derive_quantities
 
 from conftest import GAMMA, GAMMA_M, OMEGA_M, make_params, random_params
@@ -135,8 +135,7 @@ class TestFullModel:
         # t_final is an exact step multiple so both methods end together
         s_rk = IntegratorSettings(dt=3.125e-10, t_final=1.0e-6, stride=40)
         s_ad = IntegratorSettings(dt=3.125e-10, t_final=1.0e-6,
-                                  method="dop853", stride=40,
-                                  rtol=1e-11, atol=1e-9)
+                                  method="dop853", stride=40)
         a = integrate_full(fig2_params, None, s_rk)
         b = integrate_full(fig2_params, None, s_ad)
         assert a.times[-1] == b.times[-1]
@@ -402,31 +401,6 @@ class TestGrowthRateFit:
         traj = self.synthetic(1e5)
         with pytest.raises(ValueError):
             growth_rate(traj, (2e-6, 1e-6))
-
-    def test_envelope_rate_agrees_with_plain_fit_on_real_run(self):
-        """Lock-in envelope extraction and the plain log|b| fit agree on a
-        lasing trajectory once the window sits above the driven floor."""
-        p = make_params(pump_power=6e-6)
-        s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=20e-6, stride=2)
-        traj = run_with_partial(p, s)
-        t_lo = crossing_time(traj.times, traj.abs_b, 30.0)
-        t_hi = crossing_time(traj.times, traj.abs_b, 300.0)
-        plain = growth_rate(traj, (t_lo, t_hi)).rate
-        tc, env = demodulated_envelope(traj, OMEGA_M)
-        mask = (tc >= t_lo) & (tc <= t_hi)
-        slope = np.polyfit(tc[mask], np.log(env[mask]), 1)[0]
-        assert slope == pytest.approx(plain, rel=0.05)
-
-    def test_demodulated_envelope_strips_offset(self):
-        t = np.linspace(0.0, 20e-6, 40001)
-        rate = 2e5
-        b = 5.0 + 0.5 * np.exp((rate - 1j * OMEGA_M) * t)
-        traj = Trajectory(times=t, states=b.reshape(-1, 1).astype(complex),
-                          fields=("b",))
-        tc, env = demodulated_envelope(traj, OMEGA_M)
-        mask = (tc > 2e-6) & (tc < 18e-6)
-        slope = np.polyfit(tc[mask], np.log(env[mask]), 1)[0]
-        assert slope == pytest.approx(rate, rel=0.01)
 
 
 class TestTrajectoryIO:

@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+import itertools
 import math
 import pickle
 
@@ -5,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from defectlaser import (IntegratorSettings, SingularParameterError, gain,
-                         integrate_full, solve_nb_fixed_point, steady_optics,
-                         threshold_power, with_value)
+from defectlaser import (IntegratorSettings, InvalidParameterError,
+                         SingularParameterError, gain, integrate_full,
+                         solve_nb_fixed_point, steady_optics, with_value)
 from defectlaser import steadystate
 from defectlaser.config import params_to_config
 from defectlaser.constants import HBAR
@@ -135,15 +138,14 @@ class TestGain:
 
 class TestThreshold:
     def test_defect_free(self, fig2_params):
-        p = with_value(fig2_params, "tls.coupling", 0.0)
-        p_th, p_th0, p_thd = threshold_power(p, 0.0)
-        assert p_thd == 0.0
-        assert p_th == p_th0
+        g = gain(with_value(fig2_params, "tls.coupling", 0.0), 0.0)
+        assert g.P_thd == 0.0
+        assert g.P_th == g.P_th0
 
     def test_matched_supermodes_zero_detuning_closed_form(self):
         p = make_params(pump_detuning=0.0)  # 2J = omega_m and Delta = 0
         d = derive_quantities(p)
-        _, p_th0, _ = threshold_power(p, 0.0)
+        p_th0 = gain(p, 0.0).P_th0
         expected = (2.0 * HBAR * 4.0 * GAMMA ** 2
                     * (p.optical.cavity_freq + p.optical.coupling) * GAMMA_M
                     / (d.xi * d.x0) ** 2)
@@ -154,8 +156,8 @@ class TestThreshold:
         is minimal (fixed n_b); cross-checked against sqrt(2 n_b) g_d."""
         n_b = 2.0
         gqs = np.geomspace(0.05 * GAMMA, 6.0 * GAMMA, 1500)
-        p_th = [threshold_power(with_value(fig2_params, "tls.tls_loss", gq),
-                                n_b)[0] for gq in gqs]
+        p_th = [gain(with_value(fig2_params, "tls.tls_loss", gq), n_b).P_th
+                for gq in gqs]
         g = [gain(with_value(fig2_params, "tls.tls_loss", gq), n_b).G
              for gq in gqs]
         i_pth = int(np.argmax(p_th))
@@ -164,11 +166,6 @@ class TestThreshold:
         analytic = math.sqrt(2.0 * n_b) * fig2_params.tls.coupling
         step = gqs[min(i_pth + 1, len(gqs) - 1)] - gqs[max(i_pth - 1, 0)]
         assert abs(gqs[i_pth] - analytic) <= step
-
-    def test_consistency_with_gain_result(self, fig2_params):
-        g = gain(fig2_params, 1.5)
-        p_th, p_th0, p_thd = threshold_power(fig2_params, 1.5)
-        assert (g.P_th, g.P_th0, g.P_thd) == (p_th, p_th0, p_thd)
 
 
 class TestFixedPoint:
@@ -264,7 +261,6 @@ class TestGainKernel:
         for other in (g.N_b, reference_n_b_map(p, n)):
             assert mapped == other or (math.isinf(mapped)
                                        and math.isinf(other))
-        assert threshold_power(p, n) == (g.P_th, g.P_th0, g.P_thd)
 
     def test_overflow_branch_reports_inf(self, fig2_params):
         hot = with_value(fig2_params, "optical.pump_power", 1.0)
@@ -328,6 +324,34 @@ class TestCoefficientCache:
                                                           rel=1e-15)
         assert coefficients(fig2_params) is parent
 
+    def test_out_of_range_bundle_is_not_cached(self):
+        # 2J = omega_m at the base point, so nj = 4 gamma^2 underflows to 0
+        p = make_params(gamma=1e-300)
+        for _ in range(2):
+            with pytest.raises(SingularParameterError, match="is 0"):
+                coefficients(p)
+        assert "_coefficients" not in p.__dict__
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_no_bundle_has_a_non_finite_coefficient(self):
+        # every input at an extreme value, alone or with one other one:
+        # coefficients raises or returns only finite coefficients
+        extremes = (5e-324, 1e-300, 1e300, 1.7e308, math.inf)
+        names = ("pump_power", "coupling_j", "gamma", "gamma_m", "g_d",
+                 "gamma_q", "omega_q", "omega_m", "mass", "radius",
+                 "cavity_freq")
+        single = [(n, v) for n in names for v in extremes]
+        single += [("pump_detuning", s * v) for s in (1, -1) for v in extremes]
+        for kw in itertools.chain(((s,) for s in single),
+                                  itertools.combinations(single, 2)):
+            try:
+                c = coefficients(make_params(**dict(kw)))
+            except (InvalidParameterError, SingularParameterError):
+                continue
+            bad = [f.name for f in dataclasses.fields(c)[1:]
+                   if not cmath.isfinite(getattr(c, f.name))]
+            assert not bad, (kw, bad)
+
     def test_fixed_point_gain_and_optics_share_one_bundle(self, monkeypatch):
         calls = []
 
@@ -340,7 +364,6 @@ class TestCoefficientCache:
         n_b = solve_nb_fixed_point(p).n_b_star
         g = gain(p, n_b)
         steady_optics(p, 0j, n_b)
-        threshold_power(p, n_b)
         assert calls == [p]
         fresh = make_params()
         assert gain(fresh, n_b) == g and len(calls) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,12 +11,38 @@ import pytest
 
 from defectlaser import (SweepAxis, SweepSpec, SweepError,
                          UnknownPresetError, emit_outputs, gain, preset,
-                         run_sweep, with_value)
+                         run_sweep, sweep, with_value)
 from defectlaser.cli import EXIT_CONFIG, main as cli_main
 from defectlaser.config import load_config
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
 from conftest import GAMMA, OMEGA_M, make_params
+
+#: a matplotlib.pyplot with just what the generated plot scripts call
+PYPLOT_STUB = """
+import numpy as np
+
+
+class _Stub:
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: None
+
+
+class _Figure(_Stub):
+    def savefig(self, path, dpi=None):
+        with open(path, "wb") as fh:
+            fh.write(b"stub")
+
+
+def subplots(nrows, ncols, **kwargs):
+    axs = np.empty((nrows, ncols), dtype=object)
+    for i in range(nrows):
+        for j in range(ncols):
+            axs[i, j] = _Stub()
+    return _Figure(), axs
+"""
 
 #: sha256 prefixes of the eight preset CSVs; any moved cell shows here
 PRESET_CSV_SHA256 = {
@@ -145,6 +172,22 @@ class TestRunSweep:
         g = table.column("G")
         assert math.isnan(g[0]) and not math.isnan(g[1])
 
+    def test_unconverged_fixed_point_keeps_its_row(self, monkeypatch):
+        spec = small_spec(mode="self-consistent", n_b_fixed=None,
+                          quantities=("G", "n_b_star", "fp_converged"))
+        converged = run_sweep(spec)
+        solve = sweep.solve_nb_fixed_point
+        monkeypatch.setattr(
+            sweep, "solve_nb_fixed_point", lambda params: dataclasses.replace(
+                solve(params), converged=False, residual=0.25))
+        table = run_sweep(spec)
+        for name in ("tls.tls_loss", "G", "n_b_star"):
+            assert table.column(name) == converged.column(name)
+        assert set(table.column("fp_converged")) == {0.0}
+        # the benchmark counts these rows by the start of the error cell
+        assert all(e.startswith("fixed point not converged (residual 0.25)")
+                   for e in table.column("error"))
+
     def test_self_consistent_sweep_from_lossless_defect(self):
         """gamma_q = 0 on resonance makes the fixed point singular: that
         row carries the error with NaN cells, and the sweep goes on."""
@@ -259,6 +302,23 @@ class TestEmit:
         assert "matplotlib" in src
         assert os.path.basename(out["csv"]) in src
         compile(src, out["plot"], "exec")  # syntactically valid
+
+    def test_plot_scripts_run_from_another_directory(self, tmp_path):
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("")
+        (stub / "pyplot.py").write_text(PYPLOT_STUB)
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        for name in FIGURE_PRESETS:
+            emit_outputs(run_sweep(preset(name)), out)
+            proc = subprocess.run(
+                [sys.executable, str(out / f"{name}.plot.py")],
+                cwd=elsewhere, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(stub.parent)))
+            assert proc.returncode == 0, proc.stderr
+            assert (out / f"{name}.png").is_file()
+        assert not any(elsewhere.iterdir())
 
     def test_rerun_of_sweep_is_byte_stable(self, tmp_path):
         spec = small_spec(mode="self-consistent", n_b_fixed=None)
@@ -475,6 +535,34 @@ class TestCli:
         errors = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert errors[0] == "" and len(errors) == 3
         assert all("underflowed to 0" in e for e in errors[1:])
+
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    @pytest.mark.parametrize("assignment", [
+        "optical.cavity_loss=1e-300", "tls.coupling=1e300",
+        "optical.radius=1e-300", "optical.pump_power=1e300",
+        "optical.cavity_loss=1e300", "optical.pump_detuning=1e200",
+        "optical.coupling=1e200"])
+    def test_out_of_range_parameter_is_singular(self, assignment, capsys):
+        # each once ended in a traceback or printed G(n_b=0) = nan, exit 0
+        assert self.run("validate-config", "--set", assignment) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "floating-point range" in err
+
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    def test_out_of_range_point_lands_in_its_row(self, tmp_path):
+        code = self.run("gain-sweep", "--axis", "tls.coupling:1e6:1e300:3:log",
+                        "--mode", "fixed-nb:0", "--out", str(tmp_path),
+                        "--format", "csv")
+        assert code == 0
+        lines = open(tmp_path / "gain-sweep.csv").read().splitlines()
+        errors = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert errors[0] == "" and len(errors) == 3
+        assert all("floating-point range" in e for e in errors[1:])
+
+    def test_failed_write_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "fig2a.csv").mkdir()
+        assert self.run("preset", "fig2a", "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("io error:")
 
     def test_validity_warning_once_per_command(self, tmp_path):
         # 155 of the 200 rows exceed g_d/omega_q = 0.05

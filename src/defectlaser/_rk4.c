@@ -11,22 +11,30 @@
      operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or _Py_c_quot;
    - x ** 2 of a float is float_pow: its special cases, then libm
      pow(|x|, 2.0) (build with -fno-builtin, or gcc folds pow into x * x,
-     which can differ in the last bit);
+     which can differ in the last bit), and abs(z) of a complex is
+     _Py_c_abs: its inf/nan rules, then libm hypot;
    - components the Python loop keeps as floats (sigma_z in both models,
      delta_n in the reduced one) step in real arithmetic and are stored as
      (x, 0.0), as numpy stores a float in a complex array.
+
+   Every helper is forced inline, so each entry point compiles to its own
+   stepper with its model's right-hand side inlined.  The build is -O3:
+   without -ffast-math gcc neither reassociates nor contracts, and its
+   vectoriser keeps each operation's order, so the bits stay CPython's.
 
    Arguments: the complex coefficients of the model (their order is set in
    dynamics.py), a flag (the reduced model's full closure; the full model
    ignores it), y0 (5 complex), h, the number of steps n, the stride, then
    times (rows) and states (rows x 5 complex) to fill; the caller sizes
    the rows as 1 + ceil(n / stride).  Row r holds the state after step
-   r * stride, and the last row the state after step n.
+   r * stride, and the last row the state after step n.  Under the full
+   closure, column 4 of each row holds delta_n = abs(a+) ** 2 - abs(a-) ** 2
+   of the closure at that row's b, as dynamics.py's ``fill`` computes it.
 
    Returns n when the run finished, and -i when the squared norm of the
    state after step i was not < 1e250 (that state is not stored; rows 0 to
    (i - 1) / stride are).  Returns 0 where CPython raises instead (complex
-   division by zero, an overflowing x ** 2, a singular supermode
+   division by zero, an overflowing x ** 2 or abs, a singular supermode
    elimination): the caller then replays the Python loop, which raises the
    same exception. */
 
@@ -34,19 +42,21 @@
 #include <math.h>
 #include <stdint.h>
 
+#define INLINE static inline __attribute__((always_inline))
+
 typedef struct { double re, im; } cx;
 
-static cx C(double re, double im) { cx r; r.re = re; r.im = im; return r; }
-static cx F(double x) { return C(x, 0.0); } /* float operand, promoted */
-static cx add(cx a, cx b) { return C(a.re + b.re, a.im + b.im); }
-static cx sub(cx a, cx b) { return C(a.re - b.re, a.im - b.im); }
-static cx mul(cx a, cx b)
+INLINE cx C(double re, double im) { cx r; r.re = re; r.im = im; return r; }
+INLINE cx F(double x) { return C(x, 0.0); } /* float operand, promoted */
+INLINE cx add(cx a, cx b) { return C(a.re + b.re, a.im + b.im); }
+INLINE cx sub(cx a, cx b) { return C(a.re - b.re, a.im - b.im); }
+INLINE cx mul(cx a, cx b)
 {
     return C(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re);
 }
-static cx conj_(cx a) { return C(a.re, -a.im); }
+INLINE cx conj_(cx a) { return C(a.re, -a.im); }
 
-static cx quot(cx a, cx b, int *fault)
+INLINE cx quot(cx a, cx b, int *fault)
 {
     const double abs_br = b.re < 0 ? -b.re : b.re;
     const double abs_bi = b.im < 0 ? -b.im : b.im;
@@ -68,7 +78,7 @@ static cx quot(cx a, cx b, int *fault)
 }
 
 /* x ** 2 of a Python float; a fault where float_pow raises OverflowError */
-static double sq(double x, int *fault)
+INLINE double sq(double x, int *fault)
 {
     if (x != x)
         return x;
@@ -86,44 +96,67 @@ static double sq(double x, int *fault)
     return r;
 }
 
+/* abs(z) of a Python complex; a fault where _Py_c_abs sets ERANGE and
+   complex_abs raises OverflowError */
+INLINE double c_abs(cx z, int *fault)
+{
+    if (z.re == HUGE_VAL || z.re == -HUGE_VAL
+        || z.im == HUGE_VAL || z.im == -HUGE_VAL)
+        return HUGE_VAL;
+    if (z.re != z.re || z.im != z.im)
+        return NAN;
+    const double r = hypot(z.re, z.im);
+    if (r == HUGE_VAL || r != r)
+        *fault = 1;
+    return r;
+}
+
 static const cx I = {0.0, 1.0};
 
-typedef int (*rhs_fn)(const cx *c, int flag, const cx *y, cx *k);
-
 /* integrate_full's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
-static int rhs_full(const cx *c, int flag, const cx *y, cx *k)
+INLINE void rhs_full(const cx *c, const cx *y, cx *k)
 {
     const cx ap = y[0], am = y[1], b = y[2], sm = y[3];
     const double sz = y[4].re, drv = c[5].re, gd = c[6].re, gq = c[7].re;
-    (void)flag;
     k[0] = add(add(mul(c[0], ap), mul(mul(c[4], am), b)), F(drv));
     k[1] = add(add(mul(c[1], am), mul(mul(c[4], ap), conj_(b))), F(drv));
     k[2] = sub(add(mul(c[2], b), mul(mul(c[4], conj_(am)), ap)),
                mul(mul(I, F(gd)), sm));
     k[3] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
     k[4] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
-    return 0;
 }
 
-/* integrate_reduced's rhs, with GainCoefficients.supermodes(|b|^2, b) as
-   the closure; c = (cpp, k, cb, cs, dg_im, x_plus, x_minus, kx, eps_l, gd,
-   gq, sqrt 2, alpha0, alpha_n, dg2, sqrt 8); flag = full closure */
-static int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
+/* GainCoefficients.supermodes(|b|^2, b)'s a+ and a-, the reduced model's
+   closure; c is integrate_reduced's.  Nonzero where Python raises. */
+INLINE int closure(const cx *c, cx b, cx *ap, cx *am)
 {
-    const cx p = y[0], b = y[1], sm = y[2];
-    const double kx = c[7].re, eps = c[8].re, gd = c[9].re, gq = c[10].re;
-    const double sz = y[3].re;
-    double dn = y[4].re;
+    const double kx = c[7].re, eps = c[8].re;
     int fault = 0;
 
     const double alpha = c[12].re + c[13].re * (b.re * b.re + b.im * b.im);
     if (alpha * alpha + c[14].re == 0.0) /* SingularParameterError */
         return 1;
     const cx denom = mul(F(c[15].re), sub(F(alpha), c[4]));
-    const cx ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))),
-                       denom, &fault);
-    const cx am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))),
-                       denom, &fault);
+    *ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))), denom, &fault);
+    *am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))), denom,
+               &fault);
+    return fault;
+}
+
+/* integrate_reduced's rhs; c = (cpp, k, cb, cs, dg_im, x_plus, x_minus,
+   kx, eps_l, gd, gq, sqrt 2, alpha0, alpha_n, dg2, sqrt 8); flag = full
+   closure */
+INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
+{
+    const cx p = y[0], b = y[1], sm = y[2];
+    const double kx = c[7].re, eps = c[8].re, gd = c[9].re, gq = c[10].re;
+    const double sz = y[3].re;
+    double dn = y[4].re;
+    cx ap, am;
+    int fault = 0;
+
+    if (closure(c, b, &ap, &am))
+        return 1;
     if (flag)
         dn = (sq(ap.re, &fault) + sq(ap.im, &fault))
              - (sq(am.re, &fault) + sq(am.im, &fault));
@@ -138,8 +171,35 @@ static int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
     return fault;
 }
 
+/* the model's rhs at y; nonzero where Python raises */
+INLINE int rhs(int reduced, const cx *c, int flag, const cx *y, cx *k)
+{
+    if (reduced)
+        return rhs_reduced(c, flag, y, k);
+    rhs_full(c, y, k);
+    return 0;
+}
+
+/* stores y as a row; under the full closure its column 4 is delta_n =
+   abs(a+) ** 2 - abs(a-) ** 2 at y's b.  Nonzero where Python raises. */
+INLINE int store(int reduced, const cx *c, int flag, const cx *y, cx *row)
+{
+    cx ap, am;
+    int j, fault = 0;
+
+    for (j = 0; j < 5; j++)
+        row[j] = y[j];
+    if (reduced && flag) {
+        if (closure(c, y[1], &ap, &am))
+            return 1;
+        const double n_plus = sq(c_abs(ap, &fault), &fault);
+        row[4] = F(n_plus - sq(c_abs(am, &fault), &fault));
+    }
+    return fault;
+}
+
 /* s = y + hh * k; the first nc components are complex */
-static void stage(const cx *y, double hh, const cx *k, int nc, cx *s)
+INLINE void stage(const cx *y, double hh, const cx *k, int nc, cx *s)
 {
     int j;
     for (j = 0; j < nc; j++)
@@ -148,29 +208,32 @@ static void stage(const cx *y, double hh, const cx *k, int nc, cx *s)
         s[j] = F(y[j].re + hh * k[j].re);
 }
 
-static int64_t rk4(rhs_fn f, const cx *c, int flag, int nc, const cx *y0,
+INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
                    double h, int64_t n, int64_t stride, double *times,
                    cx *states)
 {
+    const int nc = reduced ? 3 : 4;
     const double h2 = 0.5 * h, h6 = h / 6.0;
     cx y[5], s[5], k1[5], k2[5], k3[5], k4[5];
     int64_t i, r = 1;
     int j;
 
     for (j = 0; j < 5; j++)
-        y[j] = states[j] = j < nc ? y0[j] : F(y0[j].re);
+        y[j] = j < nc ? y0[j] : F(y0[j].re);
     times[0] = 0.0;
+    if (store(reduced, c, flag, y, states))
+        return 0;
     for (i = 1; i <= n; i++) {
-        if (f(c, flag, y, k1))
+        if (rhs(reduced, c, flag, y, k1))
             return 0;
         stage(y, h2, k1, nc, s);
-        if (f(c, flag, s, k2))
+        if (rhs(reduced, c, flag, s, k2))
             return 0;
         stage(y, h2, k2, nc, s);
-        if (f(c, flag, s, k3))
+        if (rhs(reduced, c, flag, s, k3))
             return 0;
         stage(y, h, k3, nc, s);
-        if (f(c, flag, s, k4))
+        if (rhs(reduced, c, flag, s, k4))
             return 0;
         for (j = 0; j < nc; j++)
             y[j] = add(y[j], mul(F(h6), add(add(k1[j], mul(F(2.0),
@@ -185,8 +248,8 @@ static int64_t rk4(rhs_fn f, const cx *c, int flag, int nc, const cx *y0,
             return -i;
         if (i % stride == 0 || i == n) {
             times[r] = (double)i * h;
-            for (j = 0; j < 5; j++)
-                states[5 * r + j] = y[j];
+            if (store(reduced, c, flag, y, states + 5 * r))
+                return 0;
             r++;
         }
     }
@@ -196,13 +259,13 @@ static int64_t rk4(rhs_fn f, const cx *c, int flag, int nc, const cx *y0,
 int64_t integrate_full(const cx *c, int flag, const cx *y0, double h,
                        int64_t n, int64_t stride, double *times, cx *states)
 {
-    return rk4(rhs_full, c, flag, 4, y0, h, n, stride, times, states);
+    (void)flag;
+    return rk4(0, c, 0, y0, h, n, stride, times, states);
 }
 
 int64_t integrate_reduced(const cx *c, int full_closure, const cx *y0,
                           double h, int64_t n, int64_t stride, double *times,
                           cx *states)
 {
-    return rk4(rhs_reduced, c, full_closure, 3, y0, h, n, stride, times,
-               states);
+    return rk4(1, c, full_closure, y0, h, n, stride, times, states);
 }

@@ -154,7 +154,8 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
     """Run ``settings.method`` (default ``_default_settings``) from y0 and
     warn when dt under-resolves.  "rk4" runs the kernel entry ``native`` =
     (name, coefficients, flag), or ``_run_rk4`` where that returns 0.
-    ``fill(states)`` fills in place the columns the steps leave out."""
+    ``fill(states)`` fills in place the columns the Python steps leave out;
+    the kernel fills them itself."""
     settings = settings or _default_settings(params)
     resolution = settings.dt * _fastest_rate(params)
     notes = []
@@ -184,6 +185,8 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
             np.array(y0, dtype=complex), h, n_steps, stride, times, states)
         if steps == 0:  # no kernel, or Python raises here: the loop runs
             steps = _run_rk4(rhs, y0, h, n_steps, stride, times, states)
+        else:
+            fill = None
         meta["steps"] = abs(steps)
         if steps < 0:  # the state after step -steps is not finite
             rows = 1 + (-steps - 1) // stride
@@ -350,7 +353,7 @@ def _kernel():
     import sysconfig
     import zlib
     src = Path(__file__).resolve().with_name("_rk4.c")
-    cmd = [*(sysconfig.get_config_var("CC") or "cc").split(), "-O2",
+    cmd = [*(sysconfig.get_config_var("CC") or "cc").split(), "-O3",
            "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
     try:
         key = zlib.crc32(src.read_bytes() + " ".join(cmd).encode())

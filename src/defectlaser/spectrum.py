@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SingularParameterError
 from .params import SystemParams
 
 
@@ -110,7 +110,8 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
 
     The closed form uses the principal square root (Re >= 0); labels are
     fixed by that branch.  The at-EP phase label takes rates within
-    1e-9 omega_m of the EP.
+    1e-9 omega_m of the EP.  Raises :class:`SingularParameterError` when
+    an eigenvalue or an eigenvector norm is not finite.
     """
     ep_tol = 1e-9 * eff.omega_m
     zm = eff.omega_m - 1j * eff.gamma_m_eff
@@ -119,6 +120,10 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     root = cmath.sqrt(discriminant(eff))
     e_plus = center + 0.5 * root
     e_minus = center - 0.5 * root
+    if not (cmath.isfinite(e_plus) and cmath.isfinite(e_minus)):
+        raise SingularParameterError(
+            f"the spectrum at n_b = {eff.n_b:.3g} leaves the floating-point "
+            "range")
 
     # the block [[a, kappa], [kappa, d]] in the basis {|n_b,g>, |n_b-1,e>}
     a, d = eff.n_b * zm, (eff.n_b - 1.0) * zm + zq
@@ -154,6 +159,9 @@ def _eigvec(a: complex, kappa: float, d: complex, e: complex
     v = np.array(r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1])
                  else r2, dtype=complex)
     norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise SingularParameterError(
+            "an eigenvector's norm leaves the floating-point range")
     if norm == 0.0:
         v = np.array([1.0, 0.0], dtype=complex)
         norm = 1.0

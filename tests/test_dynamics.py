@@ -507,6 +507,24 @@ class TestCompiledKernel:
                 diverged += c[1] is not None
         assert diverged >= 6
 
+    def test_ensemble_member_bit_identical(self, monkeypatch):
+        """A dynamics-ensemble-shaped member, the inputs of the kernel's
+        speed figures: a lasing point near 10 uW at dt = 0.095/omega_m,
+        3 us, stride 5, from the default state."""
+        p = make_params(pump_power=9.5e-6, g_d=0.5e6, gamma_q=8e6)
+        s = IntegratorSettings(dt=0.095 / OMEGA_M, t_final=3e-6, stride=5)
+        runs = {}
+        for integrate in (integrate_full, integrate_reduced):
+            c = outcome(integrate, p, None, s)
+            py = python_loop(monkeypatch, integrate, p, None, s)
+            assert (c[0].meta["rk4"], py[0].meta["rk4"]) == ("c", "python")
+            assert_same_bits(c, py)
+            runs[integrate] = c
+        # the full model diverges; the frozen reduced one runs every step
+        assert runs[integrate_full][1] is not None
+        assert runs[integrate_reduced][1] is None
+        assert runs[integrate_reduced][0].meta["steps"] == 4643
+
     def test_steps_in_meta(self, fig2_params):
         s = settings_for(1e-6, stride=7)
         for integrate in (integrate_full, integrate_reduced):

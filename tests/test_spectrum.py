@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from defectlaser import (EffectiveParams, InvalidParameterError,
-                         discriminant, eigenvalues, gain,
-                         gamma_q_ep_resonant, locate_ep, preset, run_sweep,
-                         solve_nb_fixed_point, turning_point, with_value)
+                         SingularParameterError, discriminant, eigenvalues,
+                         gain, gamma_q_ep_resonant, locate_ep, preset,
+                         run_sweep, solve_nb_fixed_point, turning_point,
+                         with_value)
 
 from conftest import GAMMA, OMEGA_M, assert_matches_eig, make_params
 
@@ -111,6 +112,20 @@ class TestEigenvalues:
     def test_nb_below_one_rejected(self):
         with pytest.raises(InvalidParameterError):
             eff(n_b=0.5)
+
+    def test_non_finite_eigenvalues_raise(self):
+        # (n_b - 1/2) omega_m overflows, and with it both eigenvalues
+        with pytest.raises(SingularParameterError, match="spectrum at n_b"):
+            eigenvalues(eff(n_b=1e300))
+
+    def test_non_finite_eigenvector_norm_raises(self):
+        # finite eigenvalues near 1e154 whose eigenvector's squared norm
+        # overflows in np.linalg.norm
+        e = EffectiveParams(n_b=1.0, omega_m=WM, omega_q=0.9e154,
+                            gamma_m_eff=0.0, gamma_q=0.9e154, g_d=6.5e153)
+        with np.errstate(over="ignore"), \
+                pytest.raises(SingularParameterError, match="eigenvector"):
+            eigenvalues(e)
 
 
 class TestLocateEp:

@@ -559,6 +559,20 @@ class TestCli:
         assert errors[0] == "" and len(errors) == 3
         assert all("floating-point range" in e for e in errors[1:])
 
+    def test_non_finite_spectrum_lands_in_its_row(self, tmp_path):
+        # at n_b = 1e300 the block's eigenvalues overflow
+        code = self.run("spectrum-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                        "--mode", "fixed-nb:1e300", "--out", str(tmp_path),
+                        "--format", "csv")
+        assert code == 0
+        lines = open(tmp_path / "spectrum-sweep.csv").read().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert "leaves the floating-point range" in row["error"]
+            assert row["E_plus_re"] == "nan" and row["phase"] == ""
+
     def test_failed_write_is_io_error(self, tmp_path, capsys):
         (tmp_path / "fig2a.csv").mkdir()
         assert self.run("preset", "fig2a", "--out", str(tmp_path)) == 3

@@ -11,8 +11,7 @@
      operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or _Py_c_quot;
    - x ** 2 of a float is float_pow: its special cases, then libm
      pow(|x|, 2.0) (build with -fno-builtin, or gcc folds pow into x * x,
-     which can differ in the last bit), and abs(z) of a complex is
-     _Py_c_abs: its inf/nan rules, then libm hypot;
+     which can differ in the last bit);
    - components the Python loop keeps as floats (sigma_z in both models,
      delta_n in the reduced one) step in real arithmetic and are stored as
      (x, 0.0), as numpy stores a float in a complex array.
@@ -27,14 +26,12 @@
    ignores it), y0 (5 complex), h, the number of steps n, the stride, then
    times (rows) and states (rows x 5 complex) to fill; the caller sizes
    the rows as 1 + ceil(n / stride).  Row r holds the state after step
-   r * stride, and the last row the state after step n.  Under the full
-   closure, column 4 of each row holds delta_n = abs(a+) ** 2 - abs(a-) ** 2
-   of the closure at that row's b, as dynamics.py's ``fill`` computes it.
+   r * stride, and the last row the state after step n.
 
    Returns n when the run finished, and -i when the squared norm of the
    state after step i was not < 1e250 (that state is not stored; rows 0 to
    (i - 1) / stride are).  Returns 0 where CPython raises instead (complex
-   division by zero, an overflowing x ** 2 or abs, a singular supermode
+   division by zero, an overflowing x ** 2, a singular supermode
    elimination): the caller then replays the Python loop, which raises the
    same exception. */
 
@@ -96,21 +93,6 @@ INLINE double sq(double x, int *fault)
     return r;
 }
 
-/* abs(z) of a Python complex; a fault where _Py_c_abs sets ERANGE and
-   complex_abs raises OverflowError */
-INLINE double c_abs(cx z, int *fault)
-{
-    if (z.re == HUGE_VAL || z.re == -HUGE_VAL
-        || z.im == HUGE_VAL || z.im == -HUGE_VAL)
-        return HUGE_VAL;
-    if (z.re != z.re || z.im != z.im)
-        return NAN;
-    const double r = hypot(z.re, z.im);
-    if (r == HUGE_VAL || r != r)
-        *fault = 1;
-    return r;
-}
-
 static const cx I = {0.0, 1.0};
 
 /* integrate_full's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
@@ -126,37 +108,25 @@ INLINE void rhs_full(const cx *c, const cx *y, cx *k)
     k[4] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
 }
 
-/* GainCoefficients.supermodes(|b|^2, b)'s a+ and a-, the reduced model's
-   closure; c is integrate_reduced's.  Nonzero where Python raises. */
-INLINE int closure(const cx *c, cx b, cx *ap, cx *am)
-{
-    const double kx = c[7].re, eps = c[8].re;
-    int fault = 0;
-
-    const double alpha = c[12].re + c[13].re * (b.re * b.re + b.im * b.im);
-    if (alpha * alpha + c[14].re == 0.0) /* SingularParameterError */
-        return 1;
-    const cx denom = mul(F(c[15].re), sub(F(alpha), c[4]));
-    *ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))), denom, &fault);
-    *am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))), denom,
-               &fault);
-    return fault;
-}
-
-/* integrate_reduced's rhs; c = (cpp, k, cb, cs, dg_im, x_plus, x_minus,
-   kx, eps_l, gd, gq, sqrt 2, alpha0, alpha_n, dg2, sqrt 8); flag = full
-   closure */
+/* integrate_reduced's rhs, with GainCoefficients.supermodes(|b|^2, b) as
+   the closure; c = (cpp, k, cb, cs, dg_im, x_plus, x_minus, kx, eps_l, gd,
+   gq, sqrt 2, alpha0, alpha_n, dg2, sqrt 8); flag = full closure */
 INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
 {
     const cx p = y[0], b = y[1], sm = y[2];
     const double kx = c[7].re, eps = c[8].re, gd = c[9].re, gq = c[10].re;
     const double sz = y[3].re;
     double dn = y[4].re;
-    cx ap, am;
     int fault = 0;
 
-    if (closure(c, b, &ap, &am))
+    const double alpha = c[12].re + c[13].re * (b.re * b.re + b.im * b.im);
+    if (alpha * alpha + c[14].re == 0.0) /* SingularParameterError */
         return 1;
+    const cx denom = mul(F(c[15].re), sub(F(alpha), c[4]));
+    const cx ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))),
+                       denom, &fault);
+    const cx am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))),
+                       denom, &fault);
     if (flag)
         dn = (sq(ap.re, &fault) + sq(ap.im, &fault))
              - (sq(am.re, &fault) + sq(am.im, &fault));
@@ -180,24 +150,6 @@ INLINE int rhs(int reduced, const cx *c, int flag, const cx *y, cx *k)
     return 0;
 }
 
-/* stores y as a row; under the full closure its column 4 is delta_n =
-   abs(a+) ** 2 - abs(a-) ** 2 at y's b.  Nonzero where Python raises. */
-INLINE int store(int reduced, const cx *c, int flag, const cx *y, cx *row)
-{
-    cx ap, am;
-    int j, fault = 0;
-
-    for (j = 0; j < 5; j++)
-        row[j] = y[j];
-    if (reduced && flag) {
-        if (closure(c, y[1], &ap, &am))
-            return 1;
-        const double n_plus = sq(c_abs(ap, &fault), &fault);
-        row[4] = F(n_plus - sq(c_abs(am, &fault), &fault));
-    }
-    return fault;
-}
-
 /* s = y + hh * k; the first nc components are complex */
 INLINE void stage(const cx *y, double hh, const cx *k, int nc, cx *s)
 {
@@ -219,10 +171,8 @@ INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
     int j;
 
     for (j = 0; j < 5; j++)
-        y[j] = j < nc ? y0[j] : F(y0[j].re);
+        y[j] = states[j] = j < nc ? y0[j] : F(y0[j].re);
     times[0] = 0.0;
-    if (store(reduced, c, flag, y, states))
-        return 0;
     for (i = 1; i <= n; i++) {
         if (rhs(reduced, c, flag, y, k1))
             return 0;
@@ -248,8 +198,8 @@ INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
             return -i;
         if (i % stride == 0 || i == n) {
             times[r] = (double)i * h;
-            if (store(reduced, c, flag, y, states + 5 * r))
-                return 0;
+            for (j = 0; j < 5; j++)
+                states[5 * r + j] = y[j];
             r++;
         }
     }

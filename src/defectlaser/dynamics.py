@@ -154,8 +154,7 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
     """Run ``settings.method`` (default ``_default_settings``) from y0 and
     warn when dt under-resolves.  "rk4" runs the kernel entry ``native`` =
     (name, coefficients, flag), or ``_run_rk4`` where that returns 0.
-    ``fill(states)`` fills in place the columns the Python steps leave out;
-    the kernel fills them itself."""
+    ``fill(states)`` fills in place the columns the steps leave out."""
     settings = settings or _default_settings(params)
     resolution = settings.dt * _fastest_rate(params)
     notes = []
@@ -185,8 +184,6 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
             np.array(y0, dtype=complex), h, n_steps, stride, times, states)
         if steps == 0:  # no kernel, or Python raises here: the loop runs
             steps = _run_rk4(rhs, y0, h, n_steps, stride, times, states)
-        else:
-            fill = None
         meta["steps"] = abs(steps)
         if steps < 0:  # the state after step -steps is not finite
             rows = 1 + (-steps - 1) // stride
@@ -346,15 +343,21 @@ def _run_rk4(rhs, y0, h, n_steps, stride, times, states) -> int:
     return n_steps
 
 
+def _kernel_cmd() -> list[str]:
+    """The compiler command that builds ``_rk4.c``, before the source and
+    output paths; its header says why each floating-point flag is needed."""
+    import sysconfig
+    return [*(sysconfig.get_config_var("CC") or "cc").split(), "-O3",
+            "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
+
+
 @functools.cache
 def _kernel():
     """``_rk4.c``, built once into ``__pycache__``, or None and a warning."""
     import ctypes
-    import sysconfig
     import zlib
     src = Path(__file__).resolve().with_name("_rk4.c")
-    cmd = [*(sysconfig.get_config_var("CC") or "cc").split(), "-O3",
-           "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
+    cmd = _kernel_cmd()
     try:
         key = zlib.crc32(src.read_bytes() + " ".join(cmd).encode())
         path = src.parent / "__pycache__" / f"_rk4.{key:08x}.so"

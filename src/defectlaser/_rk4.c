@@ -9,9 +9,6 @@
      -ffp-contract=off, so no multiply-add is fused);
    - a float operand of a complex operation is promoted to (x, 0.0) and the
      operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or _Py_c_quot;
-   - x ** 2 of a float is float_pow: its special cases, then libm
-     pow(|x|, 2.0) (build with -fno-builtin, or gcc folds pow into x * x,
-     which can differ in the last bit);
    - components the Python loop keeps as floats (sigma_z in both models,
      delta_n in the reduced one) step in real arithmetic and are stored as
      (x, 0.0), as numpy stores a float in a complex array.
@@ -31,11 +28,9 @@
    Returns n when the run finished, and -i when the squared norm of the
    state after step i was not < 1e250 (that state is not stored; rows 0 to
    (i - 1) / stride are).  Returns 0 where CPython raises instead (complex
-   division by zero, an overflowing x ** 2, a singular supermode
-   elimination): the caller then replays the Python loop, which raises the
-   same exception. */
+   division by zero, a singular supermode elimination): the caller then
+   replays the Python loop, which raises the same exception. */
 
-#include <errno.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -74,25 +69,6 @@ INLINE cx quot(cx a, cx b, int *fault)
     return C(NAN, NAN);
 }
 
-/* x ** 2 of a Python float; a fault where float_pow raises OverflowError */
-INLINE double sq(double x, int *fault)
-{
-    if (x != x)
-        return x;
-    if (x == HUGE_VAL || x == -HUGE_VAL || x == 0.0)
-        return x * x;
-    if (x < 0.0)
-        x = -x;
-    if (x == 1.0)
-        return 1.0;
-    errno = 0;
-    const double r = pow(x, 2.0);
-    if (errno == 0 ? (r == HUGE_VAL || r == -HUGE_VAL)
-                   : !(errno == ERANGE && r == 0.0))
-        *fault = 1;
-    return r;
-}
-
 static const cx I = {0.0, 1.0};
 
 /* integrate_full's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
@@ -128,8 +104,7 @@ INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
     const cx am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))),
                        denom, &fault);
     if (flag)
-        dn = (sq(ap.re, &fault) + sq(ap.im, &fault))
-             - (sq(am.re, &fault) + sq(am.im, &fault));
+        dn = (ap.re * ap.re + ap.im * ap.im) - (am.re * am.re + am.im * am.im);
     const cx drive = quot(add(mul(F(eps), ap), mul(F(eps), conj_(am))),
                           F(c[11].re), &fault);
     k[0] = add(sub(mul(c[0], p),

@@ -281,7 +281,8 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     def rhs(p, b, sm, sz, dn):
         ap, am = closure(b)
         if not frozen:
-            dn = (ap.real ** 2 + ap.imag ** 2) - (am.real ** 2 + am.imag ** 2)
+            dn = ((ap.real * ap.real + ap.imag * ap.imag)
+                  - (am.real * am.real + am.imag * am.imag))
         drive = (eps * ap + eps * am.conjugate()) / sqrt2
         return (cpp * p - 1j * 0.5 * kx * dn * b + drive,
                 cb * b + k * p - 1j * gd * sm,
@@ -348,7 +349,7 @@ def _kernel_cmd() -> list[str]:
     output paths; its header says why each floating-point flag is needed."""
     import sysconfig
     return [*(sysconfig.get_config_var("CC") or "cc").split(), "-O3",
-            "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
+            "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 @functools.cache
@@ -365,7 +366,7 @@ def _kernel():
             import subprocess
             path.parent.mkdir(exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            if subprocess.run([*cmd, str(src), "-o", str(tmp), "-lm"],
+            if subprocess.run([*cmd, str(src), "-o", str(tmp)],
                               capture_output=True).returncode:
                 raise OSError(f"{cmd[0]} could not build {src.name}")
             os.replace(tmp, path)

@@ -158,7 +158,8 @@ def _eigvec(a: complex, kappa: float, d: complex, e: complex
     r2 = (e - d, kappa)
     v = np.array(r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1])
                  else r2, dtype=complex)
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # overflow is raised just below
+        norm = np.linalg.norm(v)
     if not math.isfinite(norm):
         raise SingularParameterError(
             "an eigenvector's norm leaves the floating-point range")

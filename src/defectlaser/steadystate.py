@@ -25,7 +25,7 @@ self-consistently, both read that one evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import HBAR
 from .errors import InvalidParameterError, SingularParameterError
@@ -286,9 +286,10 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     |N_b(G(n)) - n| <= tol * max(1, n).
 
     Far above threshold the map is exponentially steep and the damped
-    iteration oscillates; the solver then falls back to bracketing
-    bisection on N_b(G(n)) - n, which the report flags via ``method``.
-    Genuine non-convergence is reported, not raised.
+    iteration oscillates; the solver then falls back to bisection on
+    N_b(G(n)) - n (flagged via ``method``), on a bracket [0, hi] grown
+    eightfold until N_b(G(hi)) < hi and halved down to adjacent floats,
+    with no step cap.  Genuine non-convergence is reported, not raised.
 
     The coefficient bundle is shared with ``gain``; each step evaluates
     only ``GainCoefficients.terms``, the same evaluation ``gain`` reports,
@@ -307,22 +308,28 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         return c.terms(n)[-1]
 
     history = [n_b0]
-    n = n_b0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        fn = f(n)
+
+    def report(n, fn, iterations, method):
         residual = abs(fn - n)
-        if residual <= tol * max(1.0, abs(n)) and math.isfinite(fn):
-            return FixedPointReport(n_b_star=n, iterations=it - 1,
-                                    residual=residual, converged=True,
-                                    history=tuple(history),
-                                    evaluations=evaluations)
+        return FixedPointReport(
+            n_b_star=n, iterations=iterations, residual=residual,
+            converged=residual <= tol * max(1.0, n), history=tuple(history),
+            method=method, evaluations=evaluations)
+
+    # n stays finite and >= 0: an infinite map value is capped at 1e300
+    n = n_b0
+    for it in range(max_iter + 1):
+        fn = f(n)
+        if abs(fn - n) <= tol * max(1.0, n):
+            return report(n, fn, it, "damped")
+        if it == max_iter:
+            break
         if not math.isfinite(fn):
             n = min(fn, 1e300) if fn > 0 else 0.0
         else:
             n = (1.0 - _RELAXATION) * n + _RELAXATION * fn
         history.append(n)
-        if len(history) >= 3 and it % 3 == 0:
+        if it % 3 == 2:
             x0, x1, x2 = history[-3], history[-2], history[-1]
             d1, d2 = x1 - x0, x2 - x1
             dd = d2 - d1
@@ -331,55 +338,16 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
                 if math.isfinite(cand) and cand >= 0.0:
                     n = cand
                     history.append(n)
-    fn = f(n)
-    residual = abs(fn - n)
-    if residual <= tol * max(1.0, abs(n)):
-        return FixedPointReport(n_b_star=n, iterations=max_iter,
-                                residual=residual, converged=True,
-                                history=tuple(history),
-                                evaluations=evaluations)
-    report = _bisect_fixed_point(f, history, tol, max_iter)
-    return replace(report, evaluations=evaluations)
 
-
-def _bisect_fixed_point(f, history, tol, max_iter) -> FixedPointReport:
-    """Bracketing fallback for the steep above-threshold regime."""
-    g = lambda n: f(n) - n
-    lo = 0.0
-    g_lo = g(lo)
-    if g_lo <= 0.0:
-        # f(0) <= 0 is impossible (N_b > 0); f(0) ~ 0 means lo is the root
-        n = f(lo)
-        return FixedPointReport(n_b_star=n, iterations=len(history),
-                                residual=abs(f(n) - n),
-                                converged=abs(f(n) - n) <= tol * max(1.0, n),
-                                history=tuple(history + [n]),
-                                method="bisection")
-    hi = max(1.0, 2.0 * max(h for h in history if math.isfinite(h)))
-    for _ in range(200):
-        if g(hi) < 0.0:
-            break
-        hi *= 8.0
-        if hi > 1e300:
-            return FixedPointReport(n_b_star=hi, iterations=len(history),
-                                    residual=math.inf, converged=False,
-                                    history=tuple(history),
-                                    method="bisection")
-    extra = 0
-    a, b = lo, hi
-    while extra < 400:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        extra += 1
-        if g(mid) > 0.0:
-            a = mid
+    # f(0) = N_b > 0, so lo = 0 lies below the root
+    lo, hi = 0.0, max(1.0, 2.0 * max(history))
+    while not f(hi) < hi:
+        if (hi := 8.0 * hi) > 1e300:
+            return report(hi, math.inf, len(history), "bisection")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) > mid:
+            lo = mid
         else:
-            b = mid
+            hi = mid
         history.append(mid)
-    n = 0.5 * (a + b)
-    residual = abs(f(n) - n)
-    return FixedPointReport(n_b_star=n, iterations=len(history),
-                            residual=residual,
-                            converged=bool(residual <= tol * max(1.0, abs(n))),
-                            history=tuple(history), method="bisection")
+    return report(mid, f(mid), len(history), "bisection")

@@ -465,7 +465,7 @@ class TestCompiledKernel:
 
         # 20 random points with random initial states, half of them with
         # the defect off and |b| = 1e4..1e8, which saturates the supermodes
-        # without a blow-up (there the closure's x ** 2 shows in p); then,
+        # without a blow-up (there the closure's squares show in p); then,
         # from the default state, two that diverge after thousands of steps
         # and an undriven one
         points = []

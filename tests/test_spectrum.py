@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,12 +121,13 @@ class TestEigenvalues:
 
     def test_non_finite_eigenvector_norm_raises(self):
         # finite eigenvalues near 1e154 whose eigenvector's squared norm
-        # overflows in np.linalg.norm
+        # overflows in np.linalg.norm: the error, and no numpy warning
         e = EffectiveParams(n_b=1.0, omega_m=WM, omega_q=0.9e154,
                             gamma_m_eff=0.0, gamma_q=0.9e154, g_d=6.5e153)
-        with np.errstate(over="ignore"), \
-                pytest.raises(SingularParameterError, match="eigenvector"):
-            eigenvalues(e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularParameterError, match="eigenvector"):
+                eigenvalues(e)
 
 
 class TestLocateEp:

@@ -201,6 +201,27 @@ class TestFixedPoint:
         assert len(r.history) >= r.iterations
         assert r.method in ("damped", "bisection")
 
+    def test_infinite_map_at_zero_converges(self, fig2_params):
+        """At 1 mW, N_b(G(0)) overflows, so the iteration jumps to the
+        1e300 cap and the bisection has to descend from there."""
+        p = with_value(fig2_params, "optical.pump_power", 1e-3)
+        r = solve_nb_fixed_point(p)
+        assert 1e300 in r.history
+        assert r.converged and r.method == "bisection"
+        residual = abs(gain(p, r.n_b_star).N_b - r.n_b_star)
+        assert residual == r.residual <= 1e-10 * max(1.0, r.n_b_star)
+
+    def test_bisection_bracket_expands(self, fig2_params):
+        """After one damped step the bracket is [0, 1], and N_b(G(n)) > n at
+        both of its ends (two of the three roots lie between), so its top
+        grows eightfold, past the third root."""
+        p = with_value(fig2_params, "tls.tls_loss", 3.2e5)
+        r = solve_nb_fixed_point(p, max_iter=1)
+        assert r.history[2] == 0.5 * 8.0 ** 8  # first midpoint
+        assert r.converged and r.method == "bisection"
+        residual = abs(gain(p, r.n_b_star).N_b - r.n_b_star)
+        assert residual == r.residual <= 1e-10 * max(1.0, r.n_b_star)
+
     def test_negative_start_rejected(self, fig2_params):
         with pytest.raises(ValueError):
             solve_nb_fixed_point(fig2_params, n_b0=-1.0)

@@ -37,129 +37,62 @@ def base_params(pump_power: float = 10e-6) -> SystemParams:
     )
 
 
-_DETUNING_AXIS = ("optical.pump_detuning", -OMEGA_M, OMEGA_M, 161, "linear")
-_LOSS_AXIS = ("tls.tls_loss", 0.05 * GAMMA, 6.0 * GAMMA, 481, "log")
 _RANGE_NOTE = "axis range/count not stated by the figure; package default"
+_LINEAR_RESPONSE = "n_b mode not stated; linear-response n_b = 0"
+_SELF_CONSISTENT = "n_b mode not stated; self-consistent fixed point"
+_FIXED_NB = dict(mode="fixed-nb", n_b_fixed=0.0)
 
+_DETUNING = ("optical.pump_detuning", -OMEGA_M, OMEGA_M)
+_LOSS = ("tls.tls_loss", 0.05 * GAMMA, 6.0 * GAMMA)
+_LOSS_AXES = (SweepAxis(*_LOSS, 481, "log"),)
+# fig5 and fig6b: one loss sweep for each of four pump detunings
+_FAMILY_AXES = (SweepAxis("optical.pump_detuning", 0.25 * OMEGA_M, OMEGA_M, 4),
+                SweepAxis(*_LOSS, 241, "log"))
+_FAMILY_NOTE = ("detuning family values not stated; "
+                "[0.25, 0.5, 0.75, 1] omega_m")
 
-def _fig2a() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(),
-        axes=(SweepAxis(*_DETUNING_AXIS),),
-        quantities=("G", "G0", "Gd", "delta_n"),
-        mode="fixed-nb", n_b_fixed=0.0,
-        name="fig2a",
-        defaulted=(_RANGE_NOTE,
-                   "n_b mode not stated; linear-response n_b = 0"))
-
-
-def _fig2b() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(),
-        axes=(SweepAxis(*_LOSS_AXIS),),
-        quantities=("G", "G0", "Gd", "n_b_star", "fp_converged"),
-        mode="self-consistent",
-        name="fig2b",
-        defaulted=(_RANGE_NOTE,
-                   "n_b mode not stated; self-consistent fixed point"))
-
-
-def _fig3a() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(),
-        axes=(SweepAxis("optical.coupling", 0.1 * OMEGA_M, OMEGA_M, 37,
-                        "linear"),
-              SweepAxis(*_DETUNING_AXIS[:3], 81, "linear")),
-        quantities=("G", "G0", "Gd"),
-        mode="fixed-nb", n_b_fixed=0.0,
-        name="fig3a",
-        defaulted=(_RANGE_NOTE,
-                   "J axis range not stated; [0.1, 1] omega_m",
-                   "n_b mode not stated; linear-response n_b = 0"))
-
-
-def _fig3b() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(),
-        axes=(SweepAxis(*_LOSS_AXIS),),
-        quantities=("P_th", "P_th0", "P_thd", "G", "n_b_star"),
-        mode="self-consistent",
-        name="fig3b",
-        defaulted=(_RANGE_NOTE,
-                   "n_b mode not stated; self-consistent fixed point"))
-
-
-def _fig4() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(pump_power=7e-6),
-        axes=(SweepAxis(*_LOSS_AXIS),),
-        quantities=("E_plus", "E_minus", "gap", "L", "phase", "gamma_q_EP",
-                    "n_b_star", "G0"),
-        mode="self-consistent",
-        name="fig4",
-        defaulted=(_RANGE_NOTE,
-                   "abscissa not stated; sweeping the defect loss",
-                   "n_b from the fixed point at each sweep coordinate"))
-
-
-def _fig5() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(),
-        axes=(SweepAxis("optical.pump_detuning", 0.25 * OMEGA_M, OMEGA_M, 4,
-                        "linear"),
-              SweepAxis(*_LOSS_AXIS[:3], 241, "log")),
-        quantities=("G", "n_b_star", "gamma_q_min", "gamma_q_EP"),
-        mode="self-consistent",
-        name="fig5",
-        defaulted=(_RANGE_NOTE,
-                   "detuning family values not stated; "
-                   "[0.25, 0.5, 0.75, 1] omega_m",
-                   "n_b mode not stated; self-consistent fixed point"))
-
-
-def _fig6a() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(),
-        axes=(SweepAxis("optical.pump_power", 0.1e-6, 20e-6, 100, "linear"),),
-        quantities=("N_b", "G", "n_b_star", "fp_converged"),
-        mode="self-consistent",
-        name="fig6a",
-        defaulted=(_RANGE_NOTE,
-                   "power axis range not stated; [0.1, 20] uW"))
-
-
-def _fig6b() -> SweepSpec:
-    return SweepSpec(
-        base=base_params(),
-        axes=(SweepAxis("optical.pump_detuning", 0.25 * OMEGA_M, OMEGA_M, 4,
-                        "linear"),
-              SweepAxis(*_LOSS_AXIS[:3], 241, "log")),
-        quantities=("N_b", "G", "n_b_star"),
-        mode="self-consistent",
-        name="fig6b",
-        defaulted=(_RANGE_NOTE,
-                   "detuning family values not stated; "
-                   "[0.25, 0.5, 0.75, 1] omega_m"))
-
-
+#: each figure's SweepSpec arguments, with ``notes`` for what the figure
+#: leaves open besides the axis ranges and ``base`` for changes to
+#: ``base_params()``
 FIGURE_PRESETS = {
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig3a": _fig3a,
-    "fig3b": _fig3b,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6a": _fig6a,
-    "fig6b": _fig6b,
+    "fig2a": dict(axes=(SweepAxis(*_DETUNING, 161),),
+                  quantities=("G", "G0", "Gd", "delta_n"),
+                  notes=(_LINEAR_RESPONSE,), **_FIXED_NB),
+    "fig2b": dict(axes=_LOSS_AXES,
+                  quantities=("G", "G0", "Gd", "n_b_star", "fp_converged"),
+                  notes=(_SELF_CONSISTENT,)),
+    "fig3a": dict(axes=(SweepAxis("optical.coupling", 0.1 * OMEGA_M, OMEGA_M,
+                                  37),
+                        SweepAxis(*_DETUNING, 81)),
+                  quantities=("G", "G0", "Gd"),
+                  notes=("J axis range not stated; [0.1, 1] omega_m",
+                         _LINEAR_RESPONSE), **_FIXED_NB),
+    "fig3b": dict(axes=_LOSS_AXES,
+                  quantities=("P_th", "P_th0", "P_thd", "G", "n_b_star"),
+                  notes=(_SELF_CONSISTENT,)),
+    "fig4": dict(base=dict(pump_power=7e-6), axes=_LOSS_AXES,
+                 quantities=("E_plus", "E_minus", "gap", "L", "phase",
+                             "gamma_q_EP", "n_b_star", "G0"),
+                 notes=("abscissa not stated; sweeping the defect loss",
+                        "n_b from the fixed point at each sweep coordinate")),
+    "fig5": dict(axes=_FAMILY_AXES,
+                 quantities=("G", "n_b_star", "gamma_q_min", "gamma_q_EP"),
+                 notes=(_FAMILY_NOTE, _SELF_CONSISTENT)),
+    "fig6a": dict(axes=(SweepAxis("optical.pump_power", 0.1e-6, 20e-6, 100),),
+                  quantities=("N_b", "G", "n_b_star", "fp_converged"),
+                  notes=("power axis range not stated; [0.1, 20] uW",)),
+    "fig6b": dict(axes=_FAMILY_AXES, quantities=("N_b", "G", "n_b_star"),
+                  notes=(_FAMILY_NOTE,)),
 }
 
 
 def preset(name: str) -> SweepSpec:
     """Fully resolved sweep spec for one figure preset."""
     try:
-        factory = FIGURE_PRESETS[name]
+        entry = dict(FIGURE_PRESETS[name])
     except KeyError:
         raise UnknownPresetError(
             f"unknown preset {name!r}; available: "
             f"{', '.join(sorted(FIGURE_PRESETS))}") from None
-    return factory()
+    return SweepSpec(base=base_params(**entry.pop("base", {})), name=name,
+                     defaulted=(_RANGE_NOTE, *entry.pop("notes")), **entry)

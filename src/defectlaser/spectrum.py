@@ -99,10 +99,8 @@ def turning_point(eff: EffectiveParams) -> float:
     sqrt(sat): sqrt(2 n_b) g_d on resonance.  Returns 0 when n_b g_d = 0
     on resonance (no interior minimum).
     """
-    if eff.omega_q == eff.omega_m:
-        return math.sqrt(2.0 * eff.n_b) * eff.g_d if eff.g_d > 0 else 0.0
-    dq2 = (eff.omega_q - eff.omega_m) ** 2
-    return math.sqrt(dq2 + 2.0 * eff.g_d ** 2 * eff.n_b)
+    return math.hypot(eff.omega_q - eff.omega_m,
+                      math.sqrt(2.0 * eff.n_b) * eff.g_d)
 
 
 def eigenvalues(eff: EffectiveParams) -> SpectrumResult:

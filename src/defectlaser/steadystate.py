@@ -77,8 +77,9 @@ class GainResult:
 class FixedPointReport:
     """Outcome of the self-consistent phonon-number iteration.
 
-    ``evaluations`` counts every evaluation of the map N_b(G(n)),
-    including the bisection fallback and the final residual checks.
+    ``iterations`` counts the evaluations of the map N_b(G(n)) after the
+    first at n_b0, including the bisection fallback and the final
+    residual check, whichever ``method`` ran.
     """
 
     n_b_star: float
@@ -87,7 +88,6 @@ class FixedPointReport:
     converged: bool
     history: tuple[float, ...]
     method: str = "damped"
-    evaluations: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,19 +309,19 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
 
     history = [n_b0]
 
-    def report(n, fn, iterations, method):
+    def report(n, fn, method):
         residual = abs(fn - n)
         return FixedPointReport(
-            n_b_star=n, iterations=iterations, residual=residual,
+            n_b_star=n, iterations=evaluations - 1, residual=residual,
             converged=residual <= tol * max(1.0, n), history=tuple(history),
-            method=method, evaluations=evaluations)
+            method=method)
 
     # n stays finite and >= 0: an infinite map value is capped at 1e300
     n = n_b0
     for it in range(max_iter + 1):
         fn = f(n)
         if abs(fn - n) <= tol * max(1.0, n):
-            return report(n, fn, it, "damped")
+            return report(n, fn, "damped")
         if it == max_iter:
             break
         if not math.isfinite(fn):
@@ -343,11 +343,11 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     lo, hi = 0.0, max(1.0, 2.0 * max(history))
     while not f(hi) < hi:
         if (hi := 8.0 * hi) > 1e300:
-            return report(hi, math.inf, len(history), "bisection")
+            return report(hi, math.inf, "bisection")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) > mid:
             lo = mid
         else:
             hi = mid
         history.append(mid)
-    return report(mid, f(mid), len(history), "bisection")
+    return report(mid, f(mid), "bisection")

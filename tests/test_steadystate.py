@@ -314,7 +314,7 @@ class TestGainKernel:
         r = solve_nb_fixed_point(p)
         assert r.converged
         assert r.method == ("damped" if pump_power == 10e-6 else "bisection")
-        assert r.evaluations == len(calls) > 0
+        assert r.iterations == len(calls) - 1 >= 0
 
 
 class TestCoefficientCache:

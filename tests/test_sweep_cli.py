@@ -13,7 +13,7 @@ from defectlaser import (SweepAxis, SweepSpec, SweepError,
                          UnknownPresetError, emit_outputs, gain, preset,
                          run_sweep, sweep, with_value)
 from defectlaser.cli import EXIT_CONFIG, main as cli_main
-from defectlaser.config import load_config
+from defectlaser.config import load_config, params_to_config
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
 from conftest import GAMMA, OMEGA_M, make_params
@@ -44,13 +44,23 @@ def subplots(nrows, ncols, **kwargs):
     return _Figure(), axs
 """
 
-#: sha256 prefixes of the eight preset CSVs; any moved cell shows here
+#: sha256 prefixes of the eight preset CSVs and of their provenance
+#: (as sorted-key JSON); any moved cell or sidecar field shows here
 PRESET_CSV_SHA256 = {
-    "fig2a": "f90e98434047", "fig2b": "ef7ac52a7e12",
-    "fig3a": "a7103696cf6a", "fig3b": "72d5c747f5f9",
-    "fig4": "3494f08fdc69", "fig5": "edcb29bfdaf3",
-    "fig6a": "bbe8f306ce9d", "fig6b": "e58136a597ba",
+    "fig2a": ("f90e98434047", "a5a4f587cdbd"),
+    "fig2b": ("ef7ac52a7e12", "5513b6f8f225"),
+    "fig3a": ("a7103696cf6a", "3001583f9d56"),
+    "fig3b": ("72d5c747f5f9", "7e1a1b4474a2"),
+    "fig4": ("3494f08fdc69", "5fe5f197d960"),
+    "fig5": ("edcb29bfdaf3", "10b8c9977a8b"),
+    "fig6a": ("bbe8f306ce9d", "8b63cc0bee14"),
+    "fig6b": ("e58136a597ba", "c601d26d1660"),
 }
+
+
+#: the base point's parameter file, and its [optical] and [tls] sections
+BASE_CONFIG = params_to_config(base_params())
+OPTICAL, _, TLS = BASE_CONFIG.split("\n\n")
 
 
 def small_spec(**kw):
@@ -239,10 +249,12 @@ class TestRunSweep:
         assert 0 < failed < 21
 
     def test_preset_csv_bytes_are_pinned(self):
-        for name, prefix in PRESET_CSV_SHA256.items():
-            text = run_sweep(preset(name)).to_csv_text()
-            assert hashlib.sha256(text.encode()).hexdigest()[:12] == prefix, \
-                name
+        for name, prefixes in PRESET_CSV_SHA256.items():
+            table = run_sweep(preset(name))
+            texts = (table.to_csv_text(),
+                     json.dumps(table.provenance, sort_keys=True))
+            assert tuple(hashlib.sha256(t.encode()).hexdigest()[:12]
+                         for t in texts) == prefixes, name
 
     def test_no_nan_without_annotation(self):
         for name in ("fig4", "fig5"):
@@ -391,7 +403,6 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["converged"] is True
         assert out["method"] == "damped"
-        assert out["evaluations"] > out["iterations"]
 
     def test_fixed_point_history_only_on_request(self, capsys):
         assert self.run("fixed-point") == 0
@@ -399,7 +410,7 @@ class TestCli:
         assert self.run("fixed-point", "--history") == 0
         full = json.loads(capsys.readouterr().out)
         assert set(plain) == {"n_b_star", "iterations", "residual",
-                              "converged", "method", "evaluations"}
+                              "converged", "method"}
         assert full.pop("history")[0] == 0.0
         assert full == plain
 
@@ -471,6 +482,29 @@ class TestCli:
         pytest.param(("gain-sweep", "--axis",
                       "tls.coupling_ratio:0.01:0.02:3"),
                      "unknown field", id="property-coupling_ratio"),
+        pytest.param(("gain-sweep", "--axis", "a:1:2"),
+                     "axis must look like path:start:stop:num[:scale]",
+                     id="axis-too-few-fields"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:x:1:3"),
+                     "could not convert string to float: 'x'",
+                     id="axis-start-not-a-number"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1:2:0"),
+                     "axis point count must be >= 1", id="axis-zero-points"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1:2:3:cubic"),
+                     "axis scale must be 'linear' or 'log'",
+                     id="axis-unknown-scale"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                      "--mode", "fixed-nb:abc"),
+                     "bad --mode value 'fixed-nb:abc'",
+                     id="fixed-nb-not-a-number"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                      "--mode", "bogus"),
+                     "--mode must be 'self-consistent' or 'fixed-nb:<v>'",
+                     id="mode-unknown"),
+        pytest.param(("integrate", "--stride", "0"), "stride must be >= 1",
+                     id="integrate-stride-zero"),
+        pytest.param(("validate-config", "--set", "optical.radius=-1"),
+                     "radius must be > 0", id="set-radius-negative"),
     ])
     def test_invalid_input_is_a_config_error(self, argv, message, tmp_path,
                                              monkeypatch, capsys):
@@ -629,6 +663,31 @@ class TestCli:
         bad.write_text("[optical]\ncavity_loss = 6.43 parsecs\n")
         assert self.run("validate-config", "--config", str(bad)) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[optical]\ncavity_loss 6.43 MHz\n",
+                     "line 2: expected 'key = value'",
+                     id="line-without-equals"),
+        pytest.param("cavity_loss = 6.43 MHz\n[optical]\n",
+                     "line 1: key outside any [section]",
+                     id="key-before-section"),
+        pytest.param("[optical]\ncavity_loss = 6.43 MHz\n",
+                     "section [optical] is missing: cavity_freq",
+                     id="section-missing-keys"),
+        pytest.param(BASE_CONFIG.replace("cavity_loss = ", "cavity_loss = -"),
+                     "cavity_loss must be > 0", id="negative-cavity-loss"),
+        pytest.param(f"{OPTICAL}\n\n{TLS}",
+                     "missing required section [mechanical]",
+                     id="no-mechanical-section"),
+    ])
+    def test_malformed_config_file_is_config_error(self, text, message,
+                                                   tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert self.run("validate-config", "--config", str(bad)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
 
     def test_missing_config_file_is_io_error(self):
         assert self.run("validate-config", "--config", "/nonexistent.cfg") == 3

@@ -81,16 +81,15 @@ def _add_axis(ap: argparse.ArgumentParser) -> None:
 
 def _parse_axis(text: str) -> SweepAxis:
     parts = text.split(":")
-    if len(parts) not in (4, 5):
-        raise ConfigError(
-            "axis must look like path:start:stop:num[:scale]", key=text)
-    path, start, stop, num = parts[:4]
-    scale = parts[4] if len(parts) == 5 else "linear"
     try:
+        if len(parts) not in (4, 5):
+            raise SweepError("axis must look like path:start:stop:num[:scale]")
+        path, start, stop, num = parts[:4]
+        scale = parts[4] if len(parts) == 5 else "linear"
         return SweepAxis(path=path, start=float(start), stop=float(stop),
                          num=int(num), scale=scale)
-    except (ValueError, SweepError) as err:
-        raise ConfigError(f"bad axis {text!r}: {err}", key=text) from err
+    except ValueError as err:  # SweepError is a ValueError
+        raise ConfigError(f"bad axis {text!r}: {err}") from err
 
 
 def _load_params(args, base: SystemParams | None = None) -> SystemParams:

@@ -3,9 +3,10 @@
 The active phonon mode (effective damping gamma_m_eff = gamma_m - G0,
 negative above threshold) and the lossy defect form a 2x2 non-Hermitian
 block in the basis {|n_b, g>, |n_b - 1, e>}.  Both eigenvalues and
-eigenvectors coalesce at the exceptional point; at resonance
-(omega_q = omega_m) the EP sits at gamma_q = gamma_m_eff + 2 sqrt(n_b) g_d
-while the gain minimum sits at gamma_q = sqrt(2 n_b) g_d.
+eigenvectors coalesce at the exceptional point (EP), the least-|disc| loss
+gamma_q_EP = gamma_m_eff + sqrt(max(0, 4 n_b g_d^2 - dq^2)), dq = omega_q
+- omega_m; ``phase`` compares gamma_q with it.  Off resonance nothing
+coalesces: gamma_q_EP is the closest approach, which a sweep row notes.
 """
 
 from __future__ import annotations
@@ -91,6 +92,18 @@ def gamma_q_ep_resonant(eff: EffectiveParams) -> float:
     return eff.gamma_m_eff + 2.0 * math.sqrt(eff.n_b) * eff.g_d
 
 
+def _ep_losses(eff: EffectiveParams) -> tuple[float, float]:
+    """Upper and lower gamma_q of least |discriminant|: with
+    x = gamma_q - gamma_m_eff, |disc|^2 = (4 n_b g_d^2 + dq^2 - x^2)^2
+    + 4 dq^2 x^2 is least at x = +-sqrt(max(0, 4 n_b g_d^2 - dq^2))."""
+    dq = eff.omega_q - eff.omega_m
+    split = 2.0 * math.sqrt(eff.n_b) * eff.g_d
+    # sqrt(split * split) == split in binary floating point (barring
+    # underflow), so on resonance the upper loss is gamma_q_ep_resonant
+    half = math.sqrt(max(0.0, split * split - dq * dq))
+    return eff.gamma_m_eff + half, eff.gamma_m_eff - half
+
+
 def turning_point(eff: EffectiveParams) -> float:
     """Defect loss at which the gain is minimal.
 
@@ -107,11 +120,10 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     """Eigenvalues/eigenvectors of the effective block.
 
     The closed form uses the principal square root (Re >= 0); labels are
-    fixed by that branch.  The at-EP phase label takes rates within
-    1e-9 omega_m of the EP.  Raises :class:`SingularParameterError` when
-    an eigenvalue or an eigenvector norm is not finite.
+    fixed by that branch.  The phase is at-EP within 1e-9 omega_m of
+    gamma_q_EP.  Raises :class:`SingularParameterError` when an
+    eigenvalue or an eigenvector norm is not finite.
     """
-    ep_tol = 1e-9 * eff.omega_m
     zm = eff.omega_m - 1j * eff.gamma_m_eff
     zq = eff.omega_q - 1j * eff.gamma_q
     center = (eff.n_b - 0.5) * zm + 0.5 * zq
@@ -130,15 +142,9 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     w_minus, v_minus = _eigvec(a, kappa, d, e_minus)
     overlap = abs(np.vdot(v_plus, v_minus))
 
-    gq_ep = gamma_q_ep_resonant(eff)
-    if eff.omega_q == eff.omega_m:
-        diff = eff.gamma_q - gq_ep
-        phase = "at-EP" if abs(diff) <= ep_tol else (
-            "below-EP" if diff < 0 else "above-EP")
-    else:
-        re_disc = discriminant(eff).real
-        phase = "at-EP" if abs(re_disc) <= ep_tol ** 2 else (
-            "below-EP" if re_disc > 0 else "above-EP")
+    gq_ep = _ep_losses(eff)[0]
+    phase = ("at-EP" if abs(eff.gamma_q - gq_ep) <= 1e-9 * eff.omega_m
+             else "below-EP" if eff.gamma_q < gq_ep else "above-EP")
 
     return SpectrumResult(E_plus=e_plus, E_minus=e_minus,
                           weights_plus=w_plus, weights_minus=w_minus,
@@ -171,27 +177,20 @@ def _eigvec(a: complex, kappa: float, d: complex, e: complex
 def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchResult:
     """Defect loss minimizing |discriminant| inside ``bracket``.
 
-    ``eff.gamma_q`` is ignored; the search treats gamma_q as free.  With
-    x = gamma_q - gamma_m_eff and dq = omega_q - omega_m,
-    |disc|^2 = (4 n_b g_d^2 + dq^2 - x^2)^2 + 4 dq^2 x^2 is least at
-    x = +-sqrt(max(0, 4 n_b g_d^2 - dq^2)): on resonance the exact EP,
-    off resonance the closest approach.  The upper root is taken when both
-    lie in the bracket; when neither does, it is reported as not found.
+    ``eff.gamma_q`` is ignored; of the two least-|disc| losses, the upper
+    (gamma_q_EP) is taken when both lie in the bracket; when neither
+    does, it is reported as not found.
     """
     lo, hi = bracket
     if not lo < hi:
         raise InvalidParameterError("bracket must satisfy lo < hi")
-    dq = eff.omega_q - eff.omega_m
-    split = 2.0 * math.sqrt(eff.n_b) * eff.g_d
-    # sqrt(split * split) == split in binary floating point (barring
-    # underflow), so on resonance the upper root is gamma_q_ep_resonant
-    half = math.sqrt(max(0.0, split * split - dq * dq))
-    for gq in (eff.gamma_m_eff + half, eff.gamma_m_eff - half):
+    losses = _ep_losses(eff)
+    for gq in losses:
         if lo <= gq <= hi:
             return EpSearchResult(
                 gamma_q=gq, disc_abs=abs(discriminant(eff, gamma_q=gq)),
                 found=True)
-    return EpSearchResult(gamma_q=eff.gamma_m_eff + half, disc_abs=math.nan,
+    return EpSearchResult(gamma_q=losses[0], disc_abs=math.nan,
                           found=False, message="no minimum of the "
                           "discriminant lies inside the bracket")
 

@@ -34,6 +34,7 @@ KNOWN_QUANTITIES = GAIN_QUANTITIES + SPECTRUM_QUANTITIES + FP_QUANTITIES
 
 _COMPLEX = {"C", "E_plus", "E_minus"}
 _TEXT = {"phase"}
+_EP_NOTED = {"gamma_q_EP", "phase"}  # noted as approximate off resonance
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,10 @@ def _eval_point(spec: SweepSpec, axis_vals: list, params) -> list:
             else:
                 res = eigenvalues(EffectiveParams.at(params, n_b, g.G0))
                 values.update(vars(res), L=res.localization)
+                if (params.tls.tls_freq != params.mechanical.mech_freq
+                        and _EP_NOTED.intersection(spec.quantities)):
+                    errors.append("no exact EP off resonance: gamma_q_EP "
+                                  "is the closest approach (least |disc|)")
     except DefectLaserError as err:
         errors.append(str(err))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from defectlaser import (EffectiveParams, InvalidParameterError,
-                         SingularParameterError, discriminant, eigenvalues,
-                         gain, gamma_q_ep_resonant, locate_ep, preset,
-                         run_sweep, solve_nb_fixed_point, turning_point,
-                         with_value)
+                         SingularParameterError, SweepAxis, SweepSpec,
+                         discriminant, eigenvalues, gain, gamma_q_ep_resonant,
+                         locate_ep, preset, run_sweep, solve_nb_fixed_point,
+                         turning_point, with_value)
 
 from conftest import GAMMA, OMEGA_M, assert_matches_eig, make_params
 
@@ -166,6 +167,65 @@ class TestLocateEp:
         e = eff(n_b=1.0, omega_q=WM + 0.3e6, gamma_m_eff=0.0, g_d=1e6)
         res = locate_ep(e, (1e7, 2e7))  # |disc| monotone on this bracket
         assert not res.found
+
+
+class TestOneEp:
+    """``eigenvalues``' gamma_q_EP and phase and ``locate_ep`` read one
+    least-|disc| loss, on and off resonance."""
+
+    @pytest.mark.parametrize("n_b, gme, expected, phases", [
+        # 4 n_b g_d^2 = 1.6e13 > dq^2 = 9e12: the closest approach, not
+        # the resonant gme + 4e6 nor the Re disc = 0 loss gme + 5e6
+        (4.0, 1e4, 1e4 + math.sqrt(7e12),
+         ((2e6, "below-EP"), (4.5e6, "above-EP"))),
+        # 4 n_b g_d^2 < dq^2: |disc| is least at gamma_q = gamma_m_eff
+        (1.0, 0.4e6, 0.4e6, ((0.3e6, "below-EP"), (2e6, "above-EP"))),
+    ], ids=["strong", "weak"])
+    def test_off_resonance_agrees(self, n_b, gme, expected, phases):
+        e = eff(n_b=n_b, omega_q=WM + 3e6, gamma_m_eff=gme, g_d=1e6)
+        gq_ep = eigenvalues(e).gamma_q_EP
+        assert gq_ep == pytest.approx(expected, rel=1e-12)
+        assert locate_ep(e, (1e5, 1e8)).gamma_q == gq_ep
+        for gq, phase in (*phases, (gq_ep, "at-EP")):
+            assert eigenvalues(dataclasses.replace(e, gamma_q=gq)).phase \
+                == phase
+
+    def test_resonant_bits_unchanged(self):
+        """On resonance gamma_q_EP is gamma_q_ep_resonant bit for bit, the
+        phase follows the resonant rule, and locate_ep finds that loss."""
+        rng = np.random.default_rng(16)
+        tol = 1e-9 * WM
+        for _ in range(2000):
+            n_b = rng.uniform(1.0, 1e4)
+            g_d = rng.uniform(0.0, 3e6)
+            gme = rng.uniform(-2.0, 1.0) * 2.0 * math.sqrt(n_b) * g_d
+            probe = eff(n_b=n_b, gamma_m_eff=gme, g_d=g_d)
+            gq_ep = gamma_q_ep_resonant(probe)
+            offset = rng.choice([0.0, 0.5, 1.0, 1.5, 1e3]) * tol
+            gq = max(0.0, gq_ep + rng.choice([-1.0, 1.0]) * offset)
+            e = dataclasses.replace(probe, gamma_q=gq)
+            r = eigenvalues(e)
+            assert r.gamma_q_EP == gq_ep
+            diff = gq - gq_ep
+            assert r.phase == ("at-EP" if abs(diff) <= tol else
+                               "below-EP" if diff < 0 else "above-EP")
+            assert locate_ep(e, (-1e12, 1e12)).gamma_q == gq_ep
+
+    def test_off_resonance_rows_are_noted(self):
+        base = make_params(omega_q=OMEGA_M + 3e6)
+        axes = (SweepAxis("tls.tls_loss", 3e6, 5.5e6, 3),)
+        noted = run_sweep(SweepSpec(base=base, axes=axes,
+                                    quantities=("gap", "gamma_q_EP"),
+                                    mode="fixed-nb", n_b_fixed=4.0))
+        assert all("closest approach" in c for c in noted.column("error"))
+        plain = run_sweep(SweepSpec(base=base, axes=axes,
+                                    quantities=("E_plus", "gap", "L"),
+                                    mode="fixed-nb", n_b_fixed=4.0))
+        assert plain.column("error") == [""] * 3
+        resonant = run_sweep(SweepSpec(base=make_params(), axes=axes,
+                                       quantities=("phase",),
+                                       mode="fixed-nb", n_b_fixed=4.0))
+        assert resonant.column("error") == [""] * 3
 
 
 class TestTurningPoint:

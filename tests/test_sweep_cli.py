@@ -515,6 +515,12 @@ class TestCli:
         assert message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("axis", ["a:1:2", "tls.tls_loss:x:1:3"])
+    def test_bad_axis_is_named_once(self, axis, capsys):
+        assert self.run("gain-sweep", "--axis", axis) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count(axis) == 1 and "key '" not in err
+
     def test_gain_sweep_with_axis(self, tmp_path, capsys):
         code = self.run("gain-sweep", "--axis",
                         f"tls.tls_loss:{0.5e6}:{2e7}:10:log",
@@ -758,6 +764,23 @@ tls_loss              = 6.43 MHz
         assert out["found"] is True
         expected = (0.24e6 - gain(base_params(), 4.0).G0) + 2 * 2 * 1e6
         assert out["gamma_q_EP"] == pytest.approx(expected, rel=1e-9)
+
+    def test_off_resonance_sweep_agrees_with_ep_locate(self, tmp_path,
+                                                       capsys):
+        detuned = f"tls.tls_freq={OMEGA_M + 3e6!r} rad/s"
+        assert self.run("spectrum-sweep", "--set", detuned, "--axis",
+                        "tls.tls_loss:3e6:5.5e6:6", "--mode", "fixed-nb:4",
+                        "--out", str(tmp_path), "--format", "csv") == 0
+        lines = open(tmp_path / "spectrum-sweep.csv").read().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert all(r["error"] == "no exact EP off resonance: gamma_q_EP is "
+                   "the closest approach (least |disc|)" for r in rows)
+        capsys.readouterr()
+        assert self.run("ep-locate", "--nb", "4", "--set", detuned) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert {float(r["gamma_q_EP"]) for r in rows} == {out["gamma_q_EP"]}
+        assert rows[0]["phase"] == "above-EP"
 
     @staticmethod
     def strict_json(text):

@@ -129,9 +129,8 @@ class Trajectory:
         parts.append(self.abs_b)
         data = np.column_stack(parts)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            np.savetxt(fh, data, fmt="%.17g", delimiter=",",
+                       header=",".join(cols), comments="")
 
 
 def _fastest_rate(params: SystemParams) -> float:
@@ -258,6 +257,9 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     if delta_n_mode not in ("frozen", "full-closure"):
         raise InvalidParameterError(
             "delta_n_mode must be 'frozen' or 'full-closure'")
+    if delta_n_mode == "full-closure" and delta_n0 is not None:
+        raise InvalidParameterError("delta_n0 is for delta_n_mode 'frozen'; "
+                                    "'full-closure' recomputes the inversion")
     init = init or ReducedState()
     c = coefficients(params)
     kx, eps = c.kx, c.eps_l

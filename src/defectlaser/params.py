@@ -152,11 +152,11 @@ def compute_gd(material: MaterialParams, mech: MechanicalParams) -> TlsParams:
 class SystemParams:
     """Complete parameter set: optics, mechanics and one defect.
 
-    The defect block comes either directly (``tls``) or derived from
-    ``material``; exactly one source must be given at construction.  When
-    a material block is present its derived TlsParams are stored in
-    ``tls``, which is authoritative from then on (the material is kept
-    for provenance).
+    The defect block comes directly (``tls``) or derived from ``material``;
+    at least one must be given.  A given ``tls`` is used as it is, even
+    beside a material; without one, the TlsParams derived from the
+    material are stored in ``tls``.  Either way ``tls`` is authoritative
+    and ``material`` is kept only for provenance.
     """
 
     optical: OpticalParams
@@ -167,7 +167,7 @@ class SystemParams:
     def __post_init__(self):
         if self.tls is None and self.material is None:
             raise InvalidParameterError(
-                "exactly one of tls / material must be given")
+                "give tls or material; a given tls is used as it is")
         if self.tls is None:
             object.__setattr__(self, "tls",
                                compute_gd(self.material, self.mechanical))

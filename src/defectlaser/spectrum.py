@@ -98,9 +98,9 @@ def _ep_losses(eff: EffectiveParams) -> tuple[float, float]:
     + 4 dq^2 x^2 is least at x = +-sqrt(max(0, 4 n_b g_d^2 - dq^2))."""
     dq = eff.omega_q - eff.omega_m
     split = 2.0 * math.sqrt(eff.n_b) * eff.g_d
-    # sqrt(split * split) == split in binary floating point (barring
-    # underflow), so on resonance the upper loss is gamma_q_ep_resonant
-    half = math.sqrt(max(0.0, split * split - dq * dq))
+    # on resonance the half-width is the split itself, so the upper loss is
+    # gamma_q_ep_resonant even where split * split underflows
+    half = split if dq == 0 else math.sqrt(max(0.0, split * split - dq * dq))
     return eff.gamma_m_eff + half, eff.gamma_m_eff - half
 
 

@@ -313,62 +313,45 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
     return manifest
 
 
-def _plot_script(table: SweepTable, name: str) -> str:
-    prov = table.provenance
-    axes = prov["axes"]
-    x = axes[-1]["path"]
-    log_x = axes[-1]["scale"] == "log"
-    numeric = [c for c in table.columns
-               if c not in (x, "error", "phase")
-               and c not in [a["path"] for a in axes]]
-    two_axis = len(axes) == 2
-    outer = axes[0]["path"] if two_axis else None
-    lines = [
-        "#!/usr/bin/env python3",
-        f'"""Plot {name} from {name}.csv (auto-generated)."""',
-        "import csv",
-        "from pathlib import Path",
-        "import matplotlib.pyplot as plt",
-        "",
-        "here = Path(__file__).resolve().parent",
-        "rows = []",
-        f"with open(here / {name + '.csv'!r}) as fh:",
-        "    for rec in csv.DictReader(fh):",
-        "        rows.append(rec)",
-        "",
-        "def col(name):",
-        "    return [float(r[name]) for r in rows]",
-        "",
-        f"x = col({x!r})",
-        f"quantities = {numeric!r}",
-        "fig, axs = plt.subplots(len(quantities), 1, sharex=True,",
-        "                        figsize=(7, 2.4 * len(quantities)),",
-        "                        squeeze=False)",
-    ]
-    if two_axis:
-        lines += [
-            f"outer = col({outer!r})",
-            "groups = sorted(set(outer))",
-        ]
-    lines.append("for ax, q in zip(axs[:, 0], quantities):")
-    if two_axis:
-        lines += [
-            "    for gval in groups:",
-            "        xs = [xv for xv, ov in zip(x, outer) if ov == gval]",
-            "        ys = [yv for yv, ov in zip(col(q), outer) if ov == gval]",
-            f"        ax.plot(xs, ys, label=f'{outer}={{gval:.6g}}')",
-            "    ax.legend(fontsize=7)",
-        ]
+#: every sweep's NAME.plot.py; only the header of literals differs, and
+#: the script reads it to draw one or two axes and a linear or log x axis
+_PLOT_SCRIPT = '''#!/usr/bin/env python3
+"""Plot a defectlaser sweep's CSV (auto-generated)."""
+import csv
+from pathlib import Path
+import matplotlib.pyplot as plt
+
+X, OUTER, LOG_X = %r, %r, %r
+QUANTITIES, CSV, PNG = %r, %r, %r
+
+here = Path(__file__).resolve().parent
+with open(here / CSV) as fh:
+    rows = list(csv.DictReader(fh))
+col = {k: [float(r[k]) for r in rows] for k in (X, OUTER, *QUANTITIES) if k}
+fig, axs = plt.subplots(len(QUANTITIES), 1, sharex=True,
+                        figsize=(7, 2.4 * len(QUANTITIES)), squeeze=False)
+for ax, q in zip(axs[:, 0], QUANTITIES):
+    if OUTER:
+        for gval in sorted(set(col[OUTER])):
+            xs = [xv for xv, ov in zip(col[X], col[OUTER]) if ov == gval]
+            ys = [yv for yv, ov in zip(col[q], col[OUTER]) if ov == gval]
+            ax.plot(xs, ys, label=f'{OUTER}={gval:.6g}')
+        ax.legend(fontsize=7)
     else:
-        lines.append("    ax.plot(x, col(q))")
-    lines.append("    ax.set_ylabel(q)")
-    if log_x:
-        lines += ["    ax.set_xscale('log')"]
-    lines += [
-        f"axs[-1, 0].set_xlabel({x!r})",
-        "fig.tight_layout()",
-        f"fig.savefig(here / {name + '.png'!r}, dpi=160)",
-        f"print('wrote', here / {name + '.png'!r})",
-        "",
-    ]
-    return "\n".join(lines)
+        ax.plot(col[X], col[q])
+    ax.set_ylabel(q)
+    if LOG_X:
+        ax.set_xscale('log')
+axs[-1, 0].set_xlabel(X)
+fig.tight_layout()
+fig.savefig(here / PNG, dpi=160)
+print('wrote', here / PNG)
+'''
+
+
+def _plot_script(table: SweepTable, name: str) -> str:
+    *outer, x = table.provenance["axes"]
+    numeric = [c for c in table.columns[len(outer) + 1:-1] if c != "phase"]
+    return _PLOT_SCRIPT % (x["path"], outer[0]["path"] if outer else None,
+                           x["scale"] == "log", numeric, f"{name}.csv",
+                           f"{name}.png")

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from defectlaser import (DivergenceError, IntegratorSettings, MeanFieldState,
+from defectlaser import (DivergenceError, IntegratorSettings,
+                         InvalidParameterError, MeanFieldState,
                          ReducedState, SingularParameterError, Trajectory,
                          crossing_time, dynamics, gain, growth_rate,
                          integrate_full, integrate_reduced, steady_optics,
@@ -242,6 +243,13 @@ class TestReducedModel:
         dn = traj.column("delta_n")
         want = np.full(len(dn), complex(traj.meta["delta_n0"]))
         assert len(dn) > 2 and dn.tobytes() == want.tobytes()
+
+    def test_full_closure_rejects_a_frozen_inversion(self, fig2_params):
+        s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=1e-8)
+        with pytest.raises(InvalidParameterError,
+                           match="delta_n0.*delta_n_mode"):
+            integrate_reduced(fig2_params, None, s,
+                              delta_n_mode="full-closure", delta_n0=5.0)
 
     def test_diverged_run_carries_the_run_meta(self, fig2_params):
         with pytest.raises(DivergenceError) as exc:

@@ -228,6 +228,16 @@ class TestOneEp:
         assert resonant.column("error") == [""] * 3
 
 
+@pytest.mark.parametrize("g_d", [1e-160, 7e-156])
+def test_resonant_ep_loss_exact_where_split_squared_underflows(g_d):
+    """2 sqrt(n_b) g_d below ~1.5e-154 squares to a subnormal; the resonant
+    gamma_q_EP and locate_ep's root still equal gamma_q_ep_resonant."""
+    e = eff(n_b=1.0, gamma_m_eff=0.0, g_d=g_d)
+    assert gamma_q_ep_resonant(e) == 2.0 * g_d
+    assert eigenvalues(e).gamma_q_EP == 2.0 * g_d
+    assert locate_ep(e, (0.0, 1.0)).gamma_q == 2.0 * g_d
+
+
 class TestTurningPoint:
     def test_resonant_closed_form(self):
         assert turning_point(eff(n_b=1.0)) \

@@ -44,6 +44,44 @@ def subplots(nrows, ncols, **kwargs):
     return _Figure(), axs
 """
 
+#: a matplotlib.pyplot that records every call the plot scripts make and
+#: writes the record, as JSON, where the PNG would go
+RECORDING_PYPLOT_STUB = """
+import json
+
+import numpy as np
+
+CALLS = []
+
+
+class _Recorder:
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        if attr.startswith("__"):
+            raise AttributeError(attr)
+        return lambda *args, **kwargs: CALLS.append(
+            [self._name, attr, list(args), kwargs])
+
+
+class _Figure(_Recorder):
+    def savefig(self, path, **kwargs):
+        CALLS.append([self._name, "savefig", [str(path)], kwargs])
+        with open(path, "w") as fh:
+            json.dump(CALLS, fh)
+
+
+def subplots(*args, **kwargs):
+    CALLS.append(["plt", "subplots", list(args), kwargs])
+    nrows, ncols = args
+    axs = np.empty((nrows, ncols), dtype=object)
+    for i in range(nrows):
+        for j in range(ncols):
+            axs[i, j] = _Recorder(f"ax{i}")
+    return _Figure("fig"), axs
+"""
+
 #: sha256 prefixes of the eight preset CSVs and of their provenance
 #: (as sorted-key JSON); any moved cell or sidecar field shows here
 PRESET_CSV_SHA256 = {
@@ -56,6 +94,10 @@ PRESET_CSV_SHA256 = {
     "fig6a": ("bbe8f306ce9d", "8b63cc0bee14"),
     "fig6b": ("e58136a597ba", "c601d26d1660"),
 }
+
+#: sha256 prefixes of ``defectlaser integrate --model M --t-final 1e-6``'s
+#: trajectory CSV (148 rows, no divergence) for each model
+TRAJECTORY_CSV_SHA256 = {"full": "d741bc945d88", "reduced": "8dc82b14063b"}
 
 
 #: the base point's parameter file, and its [optical] and [tls] sections
@@ -331,6 +373,71 @@ class TestEmit:
             assert proc.returncode == 0, proc.stderr
             assert (out / f"{name}.png").is_file()
         assert not any(elsewhere.iterdir())
+
+    def plot_calls(self, tmp_path, name):
+        """The recorded pyplot calls of preset ``name``'s plot script, by
+        target, and its CSV's rows."""
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("")
+        (stub / "pyplot.py").write_text(RECORDING_PYPLOT_STUB)
+        out = emit_outputs(run_sweep(preset(name)), tmp_path / "out")
+        proc = subprocess.run(
+            [sys.executable, out["plot"]], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(stub.parent)))
+        assert proc.returncode == 0, proc.stderr
+        calls = {}
+        for target, method, args, kwargs in json.loads(
+                (tmp_path / "out" / f"{name}.png").read_text()):
+            calls.setdefault(target, []).append((method, args, kwargs))
+        with open(out["csv"]) as fh:
+            header, *rows = [line.rstrip("\n").split(",") for line in fh]
+        return calls, header, rows
+
+    @staticmethod
+    def same_floats(got, want):
+        return np.array_equal(np.asarray(got, dtype=float),
+                              np.asarray(want, dtype=float), equal_nan=True)
+
+    def test_one_axis_plot_draws_one_line_per_panel(self, tmp_path):
+        calls, header, rows = self.plot_calls(tmp_path, "fig2a")
+        quantities = ["G", "G0", "Gd", "delta_n"]
+        assert calls["plt"] == [("subplots", [4, 1], {
+            "sharex": True, "figsize": [7, 2.4 * 4], "squeeze": False})]
+        x = [r[header.index("optical.pump_detuning")] for r in rows]
+        for i, q in enumerate(quantities):
+            panel = calls[f"ax{i}"]
+            methods = [m for m, _, _ in panel]
+            assert methods.count("plot") == 1
+            assert "legend" not in methods and "set_xscale" not in methods
+            (xs, ys), kwargs = next((a, k) for m, a, k in panel
+                                    if m == "plot")
+            assert kwargs == {}
+            assert self.same_floats(xs, x)
+            assert self.same_floats(ys, [r[header.index(q)] for r in rows])
+            assert ("set_ylabel", [q], {}) in panel
+
+    def test_two_axis_plot_draws_one_labeled_line_per_outer_value(
+            self, tmp_path):
+        calls, header, rows = self.plot_calls(tmp_path, "fig5")
+        quantities = ["G", "n_b_star", "gamma_q_min", "gamma_q_EP"]
+        outer, inner = "optical.pump_detuning", "tls.tls_loss"
+        values = sorted({float(r[header.index(outer)]) for r in rows})
+        assert len(values) == 4
+        assert calls["plt"][0][1] == [4, 1]
+        for i, q in enumerate(quantities):
+            panel = calls[f"ax{i}"]
+            lines = [(a, k) for m, a, k in panel if m == "plot"]
+            assert len(lines) == 4
+            for ((xs, ys), kwargs), v in zip(lines, values):
+                assert kwargs == {"label": f"{outer}={v:.6g}"}
+                mine = [r for r in rows if float(r[header.index(outer)]) == v]
+                assert self.same_floats(xs, [r[header.index(inner)]
+                                             for r in mine])
+                assert self.same_floats(ys, [r[header.index(q)]
+                                             for r in mine])
+            assert ("legend", [], {"fontsize": 7}) in panel
+            assert ("set_xscale", ["log"], {}) in panel
 
     def test_rerun_of_sweep_is_byte_stable(self, tmp_path):
         spec = small_spec(mode="self-consistent", n_b_fixed=None)
@@ -815,6 +922,14 @@ tls_loss              = 6.43 MHz
         assert code == 0
         files = os.listdir(tmp_path)
         assert "trajectory-reduced.csv" in files
+
+    @pytest.mark.parametrize("model", sorted(TRAJECTORY_CSV_SHA256))
+    def test_integrate_csv_bytes_are_pinned(self, tmp_path, capsys, model):
+        assert self.run("integrate", "--model", model, "--t-final", "1e-6",
+                        "--out", str(tmp_path)) == 0
+        data = (tmp_path / f"trajectory-{model}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:12] \
+            == TRAJECTORY_CSV_SHA256[model]
 
     @pytest.mark.parametrize("flag", ["--dt", "--t-final", "--dt=nan",
                                       "--dt=inf", "--t-final=nan",

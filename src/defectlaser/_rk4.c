@@ -27,9 +27,9 @@
 
    Returns n when the run finished, and -i when the squared norm of the
    state after step i was not < 1e250 (that state is not stored; rows 0 to
-   (i - 1) / stride are).  Returns 0 where CPython raises instead (complex
-   division by zero, a singular supermode elimination): the caller then
-   replays the Python loop, which raises the same exception. */
+   (i - 1) / stride are).  Returns 0 where CPython raises instead (a
+   singular supermode elimination): the caller then replays the Python
+   loop, which raises the same exception. */
 
 #include <math.h>
 #include <stdint.h>
@@ -48,15 +48,18 @@ INLINE cx mul(cx a, cx b)
 }
 INLINE cx conj_(cx a) { return C(a.re, -a.im); }
 
-INLINE cx quot(cx a, cx b, int *fault)
+/* _Py_c_quot without its zero-divisor branch, which no caller reaches.
+   Every divisor is (sqrt 2, 0) or sqrt 8 (alpha - 2i gamma Delta), and
+   the latter only after alpha^2 + 4 Delta^2 gamma^2 != 0 has passed: if
+   alpha != 0 its real part sqrt 8 alpha is nonzero (sqrt 8 > 1, so it
+   cannot underflow); if alpha = 0 the check gives 4 Delta^2 gamma^2 != 0,
+   so 2 gamma Delta and the imaginary part are nonzero.  A NaN divisor
+   takes the last branch, as in CPython. */
+INLINE cx quot(cx a, cx b)
 {
     const double abs_br = b.re < 0 ? -b.re : b.re;
     const double abs_bi = b.im < 0 ? -b.im : b.im;
     if (abs_br >= abs_bi) {
-        if (abs_br == 0.0) { /* ZeroDivisionError */
-            *fault = 1;
-            return C(0.0, 0.0);
-        }
         const double ratio = b.im / b.re;
         const double denom = b.re + b.im * ratio;
         return C((a.re + a.im * ratio) / denom, (a.im - a.re * ratio) / denom);
@@ -93,27 +96,25 @@ INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
     const double kx = c[7].re, eps = c[8].re, gd = c[9].re, gq = c[10].re;
     const double sz = y[3].re;
     double dn = y[4].re;
-    int fault = 0;
 
     const double alpha = c[12].re + c[13].re * (b.re * b.re + b.im * b.im);
     if (alpha * alpha + c[14].re == 0.0) /* SingularParameterError */
         return 1;
     const cx denom = mul(F(c[15].re), sub(F(alpha), c[4]));
-    const cx ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))),
-                       denom, &fault);
+    const cx ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))), denom);
     const cx am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))),
-                       denom, &fault);
+                       denom);
     if (flag)
         dn = (ap.re * ap.re + ap.im * ap.im) - (am.re * am.re + am.im * am.im);
     const cx drive = quot(add(mul(F(eps), ap), mul(F(eps), conj_(am))),
-                          F(c[11].re), &fault);
+                          F(c[11].re));
     k[0] = add(sub(mul(c[0], p),
                    mul(mul(mul(mul(I, F(0.5)), F(kx)), F(dn)), b)), drive);
     k[1] = sub(add(mul(c[2], b), mul(c[1], p)), mul(mul(I, F(gd)), sm));
     k[2] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
     k[3] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
     k[4] = F(0.0);
-    return fault;
+    return 0;
 }
 
 /* the model's rhs at y; nonzero where Python raises */

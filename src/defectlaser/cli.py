@@ -24,8 +24,8 @@ from .params import SystemParams
 from .presets import FIGURE_PRESETS, base_params, preset
 from .spectrum import EffectiveParams, locate_ep, turning_point
 from .steadystate import gain, solve_nb_fixed_point
-from .sweep import (FP_QUANTITIES, SweepAxis, SweepSpec, emit_outputs,
-                    run_sweep)
+from .sweep import (FP_QUANTITIES, SweepAxis, SweepSpec, check_formats,
+                    emit_outputs, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,16 +67,8 @@ def _add_common(ap: argparse.ArgumentParser, *, out: bool = False,
     if sweep:
         ap.add_argument("--format", default="csv,plot",
                         help="comma list from {csv,plot} (default: csv,plot)")
-        ap.add_argument("--mode", default=None,
-                        help="n_b mode: 'self-consistent' or "
-                             "'fixed-nb:<value>'")
-
-
-def _add_axis(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--axis", metavar="PATH:START:STOP:N[:SCALE]",
-                    action="append", dest="axes", default=[],
-                    help="sweep axis, SI values, scale linear|log "
-                         "(repeatable up to 2)")
+        ap.add_argument("--mode", help="n_b mode: 'self-consistent' or "
+                                       "'fixed-nb:<value>'")
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -103,42 +95,47 @@ def _load_params(args, base: SystemParams | None = None) -> SystemParams:
     return params
 
 
-def _parse_mode(text: str | None, quantities: tuple[str, ...]
-                ) -> tuple[str, float | None, tuple[str, ...]]:
-    """--mode as (mode, n_b_fixed, quantities).  fixed-nb drops the
-    fixed-point quantities, which only the self-consistent mode defines."""
-    if text is None or text == "self-consistent":
-        return "self-consistent", None, quantities
+def _given(**flags) -> dict:
+    """The flags the user gave; the others keep the library's defaults."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
+def _parse_mode(text: str, quantities: tuple[str, ...]) -> dict:
+    """--mode as SweepSpec fields.  fixed-nb drops the fixed-point
+    quantities, which only the self-consistent mode defines."""
+    if text == "self-consistent":
+        return dict(mode=text, n_b_fixed=None, quantities=quantities)
     if text.startswith("fixed-nb:"):
         try:
             n_b = float(text.split(":", 1)[1])
         except ValueError as err:
             raise ConfigError(f"bad --mode value {text!r}") from err
-        return "fixed-nb", n_b, tuple(q for q in quantities
-                                      if q not in FP_QUANTITIES)
+        return dict(mode="fixed-nb", n_b_fixed=n_b, quantities=tuple(
+            q for q in quantities if q not in FP_QUANTITIES))
     raise ConfigError(
         f"--mode must be 'self-consistent' or 'fixed-nb:<v>', got {text!r}")
 
 
-def _run_and_emit(spec: SweepSpec, args) -> int:
-    manifest = emit_outputs(run_sweep(spec), args.out,
-                            formats=tuple(args.format.split(",")))
+def cmd_sweep(args) -> int:
+    """Every sweep: preset NAME's spec, or SWEEP_QUANTITIES[command] over
+    --axis; then --config and --set on its base (precedence: --set flag >
+    config file > preset), then --mode."""
+    if args.command == "preset":
+        spec = preset(args.name)
+    else:
+        axes = tuple(_parse_axis(a) for a in args.axes)
+        if not axes:
+            raise ConfigError("at least one --axis is required")
+        spec = SweepSpec(base=base_params(), axes=axes, name=args.command,
+                         quantities=SWEEP_QUANTITIES[args.command])
+    spec = replace(spec, base=_load_params(args, spec.base))
+    if args.mode is not None:
+        spec = replace(spec, **_parse_mode(args.mode, spec.quantities))
+    formats = check_formats(args.format.split(","))
+    manifest = emit_outputs(run_sweep(spec), args.out, formats)
     for kind, path in sorted(manifest.items()):
         print(f"{kind}: {path}")
     return EXIT_OK
-
-
-def _run_spec_command(args) -> int:
-    """The sweep subcommands: SWEEP_QUANTITIES[args.command] over --axis."""
-    params = _load_params(args)
-    axes = [_parse_axis(a) for a in args.axes]
-    if not axes:
-        raise ConfigError("at least one --axis is required")
-    mode, n_b, quantities = _parse_mode(args.mode,
-                                        SWEEP_QUANTITIES[args.command])
-    spec = SweepSpec(base=params, axes=tuple(axes), quantities=quantities,
-                     mode=mode, n_b_fixed=n_b, name=args.command)
-    return _run_and_emit(spec, args)
 
 
 def _print_json(out: dict) -> None:
@@ -150,11 +147,9 @@ def _print_json(out: dict) -> None:
 
 def cmd_integrate(args) -> int:
     params = _load_params(args)
-    # --dt and --t-final default to the integrators' own defaults
-    given = {"dt": args.dt, "t_final": args.t_final}
-    settings = replace(_default_settings(params), method=args.method,
-                       stride=args.stride,
-                       **{k: v for k, v in given.items() if v is not None})
+    settings = replace(_default_settings(params), stride=args.stride,
+                       **_given(dt=args.dt, t_final=args.t_final,
+                                method=args.method))
     integrator = integrate_reduced if args.model == "reduced" else integrate_full
     diverged = False
     try:
@@ -198,26 +193,13 @@ def cmd_ep_locate(args) -> int:
 
 def cmd_fixed_point(args) -> int:
     params = _load_params(args)
-    report = solve_nb_fixed_point(params, n_b0=args.nb0, tol=args.tol,
-                                  max_iter=args.max_iter)
+    report = solve_nb_fixed_point(params, **_given(
+        n_b0=args.nb0, tol=args.tol, max_iter=args.max_iter))
     out = asdict(report)
     if not args.history:
         del out["history"]
     _print_json(out)
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
-
-
-def cmd_preset(args) -> int:
-    spec = preset(args.name)
-    # precedence: --set flag > config file > preset defaults
-    params = _load_params(args, spec.base)
-    if params is not spec.base:
-        spec = replace(spec, base=params)
-    if args.mode:
-        mode, n_b, quantities = _parse_mode(args.mode, spec.quantities)
-        spec = replace(spec, mode=mode, n_b_fixed=n_b,
-                       quantities=quantities)
-    return _run_and_emit(spec, args)
 
 
 def cmd_validate_config(args) -> int:
@@ -238,32 +220,35 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SWEEP_QUANTITIES:
         p = sub.add_parser(name)
         _add_common(p, sweep=True)
-        _add_axis(p)
-        p.set_defaults(func=_run_spec_command)
+        p.add_argument("--axis", metavar="PATH:START:STOP:N[:SCALE]",
+                       action="append", dest="axes", default=[],
+                       help="sweep axis, SI values, scale linear|log "
+                            "(repeatable up to 2)")
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("integrate", help="integrate the mean-field model")
     _add_common(p, out=True)
     p.add_argument("--model", choices=("full", "reduced"), default="full")
-    p.add_argument("--dt", type=float, default=None, help="step (s)")
-    p.add_argument("--t-final", type=float, default=None, dest="t_final")
+    p.add_argument("--dt", type=float, help="step (s)")
+    p.add_argument("--t-final", type=float, dest="t_final")
     p.add_argument("--stride", type=int, default=10)
-    p.add_argument("--method", choices=("rk4", "dop853"), default="rk4")
+    p.add_argument("--method", choices=("rk4", "dop853"))
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("ep-locate", help="locate the exceptional point")
     _add_common(p)
     p.add_argument("--nb", type=float, default=1.0,
                    help="phonon number sector (default 1)")
-    p.add_argument("--bracket-lo", type=float, default=None)
-    p.add_argument("--bracket-hi", type=float, default=None)
+    p.add_argument("--bracket-lo", type=float)
+    p.add_argument("--bracket-hi", type=float)
     p.set_defaults(func=cmd_ep_locate)
 
     p = sub.add_parser("fixed-point",
                        help="solve the self-consistent phonon number")
     _add_common(p)
-    p.add_argument("--nb0", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    p.add_argument("--nb0", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--history", action="store_true")
     p.set_defaults(func=cmd_fixed_point)
 
@@ -271,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name",
                    help=f"one of: {', '.join(sorted(FIGURE_PRESETS))}")
     _add_common(p, sweep=True)
-    p.set_defaults(func=cmd_preset)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate-config",
                        help="parse, validate and echo a parameter file")

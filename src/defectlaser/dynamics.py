@@ -155,11 +155,11 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
     (name, coefficients, flag), or ``_run_rk4`` where that returns 0.
     ``fill(states)`` fills in place the columns the steps leave out."""
     settings = settings or _default_settings(params)
-    resolution = settings.dt * _fastest_rate(params)
+    rate = _fastest_rate(params)
     notes = []
-    if resolution > 0.1:
+    if settings.dt > 0.1 / rate:  # the default's own dt never warns
         notes.append(
-            f"dt*max(omega_m, omega_q, 2J) = {resolution:.3g} "
+            f"dt*max(omega_m, omega_q, 2J) = {settings.dt * rate:.3g} "
             "> 0.1: the fastest oscillation is under-resolved")
         warnings.warn(notes[-1], UserWarning, stacklevel=3)
     meta.update(settings=settings, warnings=notes)
@@ -181,7 +181,7 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
         steps = 0 if lib is None else getattr(lib, native[0])(
             np.array(native[1], dtype=complex), native[2],
             np.array(y0, dtype=complex), h, n_steps, stride, times, states)
-        if steps == 0:  # no kernel, or Python raises here: the loop runs
+        if steps == 0:  # no kernel, or a singular elimination: replay
             steps = _run_rk4(rhs, y0, h, n_steps, stride, times, states)
         meta["steps"] = abs(steps)
         if steps < 0:  # the state after step -steps is not finite

@@ -53,3 +53,5 @@ class SweepError(DefectLaserError, ValueError):
 
 class UnknownPresetError(SweepError, KeyError):
     """No figure preset has the requested name."""
+
+    __str__ = BaseException.__str__  # KeyError's would quote the message

@@ -151,13 +151,11 @@ def _grid_points(spec: SweepSpec):
 def _eval_point(spec: SweepSpec, axis_vals: list, params) -> list:
     """Evaluate one grid point.  Any package error lands in the error
     cell; the quantities the row did not reach stay NaN (text: empty)."""
-    if isinstance(params, DefectLaserError):
-        return ([math.nan] * (len(_columns(spec)) - 1)
-                + [f"point construction failed: {params}"])
-
     values: dict[str, object] = {}
     errors: list[str] = []
     try:
+        if isinstance(params, DefectLaserError):  # from _grid_points
+            raise SweepError(f"point construction failed: {params}")
         n_b = spec.n_b_fixed
         if spec.mode == "self-consistent":
             fp = solve_nb_fixed_point(params)
@@ -285,6 +283,15 @@ def _provenance(spec: SweepSpec) -> dict:
     }
 
 
+def check_formats(formats) -> tuple[str, ...]:
+    """``formats`` as a tuple; SweepError names the first one not in
+    {csv, plot}.  The CLI checks before the sweep runs a row."""
+    for fmt in formats:
+        if fmt not in ("csv", "plot"):
+            raise SweepError(f"unknown output format {fmt!r}")
+    return tuple(formats)
+
+
 def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
                  ) -> dict[str, str]:
     """Write CSV (bit-stable), provenance sidecar, optional plot script.
@@ -292,9 +299,7 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
     Returns a manifest {kind: path}.  The run timestamp lives only in the
     provenance sidecar so identical inputs give identical CSV bytes.
     """
-    for fmt in formats:
-        if fmt not in ("csv", "plot"):
-            raise SweepError(f"unknown output format {fmt!r}")
+    check_formats(formats)
     name = table.provenance.get("name", "sweep")
     os.makedirs(out_dir, exist_ok=True)
     manifest: dict[str, str] = {}

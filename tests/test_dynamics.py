@@ -132,6 +132,21 @@ class TestFullModel:
             traj = integrate_full(fig2_params, None, s)
         assert any("under-resolved" in w for w in traj.meta["warnings"])
 
+    def test_default_step_never_warns(self):
+        """At this rate 0.1 / rate * rate rounds above 0.1: the default
+        step must not warn, and the next float above it still must."""
+        rate = 147732263.56170473
+        p = make_params(omega_m=rate, omega_q=rate)
+        dt = dynamics._default_settings(p).dt
+        assert dt * rate > 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate_reduced(p, None, IntegratorSettings(dt=dt, t_final=1e-8))
+        coarser = IntegratorSettings(dt=math.nextafter(dt, math.inf),
+                                     t_final=1e-8)
+        with pytest.warns(UserWarning, match="under-resolved"):
+            integrate_reduced(p, None, coarser)
+
     def test_adaptive_cross_check(self, fig2_params):
         # t_final is an exact step multiple so both methods end together
         s_rk = IntegratorSettings(dt=3.125e-10, t_final=1.0e-6, stride=40)

@@ -12,7 +12,7 @@ import pytest
 from defectlaser import (SweepAxis, SweepSpec, SweepError,
                          UnknownPresetError, emit_outputs, gain, preset,
                          run_sweep, sweep, with_value)
-from defectlaser.cli import EXIT_CONFIG, main as cli_main
+from defectlaser.cli import EXIT_CONFIG, SWEEP_QUANTITIES, main as cli_main
 from defectlaser.config import load_config, params_to_config
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
@@ -278,7 +278,10 @@ class TestRunSweep:
             except InvalidParameterError as err:
                 failed += 1
                 assert cells["error"] == f"point construction failed: {err}"
-                assert all(math.isnan(v) for v in row[:-1])
+                coords = np.unravel_index(i, spec.grid_shape())
+                assert list(row[:2]) == [float(g[c]) for g, c
+                                         in zip(spec.grids, coords)]
+                assert all(math.isnan(v) for v in row[2:-1])
                 continue
             assert "point construction failed" not in cells["error"]
             assert [cells[ax.path] for ax in spec.axes] == vals
@@ -745,11 +748,31 @@ class TestCli:
         assert self.run("preset", "fig9") == EXIT_CONFIG
         assert "unknown preset" in capsys.readouterr().err
 
+    def test_unknown_preset_message_is_unquoted(self, capsys):
+        assert self.run("preset", "fig9") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: unknown preset 'fig9'; available: fig2a, fig2b, fig3a, "
+            "fig3b, fig4, fig5, fig6a, fig6b\n")
+
+    def test_unknown_format_fails_before_any_row(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def never(spec):
+            raise AssertionError("run_sweep was called")
+
+        monkeypatch.setattr("defectlaser.cli.run_sweep", never)
+        out = tmp_path / "out"
+        assert self.run("gain-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                        "--out", str(out), "--format", "json") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown output format 'json'\n"
+        assert not out.exists()
+
     def test_internal_key_error_is_not_a_config_error(self, monkeypatch):
         def broken(args):
             raise KeyError("internal lookup")
 
-        monkeypatch.setattr("defectlaser.cli.cmd_preset", broken)
+        monkeypatch.setattr("defectlaser.cli.cmd_sweep", broken)
         with pytest.raises(KeyError, match="internal lookup"):
             self.run("preset", "fig2a")
 
@@ -1000,6 +1023,77 @@ tls_loss              = 6.43 MHz
         base = prov["base_config"]
         assert "pump_power = 3e-06 W" in base          # from the config file
         assert "coupling = 250000.0 rad/s" in base     # --set wins over file
+
+    #: argv (CFG stands for a parameter file at 3 uW) and the spec the
+    #: library builds for it
+    SPEC_CASES = {
+        "gain-sweep": (
+            ("gain-sweep", "--axis", "tls.tls_loss:1e5:1e7:5:log"),
+            lambda cfg: SweepSpec(
+                base=base_params(),
+                axes=(SweepAxis("tls.tls_loss", 1e5, 1e7, 5, "log"),),
+                quantities=SWEEP_QUANTITIES["gain-sweep"],
+                name="gain-sweep")),
+        "gain-sweep-fixed-nb": (
+            ("gain-sweep", "--axis", "tls.coupling:1e5:1e6:3",
+             "--set", "optical.pump_power=2 uW", "--mode", "fixed-nb:0"),
+            lambda cfg: SweepSpec(
+                base=with_value(base_params(), "optical.pump_power", 2e-6),
+                axes=(SweepAxis("tls.coupling", 1e5, 1e6, 3),),
+                quantities=("G", "G0", "Gd", "omega_prime", "delta_n",
+                            "N_b", "n_b"),
+                mode="fixed-nb", n_b_fixed=0.0, name="gain-sweep")),
+        "threshold-sweep": (
+            ("threshold-sweep", "--config", "CFG",
+             "--axis", "optical.pump_detuning:1e7:1e8:3",
+             "--axis", "tls.tls_loss:1e6:2e6:2:log",
+             "--mode", "fixed-nb:2"),
+            lambda cfg: SweepSpec(
+                base=load_config(cfg),
+                axes=(SweepAxis("optical.pump_detuning", 1e7, 1e8, 3),
+                      SweepAxis("tls.tls_loss", 1e6, 2e6, 2, "log")),
+                quantities=SWEEP_QUANTITIES["threshold-sweep"],
+                mode="fixed-nb", n_b_fixed=2.0, name="threshold-sweep")),
+        "spectrum-sweep": (
+            ("spectrum-sweep", "--config", "CFG",
+             "--set", "tls.coupling=0.5 MHz",
+             "--axis", "tls.tls_loss:1e6:2e7:4", "--mode", "self-consistent"),
+            lambda cfg: SweepSpec(
+                base=with_value(load_config(cfg), "tls.coupling", 5e5),
+                axes=(SweepAxis("tls.tls_loss", 1e6, 2e7, 4),),
+                quantities=SWEEP_QUANTITIES["spectrum-sweep"],
+                name="spectrum-sweep")),
+        "preset-fig2a": (("preset", "fig2a"), lambda cfg: preset("fig2a")),
+        "preset-fig2b-fixed-nb": (
+            ("preset", "fig2b", "--mode", "fixed-nb:0"),
+            lambda cfg: dataclasses.replace(
+                preset("fig2b"), mode="fixed-nb", n_b_fixed=0.0,
+                quantities=("G", "G0", "Gd"))),
+        "preset-fig4-config-set": (
+            ("preset", "fig4", "--config", "CFG",
+             "--set", "tls.coupling=0.25 MHz", "--mode", "self-consistent"),
+            lambda cfg: dataclasses.replace(
+                preset("fig4"),
+                base=with_value(load_config(cfg), "tls.coupling", 2.5e5))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPEC_CASES))
+    def test_cli_builds_the_library_spec(self, tmp_path, monkeypatch, case):
+        argv, expected = self.SPEC_CASES[case]
+        cfg = str(tmp_path / "base.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(params_to_config(make_params(pump_power=3e-6)))
+        built = []
+
+        def record(spec):
+            built.append(spec)
+            return sweep.SweepTable(columns=("error",), rows=(),
+                                    provenance={"name": spec.name})
+
+        monkeypatch.setattr("defectlaser.cli.run_sweep", record)
+        argv = [cfg if a == "CFG" else a for a in argv]
+        assert self.run(*argv, "--out", str(tmp_path), "--format", "csv") == 0
+        assert built == [expected(cfg)]
 
     def run_child(self, *argv):
         import defectlaser

@@ -9,9 +9,12 @@
      -ffp-contract=off, so no multiply-add is fused);
    - a float operand of a complex operation is promoted to (x, 0.0) and the
      operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or _Py_c_quot;
-   - components the Python loop keeps as floats (sigma_z in both models,
-     delta_n in the reduced one) step in real arithmetic and are stored as
-     (x, 0.0), as numpy stores a float in a complex array.
+   - every component steps as a complex number.  sigma_z and the reduced
+     delta_n, floats in Python, enter as (x, +0.0) and rhs returns F(x'):
+     with h > 0, mul(F(hh), k) = (hh x' - 0.0 0.0, hh 0.0 + 0.0 x') =
+     (hh x', +0.0) and sums keep +0.0, so .re is the Python float.  .im
+     turns NaN (0.0 inf) only once a .re is infinite, which fails
+     mag2 < 1e250 in both loops; rhs reads only .re of these components.
 
    Every helper is forced inline, so each entry point compiles to its own
    stepper with its model's right-hand side inlined.  The build is -O3:
@@ -75,7 +78,7 @@ INLINE cx quot(cx a, cx b)
 static const cx I = {0.0, 1.0};
 
 /* integrate_full's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
-INLINE void rhs_full(const cx *c, const cx *y, cx *k)
+INLINE int rhs_full(const cx *c, const cx *y, cx *k)
 {
     const cx ap = y[0], am = y[1], b = y[2], sm = y[3];
     const double sz = y[4].re, drv = c[5].re, gd = c[6].re, gq = c[7].re;
@@ -85,6 +88,7 @@ INLINE void rhs_full(const cx *c, const cx *y, cx *k)
                mul(mul(I, F(gd)), sm));
     k[3] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
     k[4] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
+    return 0;
 }
 
 /* integrate_reduced's rhs, with GainCoefficients.supermodes(|b|^2, b) as
@@ -120,61 +124,50 @@ INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
 /* the model's rhs at y; nonzero where Python raises */
 INLINE int rhs(int reduced, const cx *c, int flag, const cx *y, cx *k)
 {
-    if (reduced)
-        return rhs_reduced(c, flag, y, k);
-    rhs_full(c, y, k);
-    return 0;
+    return reduced ? rhs_reduced(c, flag, y, k) : rhs_full(c, y, k);
 }
 
-/* s = y + hh * k; the first nc components are complex */
-INLINE void stage(const cx *y, double hh, const cx *k, int nc, cx *s)
+/* s = y + hh * k */
+INLINE void stage(const cx *y, double hh, const cx *k, cx *s)
 {
-    int j;
-    for (j = 0; j < nc; j++)
+    for (int j = 0; j < 5; j++)
         s[j] = add(y[j], mul(F(hh), k[j]));
-    for (; j < 5; j++)
-        s[j] = F(y[j].re + hh * k[j].re);
 }
 
 INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
                    double h, int64_t n, int64_t stride, double *times,
                    cx *states)
 {
-    const int nc = reduced ? 3 : 4;
     const double h2 = 0.5 * h, h6 = h / 6.0;
     cx y[5], s[5], k1[5], k2[5], k3[5], k4[5];
     int64_t i, r = 1;
-    int j;
 
-    for (j = 0; j < 5; j++)
-        y[j] = states[j] = j < nc ? y0[j] : F(y0[j].re);
+    for (int j = 0; j < 5; j++)
+        y[j] = states[j] = y0[j];
     times[0] = 0.0;
     for (i = 1; i <= n; i++) {
         if (rhs(reduced, c, flag, y, k1))
             return 0;
-        stage(y, h2, k1, nc, s);
+        stage(y, h2, k1, s);
         if (rhs(reduced, c, flag, s, k2))
             return 0;
-        stage(y, h2, k2, nc, s);
+        stage(y, h2, k2, s);
         if (rhs(reduced, c, flag, s, k3))
             return 0;
-        stage(y, h, k3, nc, s);
+        stage(y, h, k3, s);
         if (rhs(reduced, c, flag, s, k4))
             return 0;
-        for (j = 0; j < nc; j++)
+        for (int j = 0; j < 5; j++)
             y[j] = add(y[j], mul(F(h6), add(add(k1[j], mul(F(2.0),
                        add(k2[j], k3[j]))), k4[j])));
-        for (; j < 5; j++)
-            y[j] = F(y[j].re + h6 * (k1[j].re + 2.0 * (k2[j].re + k3[j].re)
-                                     + k4[j].re));
         double mag2 = y[0].re * y[0].re + y[0].im * y[0].im;
-        for (j = 1; j < 5; j++)
+        for (int j = 1; j < 5; j++)
             mag2 = mag2 + y[j].re * y[j].re + y[j].im * y[j].im;
         if (!(mag2 < 1e250))
             return -i;
         if (i % stride == 0 || i == n) {
             times[r] = (double)i * h;
-            for (j = 0; j < 5; j++)
+            for (int j = 0; j < 5; j++)
                 states[5 * r + j] = y[j];
             r++;
         }

@@ -151,7 +151,6 @@ def cmd_integrate(args) -> int:
                        **_given(dt=args.dt, t_final=args.t_final,
                                 method=args.method))
     integrator = integrate_reduced if args.model == "reduced" else integrate_full
-    diverged = False
     try:
         traj = integrator(params, None, settings)
     except DivergenceError as err:
@@ -160,12 +159,11 @@ def cmd_integrate(args) -> int:
         if err.partial is None:
             return EXIT_NONCONVERGED
         traj = err.partial
-        diverged = True
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"trajectory-{args.model}.csv")
     traj.to_csv(path)
     print(f"csv: {path}")
-    return EXIT_NONCONVERGED if diverged else EXIT_OK
+    return EXIT_NONCONVERGED if "diverged_at" in traj.meta else EXIT_OK
 
 
 def cmd_ep_locate(args) -> int:

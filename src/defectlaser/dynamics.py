@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
 from .params import SystemParams
-from .steadystate import _SQRT8, coefficients, inversion
+from .steadystate import (_SQRT2, _SQRT8, coefficients, inversion,
+                          steady_optics)
 
 #: default seed phonon amplitude: smallest that still gives clean log fits
 DEFAULT_SEED = 1e-3
@@ -266,11 +267,10 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     k, gd, gq = 0.5j * kx, c.g_d, params.tls.tls_loss
     cb, cs = _poles(params)
     cpp = -2j * params.optical.coupling - 2.0 * params.optical.cavity_loss
-    sqrt2 = math.sqrt(2.0)
 
     frozen = delta_n_mode == "frozen"
     if frozen and delta_n0 is None:
-        delta_n0 = c.terms(0.0)[4]  # the steady inversion at b = 0
+        delta_n0 = steady_optics(params, 0.0, 0.0).delta_n
     dn0 = float(delta_n0) if frozen else None
 
     supermodes = c.supermodes
@@ -285,7 +285,7 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
         if not frozen:
             dn = ((ap.real * ap.real + ap.imag * ap.imag)
                   - (am.real * am.real + am.imag * am.imag))
-        drive = (eps * ap + eps * am.conjugate()) / sqrt2
+        drive = (eps * ap + eps * am.conjugate()) / _SQRT2
         return (cpp * p - 1j * 0.5 * kx * dn * b + drive,
                 cb * b + k * p - 1j * gd * sm,
                 cs * sm + 1j * gd * b * sz,
@@ -301,7 +301,7 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
           float(init.sigma_z), dn0 if frozen else 0.0)
     native = ("integrate_reduced",
               (cpp, k, cb, cs, c.dg_im, c.x_plus, c.x_minus, kx, eps, gd, gq,
-               sqrt2, c.alpha0, c.alpha_n, c.dg2, _SQRT8), not frozen)
+               _SQRT2, c.alpha0, c.alpha_n, c.dg2, _SQRT8), not frozen)
     return _solve(params, settings, rhs, y0, REDUCED_FIELDS, native,
                   None if frozen else fill, model="reduced",
                   delta_n_mode=delta_n_mode, delta_n0=dn0)

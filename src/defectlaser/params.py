@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .constants import HBAR
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SingularParameterError
 
 # Defect coupling is a perturbative two-level term; warn when g_d/omega_q
 # exceeds this ratio (do not reject).
@@ -96,11 +96,6 @@ class MechanicalParams:
         _require(self.mech_loss > 0, "mech_loss must be > 0")
         _require(self.eff_mass > 0, "eff_mass must be > 0")
 
-    @property
-    def x_zpf(self) -> float:
-        """Zero-point displacement x0 = sqrt(hbar / (2 m omega_m))."""
-        return math.sqrt(HBAR / (2.0 * self.eff_mass * self.mech_freq))
-
 
 @dataclass(frozen=True)
 class TlsParams:
@@ -114,11 +109,6 @@ class TlsParams:
         _require(self.tls_freq > 0, "tls_freq must be > 0")
         _require(self.tls_loss >= 0, "tls_loss must be >= 0")
         _require(self.coupling >= 0, "coupling (g_d) must be >= 0")
-
-    @property
-    def coupling_ratio(self) -> float:
-        """g_d / omega_q, the small parameter of the two-level description."""
-        return self.coupling / self.tls_freq
 
 
 # config section -> parameter block, in config order; the sections are
@@ -141,8 +131,11 @@ def compute_gd(material: MaterialParams, mech: MechanicalParams) -> TlsParams:
     if omega_q == 0.0:
         raise InvalidParameterError(
             "tunnel_splitting and asymmetry cannot both be zero")
-    s_zpf = math.sqrt(HBAR * mech.mech_freq /
-                      (2.0 * material.youngs_modulus * material.mode_volume))
+    stiffness = 2.0 * material.youngs_modulus * material.mode_volume
+    if stiffness == 0.0:  # both factors are > 0, so the product underflowed
+        raise SingularParameterError("youngs_modulus * mode_volume underflows "
+                                     "to 0: the zero-point strain is singular")
+    s_zpf = math.sqrt(HBAR * mech.mech_freq / stiffness)
     g_d = (material.deformation_potential / HBAR) * (d0 / omega_q) * s_zpf
     return TlsParams(tls_freq=omega_q, tls_loss=material.tls_loss,
                      coupling=g_d)
@@ -182,7 +175,7 @@ class SystemParams:
         out = []
         tls = self.tls
         if tls.coupling > 0:
-            if tls.coupling_ratio >= VALIDITY_RATIO:
+            if tls.coupling / tls.tls_freq >= VALIDITY_RATIO:
                 out.append(f"defect coupling g_d/omega_q exceeds "
                            f"{VALIDITY_RATIO:g}; two-level treatment is "
                            "marginal")
@@ -213,7 +206,7 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     """
     opt = params.optical
     mech = params.mechanical
-    x0 = mech.x_zpf
+    x0 = math.sqrt(HBAR / (2.0 * mech.eff_mass * mech.mech_freq))
     xi = opt.cavity_freq / opt.radius
     omega_l = opt.cavity_freq + opt.pump_detuning
     eps_l = math.sqrt(2.0 * opt.pump_power * opt.cavity_loss / (HBAR * omega_l))
@@ -238,7 +231,7 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
     sub = groups[group]
     if sub is None:
         raise InvalidParameterError(f"parameter group {group!r} is not set")
-    # the dataclass fields only: a property such as x_zpf is not settable
+    # dataclass fields only: methods such as __post_init__ are not settable
     if name not in sub.__dataclass_fields__:
         raise InvalidParameterError(f"unknown field {name!r} in {group!r}")
     # built directly, not by dataclasses.replace: vars() are the fields

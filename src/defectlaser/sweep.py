@@ -87,12 +87,21 @@ class SweepSpec:
     def __post_init__(self):
         if not (1 <= len(self.axes) <= 2):
             raise SweepError("a sweep takes 1 or 2 axes")
+        # the inner axis, applied last, would overwrite the outer one
+        paths = [ax.path for ax in self.axes]
+        if len(set(paths)) < len(paths):
+            raise SweepError(f"both axes sweep {paths[0]}")
+        if {path.partition(".")[0] for path in paths} == {"tls", "material"}:
+            raise SweepError("a material.* axis re-derives tls, dropping the "
+                             "tls.* axis; material.tls_loss sweeps the loss")
         if not self.quantities:
             raise SweepError("quantity list must not be empty")
         unknown = [q for q in self.quantities if q not in KNOWN_QUANTITIES]
         if unknown:
             raise SweepError(
                 f"unknown quantities {unknown}; known: {KNOWN_QUANTITIES}")
+        if len(set(self.quantities)) < len(self.quantities):
+            raise SweepError(f"quantities {list(self.quantities)} repeat")
         if self.mode == "fixed-nb":
             if self.n_b_fixed is None or not 0 <= self.n_b_fixed < math.inf:
                 raise SweepError("fixed-nb mode needs a finite n_b_fixed >= 0")
@@ -102,6 +111,8 @@ class SweepSpec:
                     f"{asked} are defined only in self-consistent mode")
         elif self.mode != "self-consistent":
             raise SweepError("mode must be 'self-consistent' or 'fixed-nb'")
+        elif self.n_b_fixed is not None:
+            raise SweepError("n_b_fixed is only for fixed-nb mode")
         object.__setattr__(self, "grids",
                            tuple(ax.values() for ax in self.axes))
 
@@ -209,19 +220,14 @@ class SweepTable:
 
     def to_csv_text(self) -> str:
         out = [",".join(self.columns)]
-        for row in self.rows:
-            cells = []
-            for v in row:
-                if isinstance(v, str):
-                    cells.append(v)
-                else:
-                    cells.append(f"{v:.17g}")
-            out.append(",".join(cells))
+        out += [",".join([v if isinstance(v, str) else f"{v:.17g}"
+                          for v in row]) for row in self.rows]
         return "\n".join(out) + "\n"
 
 
-def validate_spec(spec: SweepSpec) -> None:
-    """Reject invalid axis endpoints before any computation."""
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the grid serially, in row-major order, after rejecting
+    invalid axis endpoints."""
     for ax in spec.axes:
         for v in (ax.start, ax.stop):
             try:
@@ -229,11 +235,6 @@ def validate_spec(spec: SweepSpec) -> None:
             except DefectLaserError as err:
                 raise SweepError(
                     f"axis {ax.path} endpoint {v:g} is invalid: {err}") from err
-
-
-def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the grid serially, in row-major order."""
-    validate_spec(spec)
     rows = [_eval_point(spec, vals, p) for vals, p in _grid_points(spec)]
 
     cols = _columns(spec)
@@ -356,7 +357,7 @@ print('wrote', here / PNG)
 
 def _plot_script(table: SweepTable, name: str) -> str:
     *outer, x = table.provenance["axes"]
-    numeric = [c for c in table.columns[len(outer) + 1:-1] if c != "phase"]
+    numeric = [c for c in table.columns[len(outer) + 1:-1] if c not in _TEXT]
     return _PLOT_SCRIPT % (x["path"], outer[0]["path"] if outer else None,
                            x["scale"] == "log", numeric, f"{name}.csv",
                            f"{name}.png")

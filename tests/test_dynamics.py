@@ -425,6 +425,42 @@ class TestGrowthRateFit:
         with pytest.raises(ValueError):
             growth_rate(traj, (2e-6, 1e-6))
 
+    def test_window_with_two_samples_rejected(self):
+        traj = self.synthetic(1e5)  # one sample every 1e-8 s
+        with pytest.raises(ValueError, match="fewer than 3 samples"):
+            growth_rate(traj, (0.0, 1.5e-8))
+
+    def test_crossing_time_of_a_level_never_reached(self):
+        with pytest.raises(ValueError, match="level 3 never reached"):
+            crossing_time(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 3.0)
+
+    def test_crossing_time_at_the_first_sample(self):
+        times, values = np.array([0.5, 1.0]), np.array([4.0, 5.0])
+        assert crossing_time(times, values, 3.0) == 0.5
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: IntegratorSettings(dt=1e-9, t_final=1e-6,
+                                            method="euler"),
+                 "method must be 'rk4' or 'dop853'", id="unknown-method"),
+    pytest.param(lambda: Trajectory(times=np.zeros(2),
+                                    states=np.zeros((3, 1), complex),
+                                    fields=("b",)),
+                 "times and states lengths differ", id="trajectory-lengths"),
+    pytest.param(lambda: Trajectory(times=np.array([0.0, 1.0, 1.0]),
+                                    states=np.zeros((3, 1), complex),
+                                    fields=("b",)),
+                 "times must be strictly increasing", id="trajectory-order"),
+    pytest.param(lambda: integrate_reduced(make_params(), None,
+                                           settings_for(1e-7),
+                                           delta_n_mode="adiabatic"),
+                 "delta_n_mode must be 'frozen' or 'full-closure'",
+                 id="unknown-delta-n-mode"),
+])
+def test_malformed_dynamics_input_is_rejected(build, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        build()
+
 
 class TestTrajectoryIO:
     def test_csv_round_trip(self, tmp_path, fig2_params):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from defectlaser import (InvalidParameterError, MaterialParams,
-                         MechanicalParams, OpticalParams, SystemParams,
-                         TlsParams, compute_gd, derive_quantities, with_value)
+                         MechanicalParams, OpticalParams,
+                         SingularParameterError, SystemParams, TlsParams,
+                         compute_gd, derive_quantities, with_value)
 from defectlaser.constants import EV, HBAR
 
 from conftest import OMEGA_M, make_params
@@ -83,6 +84,12 @@ class TestComputeGd:
     def test_both_splittings_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
             compute_gd(silica_material(tunnel=0.0, asym=0.0), MECH)
+
+    def test_underflowing_stiffness_is_singular(self):
+        material = dataclasses.replace(silica_material(), youngs_modulus=1e-200,
+                                       mode_volume=1e-200)
+        with pytest.raises(SingularParameterError, match="underflows to 0"):
+            compute_gd(material, MECH)
 
     @given(st.floats(min_value=1e5, max_value=1e10),
            st.floats(min_value=0.0, max_value=1e10))

@@ -115,6 +115,15 @@ class TestEigenvalues:
         with pytest.raises(InvalidParameterError):
             eff(n_b=0.5)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("omega_m", 0.0, "omega_m and omega_q must be > 0"),
+        ("omega_q", -1.0, "omega_m and omega_q must be > 0"),
+        ("gamma_q", -1.0, "gamma_q and g_d must be >= 0"),
+        ("g_d", -1.0, "gamma_q and g_d must be >= 0")])
+    def test_invalid_block_rejected(self, field, value, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            dataclasses.replace(eff(), **{field: value})
+
     def test_non_finite_eigenvalues_raise(self):
         # (n_b - 1/2) omega_m overflows, and with it both eigenvalues
         with pytest.raises(SingularParameterError, match="spectrum at n_b"):

@@ -103,6 +103,15 @@ TRAJECTORY_CSV_SHA256 = {"full": "d741bc945d88", "reduced": "8dc82b14063b"}
 #: the base point's parameter file, and its [optical] and [tls] sections
 BASE_CONFIG = params_to_config(base_params())
 OPTICAL, _, TLS = BASE_CONFIG.split("\n\n")
+#: README's [material] example
+MATERIAL = """[material]
+deformation_potential = 1 eV
+tunnel_splitting      = 23.4 2pi.MHz
+asymmetry             = 0 MHz
+youngs_modulus        = 72 GPa
+mode_volume           = 0.1 um^3
+tls_loss              = 6.43 MHz
+"""
 
 
 def small_spec(**kw):
@@ -146,6 +155,33 @@ class TestSweepSpec:
     def test_rejects_fixed_point_quantities_in_fixed_mode(self):
         with pytest.raises(SweepError, match="self-consistent"):
             small_spec(quantities=("G", "n_b_star"))
+
+    def test_rejects_two_axes_on_one_path(self):
+        # the inner axis overwrote the outer: rows of one inner value matched
+        ax = SweepAxis("tls.tls_loss", 1e5, 1e6, 2)
+        with pytest.raises(SweepError, match="both axes sweep tls.tls_loss"):
+            small_spec(axes=(ax, dataclasses.replace(ax, start=1e7, stop=2e7)))
+
+    @pytest.mark.parametrize("paths", [
+        ("tls.coupling", "material.mode_volume"),
+        ("material.mode_volume", "tls.coupling")])
+    def test_rejects_a_tls_axis_beside_a_material_axis(self, paths):
+        # a material axis re-derives tls, so either order loses the tls axis
+        axes = tuple(SweepAxis(path, 1e-19, 2e-19, 2) for path in paths)
+        with pytest.raises(SweepError, match="material.tls_loss"):
+            small_spec(axes=axes)
+
+    def test_rejects_n_b_fixed_in_self_consistent_mode(self):
+        with pytest.raises(SweepError, match="n_b_fixed is only for fixed-nb"):
+            small_spec(mode="self-consistent", n_b_fixed=5.0)
+
+    def test_rejects_a_repeated_quantity(self):
+        with pytest.raises(SweepError, match="repeat"):
+            small_spec(quantities=("G", "G"))
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(SweepError, match="mode must be"):
+            small_spec(mode="adiabatic")
 
     def test_invalid_endpoint_fails_before_compute(self):
         spec = small_spec(axes=(SweepAxis("optical.cavity_loss",
@@ -615,6 +651,19 @@ class TestCli:
                      id="integrate-stride-zero"),
         pytest.param(("validate-config", "--set", "optical.radius=-1"),
                      "radius must be > 0", id="set-radius-negative"),
+        pytest.param(("validate-config", "--set", "optical.pump_power="),
+                     "empty value, expected a power quantity",
+                     id="set-empty-value"),
+        pytest.param(("gain-sweep", "--axis", "foo.bar:1:2:3"),
+                     "unknown parameter group 'foo'", id="axis-unknown-group"),
+        pytest.param(("gain-sweep", "--axis",
+                      "material.mode_volume:1e-18:2e-18:3"),
+                     "parameter group 'material' is not set",
+                     id="axis-group-not-set"),
+        pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1e5:1e6:2",
+                      "--axis", "tls.tls_loss:1e7:2e7:2",
+                      "--mode", "fixed-nb:0"),
+                     "both axes sweep tls.tls_loss", id="axis-path-twice"),
     ])
     def test_invalid_input_is_a_config_error(self, argv, message, tmp_path,
                                              monkeypatch, capsys):
@@ -815,6 +864,10 @@ class TestCli:
         pytest.param(f"{OPTICAL}\n\n{TLS}",
                      "missing required section [mechanical]",
                      id="no-mechanical-section"),
+        pytest.param(BASE_CONFIG.replace(TLS, MATERIAL.replace(
+            "23.4 2pi.MHz", "0 MHz")),
+                     "tunnel_splitting and asymmetry cannot both be zero",
+                     id="material-without-splitting"),
     ])
     def test_malformed_config_file_is_config_error(self, text, message,
                                                    tmp_path, capsys):
@@ -887,6 +940,50 @@ tls_loss              = 6.43 MHz
             gq = float(cells[0])
             expected = gain(with_value(base, "tls.tls_loss", gq), 2.0).G
             assert float(cells[i_g]) == expected and cells[i_err] == ""
+
+    def test_tls_axis_beside_material_axis_is_a_config_error(self, tmp_path,
+                                                              capsys):
+        # the material axis re-derived tls, so tls.coupling did nothing
+        out = tmp_path / "out"
+        assert self.run("gain-sweep", "--config", self.material_config(tmp_path),
+                        "--axis", "tls.coupling:1e5:1e7:2",
+                        "--axis", "material.mode_volume:1e-19:2e-19:2",
+                        "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "material.tls_loss" in err
+        assert not out.exists()
+
+    def underflowing_material(self, tmp_path):
+        cfg = tmp_path / "under.cfg"
+        cfg.write_text(open(self.material_config(tmp_path)).read()
+                       .replace("72 GPa", "1e-200 Pa")
+                       .replace("0.1 um^3", "1e-200 m^3"))
+        return str(cfg)
+
+    def test_underflowing_material_is_singular(self, tmp_path, capsys):
+        # 2 Y V_m underflows to 0: once a ZeroDivisionError traceback
+        cfg = self.underflowing_material(tmp_path)
+        assert self.run("validate-config", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "youngs_modulus * mode_volume underflows to 0" in err
+
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    def test_underflowing_material_point_lands_in_its_row(self, tmp_path):
+        # each endpoint is valid alone; Y = V = 1e-200 together underflow
+        code = self.run("gain-sweep", "--config",
+                        self.material_config(tmp_path),
+                        "--axis", "material.youngs_modulus:1e-200:72e9:2",
+                        "--axis", "material.mode_volume:1e-200:1e-19:2",
+                        "--mode", "fixed-nb:0", "--out", str(tmp_path),
+                        "--format", "csv")
+        assert code == 0
+        lines = open(tmp_path / "gain-sweep.csv").read().splitlines()
+        errors = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert errors[0] == ("point construction failed: youngs_modulus * "
+                             "mode_volume underflows to 0: the zero-point "
+                             "strain is singular")
+        assert len(errors) == 4 and "underflows" not in "".join(errors[1:])
 
     def test_ep_locate(self, capsys):
         assert self.run("ep-locate", "--nb", "4") == 0

@@ -237,5 +237,9 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
     # built directly, not by dataclasses.replace: vars() are the fields
     groups[group] = type(sub)(**{**vars(sub), name: value})
     if group == "material":
+        if params.tls != compute_gd(params.material, params.mechanical):
+            raise InvalidParameterError(
+                "the [tls] block does not match the one derived from "
+                "[material]; a material.* value would re-derive and drop it")
         groups["tls"] = None  # derived from the material, so rebuild it
     return SystemParams(**groups)

@@ -79,7 +79,8 @@ class FixedPointReport:
 
     ``iterations`` counts the evaluations of the map N_b(G(n)) after the
     first at n_b0, including the bisection fallback and the final
-    residual check, whichever ``method`` ran.
+    residual check, whichever ``method`` ran.  An exact cycle ends the
+    damped loop early, which shortens ``iterations`` and ``history`` only.
     """
 
     n_b_star: float
@@ -286,7 +287,8 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     |N_b(G(n)) - n| <= tol * max(1, n).
 
     Far above threshold the map is exponentially steep and the damped
-    iteration oscillates; the solver then falls back to bisection on
+    iteration oscillates.  Once it repeats a state exactly, or after
+    ``max_iter`` steps, the solver falls back to bisection on
     N_b(G(n)) - n (flagged via ``method``), on a bracket [0, hi] grown
     eightfold until N_b(G(hi)) < hi and halved down to adjacent floats,
     with no step cap.  Genuine non-convergence is reported, not raised.
@@ -299,14 +301,8 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         raise InvalidParameterError("n_b0 must be >= 0 and finite")
     if max_iter < 1 or not 0.0 < tol < math.inf:
         raise InvalidParameterError("max_iter must be >= 1 and tol > 0 finite")
-    c = coefficients(params)
+    terms = coefficients(params).terms
     evaluations = 0
-
-    def f(n):
-        nonlocal evaluations
-        evaluations += 1
-        return c.terms(n)[-1]
-
     history = [n_b0]
 
     def report(n, fn, method):
@@ -316,10 +312,18 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
             converged=residual <= tol * max(1.0, n), history=tuple(history),
             method=method)
 
-    # n stays finite and >= 0: an infinite map value is capped at 1e300
+    # n stays finite and >= 0 (an infinite map value is capped at 1e300);
+    # at a triple's start it is the whole state (each triple rebuilds the
+    # Aitken window), so once it repeats only history recurs: bisect
     n = n_b0
+    starts = set()
     for it in range(max_iter + 1):
-        fn = f(n)
+        if it % 3 == 0:
+            if n in starts:
+                break
+            starts.add(n)
+        fn = terms(n)[-1]
+        evaluations += 1
         if abs(fn - n) <= tol * max(1.0, n):
             return report(n, fn, "damped")
         if it == max_iter:
@@ -341,13 +345,17 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
 
     # f(0) = N_b > 0, so lo = 0 lies below the root
     lo, hi = 0.0, max(1.0, 2.0 * max(history))
-    while not f(hi) < hi:
+    while not terms(hi)[-1] < hi:
+        evaluations += 1
         if (hi := 8.0 * hi) > 1e300:
             return report(hi, math.inf, "bisection")
+    evaluations += 1
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if f(mid) > mid:
+        evaluations += 1
+        if terms(mid)[-1] > mid:
             lo = mid
         else:
             hi = mid
         history.append(mid)
-    return report(mid, f(mid), "bisection")
+    evaluations += 1
+    return report(mid, terms(mid)[-1], "bisection")

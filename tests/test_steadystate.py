@@ -221,6 +221,22 @@ class TestFixedPoint:
         assert r.converged and r.method == "bisection"
         residual = abs(gain(p, r.n_b_star).N_b - r.n_b_star)
         assert residual == r.residual <= 1e-10 * max(1.0, r.n_b_star)
+        # the default solve returns the lowest of the three roots
+        r = solve_nb_fixed_point(p)
+        assert r.method == "damped"
+        assert r.n_b_star == 2.482269828855697e-05
+
+    def test_cycle_exit_keeps_the_bisection_bits(self, fig2_params):
+        """At 20 uW the damped loop enters an exact cycle.  Leaving it there
+        starts the bisection from the bracket all 200 steps would give, so
+        the root and residual keep their bits and only the evaluation
+        count is shorter (272 when the loop runs all 200 steps)."""
+        p = with_value(fig2_params, "optical.pump_power", 20e-6)
+        r = solve_nb_fixed_point(p)
+        assert r.method == "bisection"
+        assert r.n_b_star == 316928945.20669985
+        assert r.residual == 3.5762786865234375e-07
+        assert r.iterations == 77
 
     def test_negative_start_rejected(self, fig2_params):
         with pytest.raises(ValueError):

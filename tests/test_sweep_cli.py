@@ -112,6 +112,8 @@ youngs_modulus        = 72 GPa
 mode_volume           = 0.1 um^3
 tls_loss              = 6.43 MHz
 """
+#: stands for a file holding BASE_CONFIG with MATERIAL in place of [tls]
+MATERIAL_CONFIG = "<material config file>"
 
 
 def small_spec(**kw):
@@ -664,9 +666,21 @@ class TestCli:
                       "--axis", "tls.tls_loss:1e7:2e7:2",
                       "--mode", "fixed-nb:0"),
                      "both axes sweep tls.tls_loss", id="axis-path-twice"),
+        # the material axis re-derived tls, dropping the --set coupling
+        pytest.param(("gain-sweep", "--config", MATERIAL_CONFIG,
+                      "--set", "tls.coupling=2e6",
+                      "--axis", "material.mode_volume:1e-19:1e-19:1",
+                      "--mode", "fixed-nb:0"),
+                     "the [tls] block does not match",
+                     id="tls-set-beside-material-axis"),
     ])
     def test_invalid_input_is_a_config_error(self, argv, message, tmp_path,
-                                             monkeypatch, capsys):
+                                             tmp_path_factory, monkeypatch,
+                                             capsys):
+        if MATERIAL_CONFIG in argv:
+            cfg = tmp_path_factory.mktemp("config") / "material.cfg"
+            cfg.write_text(BASE_CONFIG.replace(TLS, MATERIAL))
+            argv = [str(cfg) if a == MATERIAL_CONFIG else a for a in argv]
         monkeypatch.chdir(tmp_path)
         assert self.run(*argv) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -212,8 +212,7 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     eps_l = math.sqrt(2.0 * opt.pump_power * opt.cavity_loss / (HBAR * omega_l))
     omega_plus = -opt.pump_detuning + opt.coupling
     omega_minus = -opt.pump_detuning - opt.coupling
-    return DerivedQuantities(x0=x0, xi=xi, eps_l=eps_l, omega_l=omega_l,
-                             omega_plus=omega_plus, omega_minus=omega_minus)
+    return DerivedQuantities(x0, xi, eps_l, omega_l, omega_plus, omega_minus)
 
 
 def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
@@ -222,6 +221,13 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
     Paths address the parameter tree, e.g. ``"tls.tls_loss"`` or
     ``"optical.pump_detuning"``.
     """
+    return setter(params, path)(value)
+
+
+def setter(params: SystemParams, path: str):
+    """Check the dotted ``path`` against ``params`` once and return the
+    function of one value that builds ``params`` with that field replaced
+    (each value is checked by the parameter block built from it)."""
     group, _, name = path.partition(".")
     if not name:
         raise InvalidParameterError(f"path {path!r} must look like group.field")
@@ -232,14 +238,18 @@ def with_value(params: SystemParams, path: str, value: float) -> SystemParams:
     if sub is None:
         raise InvalidParameterError(f"parameter group {group!r} is not set")
     # dataclass fields only: methods such as __post_init__ are not settable
-    if name not in sub.__dataclass_fields__:
+    names = list(sub.__dataclass_fields__)
+    if name not in names:
         raise InvalidParameterError(f"unknown field {name!r} in {group!r}")
-    # built directly, not by dataclasses.replace: vars() are the fields
-    groups[group] = type(sub)(**{**vars(sub), name: value})
     if group == "material":
         if params.tls != compute_gd(params.material, params.mechanical):
             raise InvalidParameterError(
                 "the [tls] block does not match the one derived from "
                 "[material]; a material.* value would re-derive and drop it")
         groups["tls"] = None  # derived from the material, so rebuild it
-    return SystemParams(**groups)
+    # SystemParams and each block take their fields positionally, in order
+    i, k, cls = list(groups).index(group), names.index(name), type(sub)
+    blocks, fields = list(groups.values()), [getattr(sub, f) for f in names]
+    before, after = blocks[:i], blocks[i + 1:]
+    head, tail = fields[:k], fields[k + 1:]
+    return lambda value: SystemParams(*before, cls(*head, value, *tail), *after)

@@ -186,16 +186,15 @@ def coefficients(params: SystemParams) -> GainCoefficients:
     except (OverflowError, ZeroDivisionError):
         why = ": (2J - omega_m)^2 + 4 gamma^2 is 0" if nj == 0.0 else ""
         raise SingularParameterError(_OUT_OF_RANGE + why) from None
-    c = GainCoefficients(
-        derived=d, g_d=tls.coupling, gamma_m=params.mechanical.mech_loss,
-        eps_l=d.eps_l, eps2=eps2, kx=kx, dj=dj, nj=nj,
-        alpha0=J * J + gam * gam - delta * delta, alpha_n=0.25 * kx * kx,
-        dg2=4.0 * delta * delta * gam * gam, dg_im=2j * gam * delta,
-        x_plus=2j * d.omega_minus + 2.0 * gam,
-        x_minus=2j * d.omega_plus + 2.0 * gam,
-        g0=g0, g0_pump=delta * dj * eps2,
-        dq=dq, tls_den0=gq2 + dq * dq, tls_den_n=2.0 * g2,
-        gd_num=-g2 * tls.tls_loss)
+    c = GainCoefficients(  # positionally, in field order
+        d, tls.coupling, params.mechanical.mech_loss, d.eps_l, eps2, kx, dj, nj,
+        J * J + gam * gam - delta * delta, 0.25 * kx * kx,  # alpha0, alpha_n
+        4.0 * delta * delta * gam * gam, 2j * gam * delta,  # dg2, dg_im
+        2j * d.omega_minus + 2.0 * gam,  # x_plus
+        2j * d.omega_plus + 2.0 * gam,  # x_minus
+        g0, delta * dj * eps2,  # g0, g0_pump
+        dq, gq2 + dq * dq, 2.0 * g2,  # dq, tls_den0, tls_den_n
+        -g2 * tls.tls_loss)  # gd_num
     # 0.0 * x is nan unless x is finite.  The coefficients left out are
     # finite when these are: eps_l by eps2, kx by alpha_n, dj by nj, dq by
     # tls_den0, g_d by tls_den_n, dg_im by dg2, x_plus and x_minus by alpha0
@@ -271,9 +270,8 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
         2.0 * HBAR * c.g_d ** 2 * params.tls.tls_loss * wcj * nj
         / (kx2 * tls_den))
 
-    return GainResult(G=G, G0=G0, Gd=Gd, omega_prime=omega_prime, C=C,
-                      alpha=alpha, delta_n=delta_n, n_b=n_b, N_b=N_b,
-                      P_th=P_th0 + P_thd, P_th0=P_th0, P_thd=P_thd)
+    return GainResult(G, G0, Gd, omega_prime, C, alpha, delta_n, n_b, N_b,
+                      P_th0 + P_thd, P_th0, P_thd)
 
 
 def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,

@@ -21,7 +21,7 @@ import numpy as np
 from .config import params_to_config
 from .constants import PACKAGE_VERSION
 from .errors import DefectLaserError, SweepError
-from .params import SystemParams, with_value
+from .params import SystemParams, setter, with_value
 from .spectrum import EffectiveParams, eigenvalues
 from .steadystate import gain, solve_nb_fixed_point
 
@@ -70,8 +70,10 @@ class SweepSpec:
     """Base parameters, axes, quantity list and phonon-number mode.
 
     mode is "self-consistent" (fixed point of n_b = N_b(G(n_b)) at every
-    grid point) or "fixed-nb" with ``n_b_fixed``.  ``grids`` holds each
-    axis's values, computed once at construction.
+    grid point) or "fixed-nb" with ``n_b_fixed``.  ``grids`` (each axis's
+    values), ``kinds`` (each quantity's cell type), ``spectrum`` and
+    ``ep_noted`` (whether rows run the spectrum and note an inexact EP)
+    are worked out once, at construction, for every row to read.
     """
 
     base: SystemParams
@@ -83,6 +85,9 @@ class SweepSpec:
     defaulted: tuple[str, ...] = ()
     grids: tuple[np.ndarray, ...] = field(init=False, repr=False,
                                           compare=False)
+    kinds: tuple = field(init=False, repr=False, compare=False)
+    spectrum: bool = field(init=False, repr=False, compare=False)
+    ep_noted: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= len(self.axes) <= 2):
@@ -94,6 +99,11 @@ class SweepSpec:
         if {path.partition(".")[0] for path in paths} == {"tls", "material"}:
             raise SweepError("a material.* axis re-derives tls, dropping the "
                              "tls.* axis; material.tls_loss sweeps the loss")
+        if (paths[0] == "mechanical.mech_freq"
+                and paths[-1].startswith("material.")):
+            raise SweepError("an outer mechanical.mech_freq axis keeps g_d "
+                             "at the base mode frequency, which no inner "
+                             "material.* value re-derives; swap the axes")
         if not self.quantities:
             raise SweepError("quantity list must not be empty")
         unknown = [q for q in self.quantities if q not in KNOWN_QUANTITIES]
@@ -115,6 +125,13 @@ class SweepSpec:
             raise SweepError("n_b_fixed is only for fixed-nb mode")
         object.__setattr__(self, "grids",
                            tuple(ax.values() for ax in self.axes))
+        object.__setattr__(self, "kinds", tuple(
+            (q, complex if q in _COMPLEX else str if q in _TEXT else float)
+            for q in self.quantities))
+        wanted = set(self.quantities)
+        object.__setattr__(self, "spectrum",
+                           not wanted.isdisjoint(SPECTRUM_QUANTITIES))
+        object.__setattr__(self, "ep_noted", not wanted.isdisjoint(_EP_NOTED))
 
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(ax.num for ax in self.axes)
@@ -131,37 +148,42 @@ class SweepSpec:
 
 def _columns(spec: SweepSpec) -> list[str]:
     cols = [ax.path for ax in spec.axes]
-    for q in spec.quantities:
-        if q in _COMPLEX:
-            cols += [f"{q}_re", f"{q}_im"]
-        else:
-            cols.append(q)
+    for q, kind in spec.kinds:
+        cols += [f"{q}_re", f"{q}_im"] if kind is complex else [q]
     cols.append("error")
     return cols
 
 
 def _grid_points(spec: SweepSpec):
     """(axis values, parameters or the error building them raised) of each
-    row, row-major; each outer-axis value is applied once, not per row."""
-    def point(p, ax, v):
-        if isinstance(p, DefectLaserError):
-            return p
+    row, row-major.  Rows are built lazily, so a grid's parameter sets are
+    never all held at once."""
+    points = iter([([], spec.base)])
+    for ax, grid in zip(spec.axes, spec.grids):
+        points = _along(points, ax.path, grid)
+    return points
+
+
+def _along(points, path: str, grid: np.ndarray):
+    """Each point of ``points`` extended by every value of one axis; the
+    path is resolved once per point, not per value."""
+    for vals, p in points:
         try:
-            return with_value(p, ax.path, v)
+            build = p if isinstance(p, DefectLaserError) else setter(p, path)
         except DefectLaserError as err:
-            return err
-    *outer, (inner, grid) = zip(spec.axes, spec.grids)
-    points = [((), spec.base)]
-    for ax, g in outer:
-        points = [((*vals, v), point(p, ax, v))
-                  for vals, p in points for v in g.tolist()]
-    return (([*vals, v], point(p, inner, v))
-            for vals, p in points for v in grid.tolist())
+            build = err
+        for v in grid.tolist():
+            try:
+                q = build if isinstance(build, DefectLaserError) else build(v)
+            except DefectLaserError as err:
+                q = err
+            yield [*vals, v], q
 
 
-def _eval_point(spec: SweepSpec, axis_vals: list, params) -> list:
-    """Evaluate one grid point.  Any package error lands in the error
-    cell; the quantities the row did not reach stay NaN (text: empty)."""
+def _eval_point(spec: SweepSpec, row: list, params) -> list:
+    """Evaluate one grid point into ``row``, which holds its axis values.
+    Any package error lands in the error cell; the quantities the row did
+    not reach stay NaN (text: empty)."""
     values: dict[str, object] = {}
     errors: list[str] = []
     try:
@@ -178,30 +200,29 @@ def _eval_point(spec: SweepSpec, axis_vals: list, params) -> list:
                     f"fixed point not converged (residual {fp.residual:.3g})")
         g = gain(params, n_b)
         values.update(vars(g))
-        if any(q in SPECTRUM_QUANTITIES for q in spec.quantities):
+        if spec.spectrum:
             if n_b < 1.0:
                 errors.append(f"spectrum skipped: n_b = {n_b:.3g} < 1 "
                               "(needs one phonon)")
             else:
                 res = eigenvalues(EffectiveParams.at(params, n_b, g.G0))
                 values.update(vars(res), L=res.localization)
-                if (params.tls.tls_freq != params.mechanical.mech_freq
-                        and _EP_NOTED.intersection(spec.quantities)):
+                if (spec.ep_noted and params.tls.tls_freq
+                        != params.mechanical.mech_freq):
                     errors.append("no exact EP off resonance: gamma_q_EP "
                                   "is the closest approach (least |disc|)")
     except DefectLaserError as err:
         errors.append(str(err))
 
-    row: list = list(axis_vals)
-    for q in spec.quantities:
+    for q, kind in spec.kinds:
         v = values.get(q)
-        if q in _COMPLEX:
-            z = complex(v) if v is not None else complex(math.nan, math.nan)
+        if kind is float:
+            row.append(math.nan if v is None else float(v))
+        elif kind is complex:
+            z = complex(math.nan, math.nan) if v is None else complex(v)
             row += [z.real, z.imag]
-        elif q in _TEXT:
-            row.append(v if v is not None else "")
         else:
-            row.append(float(v) if v is not None else math.nan)
+            row.append("" if v is None else v)
     row.append("; ".join(errors))
     return row
 
@@ -219,10 +240,11 @@ class SweepTable:
         return [r[i] for r in self.rows]
 
     def to_csv_text(self) -> str:
-        out = [",".join(self.columns)]
-        out += [",".join([v if isinstance(v, str) else f"{v:.17g}"
-                          for v in row]) for row in self.rows]
-        return "\n".join(out) + "\n"
+        # %.17g writes the bytes of f"{v:.17g}"; text cells go in as is
+        fmt = ",".join("%s" if c in _TEXT or c == "error" else "%.17g"
+                       for c in self.columns)
+        return "\n".join([",".join(self.columns),
+                          *[fmt % row for row in self.rows]]) + "\n"
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:

@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from defectlaser import (SweepAxis, SweepSpec, SweepError,
-                         UnknownPresetError, emit_outputs, gain, preset,
-                         run_sweep, sweep, with_value)
+from defectlaser import (SweepAxis, SweepSpec, SweepError, SweepTable,
+                         UnknownPresetError, emit_outputs, gain, params,
+                         preset, run_sweep, sweep, with_value)
 from defectlaser.cli import EXIT_CONFIG, SWEEP_QUANTITIES, main as cli_main
-from defectlaser.config import load_config, params_to_config
+from defectlaser.config import (load_config, params_from_config,
+                                params_to_config)
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
 from conftest import GAMMA, OMEGA_M, make_params
@@ -173,6 +174,18 @@ class TestSweepSpec:
         with pytest.raises(SweepError, match="material.tls_loss"):
             small_spec(axes=axes)
 
+    def test_rejects_an_outer_mech_freq_axis_over_a_material_axis(self):
+        # the outer axis keeps g_d from the base mode frequency, so every
+        # row of the inner material axis would fail; swapped, it sweeps
+        base = params_from_config(BASE_CONFIG.replace(TLS, MATERIAL))
+        axes = (SweepAxis("mechanical.mech_freq", 1.4e8, 1.5e8, 2),
+                SweepAxis("material.mode_volume", 1e-19, 2e-19, 2))
+        with pytest.raises(SweepError, match="swap the axes"):
+            small_spec(base=base, axes=axes)
+        table = run_sweep(small_spec(base=base, axes=axes[::-1]))
+        assert table.column("error") == [""] * 4
+        assert all(math.isfinite(g) for g in table.column("G"))
+
     def test_rejects_n_b_fixed_in_self_consistent_mode(self):
         with pytest.raises(SweepError, match="n_b_fixed is only for fixed-nb"):
             small_spec(mode="self-consistent", n_b_fixed=5.0)
@@ -331,6 +344,37 @@ class TestRunSweep:
                 assert cells["n_b_star"] == n
         assert 0 < failed < 21
 
+    @pytest.mark.parametrize("axes", [
+        (SweepAxis("material.mode_volume", 1e-19, 4e-19, 3),
+         SweepAxis("optical.pump_detuning", -OMEGA_M, OMEGA_M, 4)),
+        (SweepAxis("tls.tls_loss", 1e5, 1e7, 5, "log"),)],
+        ids=["material-x-optical", "tls"])
+    def test_grid_points_are_the_point_params(self, axes):
+        base = (params_from_config(BASE_CONFIG.replace(TLS, MATERIAL))
+                if axes[0].path.startswith("material.") else make_params())
+        spec = small_spec(base=base, axes=axes)
+        points = list(sweep._grid_points(spec))
+        assert len(points) == int(np.prod(spec.grid_shape()))
+        for i, (vals, p) in enumerate(points):
+            assert (vals, p) == spec.point_params(i), i
+
+    @pytest.mark.parametrize("shape", [(2, 10**6), (10**3, 10**3)])
+    def test_grid_points_are_built_lazily(self, shape, monkeypatch):
+        spec = small_spec(axes=(
+            SweepAxis("optical.pump_detuning", -OMEGA_M, OMEGA_M, shape[0]),
+            SweepAxis("tls.tls_loss", 1e6, 4e6, shape[1])))
+        built = []
+        system_params = params.SystemParams
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return system_params(*args, **kwargs)
+
+        monkeypatch.setattr(params, "SystemParams", counted)
+        vals, p = next(sweep._grid_points(spec))
+        assert vals == [-OMEGA_M, 1e6] and isinstance(p, system_params)
+        assert len(built) == 2  # the outer value's point, then the row's
+
     def test_preset_csv_bytes_are_pinned(self):
         for name, prefixes in PRESET_CSV_SHA256.items():
             table = run_sweep(preset(name))
@@ -373,6 +417,19 @@ class TestRunSweep:
 
 
 class TestEmit:
+    def test_csv_text_is_the_per_cell_format(self):
+        numbers = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   1.7976931348623157e308, 1 / 3, -2.5e-300, 35.0]
+        texts = [("below-EP", ""), ("", "100% of rows; see %s"),
+                 ("at-EP", "a; b %d %% c")]
+        rows = tuple((v, -v, *texts[i % 3]) for i, v in enumerate(numbers))
+        table = SweepTable(columns=("tls.tls_loss", "G", "phase", "error"),
+                           rows=rows)
+        want = [",".join(table.columns)]
+        want += [",".join([v if isinstance(v, str) else f"{v:.17g}"
+                           for v in row]) for row in rows]
+        assert table.to_csv_text() == "\n".join(want) + "\n"
+
     def test_manifest_and_determinism(self, tmp_path):
         spec = small_spec()
         table = run_sweep(spec)
@@ -673,6 +730,12 @@ class TestCli:
                       "--mode", "fixed-nb:0"),
                      "the [tls] block does not match",
                      id="tls-set-beside-material-axis"),
+        # the outer axis would keep g_d at the base mode, failing every row
+        pytest.param(("gain-sweep", "--config", MATERIAL_CONFIG,
+                      "--axis", "mechanical.mech_freq:1.4e8:1.5e8:2",
+                      "--axis", "material.mode_volume:1e-19:2e-19:2",
+                      "--mode", "fixed-nb:0"),
+                     "swap the axes", id="mech-freq-over-material-axis"),
     ])
     def test_invalid_input_is_a_config_error(self, argv, message, tmp_path,
                                              tmp_path_factory, monkeypatch,

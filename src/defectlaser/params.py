@@ -187,7 +187,7 @@ class SystemParams:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class DerivedQuantities:
     """Derived scales: all pure functions of SystemParams."""
 

@@ -51,7 +51,7 @@ class EffectiveParams:
             raise InvalidParameterError("gamma_q and g_d must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SpectrumResult:
     E_plus: complex
     E_minus: complex

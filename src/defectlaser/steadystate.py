@@ -24,6 +24,7 @@ self-consistently, both read that one evaluation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,9 @@ _EXP_MAX = 700.0  # exp overflow guard; beyond this N_b is reported as inf
 _RELAXATION = 0.5  # damping eta of the fixed-point iteration
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = 2.0 * _SQRT2
+_SINGULAR_SUPERMODES = ("alpha^2 + 4 Delta^2 gamma^2 vanished; supermode "
+                        "elimination is singular (requires gamma = 0 and "
+                        "alpha = 0)")
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class SteadyOptics:
     delta_n: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class GainResult:
     """Gain, frequency pull, drive term, threshold and phonon numbers
     for one parameter point, linearized about b = 0 at phonon number n_b.
@@ -73,7 +77,7 @@ class GainResult:
     P_thd: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class FixedPointReport:
     """Outcome of the self-consistent phonon-number iteration.
 
@@ -91,14 +95,16 @@ class FixedPointReport:
     method: str = "damped"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class GainCoefficients:
     """The n_b-independent factors of the eliminated steady state.
 
     Build it with ``coefficients``.  Python multiplies left to right, so
     a*b*c*n equals (a*b*c)*n bit for bit: each factor is hoisted exactly
     as the closed form groups it, and every result keeps the bits of the
-    closed form written out in full.
+    closed form written out in full.  The bundle is shared through the
+    parameter object's cache, so it is read-only by contract (not frozen:
+    a frozen ``__init__`` costs about 0.2 us per field).
     """
 
     derived: DerivedQuantities
@@ -115,6 +121,8 @@ class GainCoefficients:
     dg_im: complex      # 2i gamma Delta
     x_plus: complex     # 2i omega_-+ + 2 gamma
     x_minus: complex
+    num_plus: complex   # numerators of a+- at b = 0 (see supermodes)
+    num_minus: complex
     g0: float           # G0 = g0 * (delta_n - g0_pump / denom_sq)
     g0_pump: float
     dq: float           # omega_q - omega_m
@@ -129,9 +137,7 @@ class GainCoefficients:
         alpha = self.alpha0 + self.alpha_n * n
         denom_sq = alpha * alpha + self.dg2
         if denom_sq == 0.0:
-            raise SingularParameterError(
-                "alpha^2 + 4 Delta^2 gamma^2 vanished; supermode elimination "
-                "is singular (requires gamma = 0 and alpha = 0)")
+            raise SingularParameterError(_SINGULAR_SUPERMODES)
         denom = _SQRT8 * (alpha - self.dg_im)
         return (alpha, denom_sq,
                 self.eps_l * (self.x_plus + 1j * self.kx * b) / denom,
@@ -153,9 +159,18 @@ class GainCoefficients:
         """(alpha, denom_sq, a_plus, a_minus, delta_n, defect denominator,
         G0, Gd, G, N_b) at b = 0 and phonon number n; the fixed point
         iterates the last entry.
+
+        The b = 0 form of ``supermodes`` and ``inversion``, written out in
+        one straight line on the hoisted numerators; it gives their bits,
+        signed zeros included (``TestGainKernel::test_terms_is_the_b0_form``).
         """
-        alpha, denom_sq, a_plus, a_minus = self.supermodes(n, 0j)
-        delta_n = inversion(a_plus, a_minus)
+        alpha = self.alpha0 + self.alpha_n * n
+        denom_sq = alpha * alpha + self.dg2
+        if denom_sq == 0.0:
+            raise SingularParameterError(_SINGULAR_SUPERMODES)
+        denom = _SQRT8 * (alpha - self.dg_im)
+        a_plus, a_minus = self.num_plus / denom, self.num_minus / denom
+        delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
         G0 = self.g0 * (delta_n - self.g0_pump / denom_sq)
         tls_den = self.defect_den(n)
         Gd = 0.0 if tls_den is None else self.gd_num / tls_den
@@ -186,22 +201,27 @@ def coefficients(params: SystemParams) -> GainCoefficients:
     except (OverflowError, ZeroDivisionError):
         why = ": (2J - omega_m)^2 + 4 gamma^2 is 0" if nj == 0.0 else ""
         raise SingularParameterError(_OUT_OF_RANGE + why) from None
+    x_plus = 2j * d.omega_minus + 2.0 * gam
+    x_minus = 2j * d.omega_plus + 2.0 * gam
+    b = 0j  # supermodes' numerators at b = 0, operation for operation
     c = GainCoefficients(  # positionally, in field order
         d, tls.coupling, params.mechanical.mech_loss, d.eps_l, eps2, kx, dj, nj,
         J * J + gam * gam - delta * delta, 0.25 * kx * kx,  # alpha0, alpha_n
         4.0 * delta * delta * gam * gam, 2j * gam * delta,  # dg2, dg_im
-        2j * d.omega_minus + 2.0 * gam,  # x_plus
-        2j * d.omega_plus + 2.0 * gam,  # x_minus
+        x_plus, x_minus, d.eps_l * (x_plus + 1j * kx * b),  # num_plus
+        d.eps_l * (x_minus + 1j * kx * b.conjugate()),  # num_minus
         g0, delta * dj * eps2,  # g0, g0_pump
         dq, gq2 + dq * dq, 2.0 * g2,  # dq, tls_den0, tls_den_n
         -g2 * tls.tls_loss)  # gd_num
     # 0.0 * x is nan unless x is finite.  The coefficients left out are
     # finite when these are: eps_l by eps2, kx by alpha_n, dj by nj, dq by
-    # tls_den0, g_d by tls_den_n, dg_im by dg2, x_plus and x_minus by alpha0
-    if not math.isfinite(0.0 * c.gamma_m + 0.0 * c.eps2 + 0.0 * c.nj
-                         + 0.0 * c.alpha0 + 0.0 * c.alpha_n + 0.0 * c.dg2
-                         + 0.0 * c.g0 + 0.0 * c.g0_pump + 0.0 * c.tls_den0
-                         + 0.0 * c.tls_den_n + 0.0 * c.gd_num):
+    # tls_den0, g_d by tls_den_n, dg_im by dg2, x_plus and x_minus by alpha0.
+    # num_+- are not: eps_l ~ 1e154 times omega_-+ ~ 1e154 overflows
+    if not cmath.isfinite(0.0 * c.gamma_m + 0.0 * c.eps2 + 0.0 * c.nj
+                          + 0.0 * c.alpha0 + 0.0 * c.alpha_n + 0.0 * c.dg2
+                          + 0.0 * c.num_plus + 0.0 * c.num_minus
+                          + 0.0 * c.g0 + 0.0 * c.g0_pump + 0.0 * c.tls_den0
+                          + 0.0 * c.tls_den_n + 0.0 * c.gd_num):
         raise SingularParameterError(_OUT_OF_RANGE)
     params.__dict__["_coefficients"] = c
     return c

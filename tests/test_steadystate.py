@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
@@ -8,16 +9,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from defectlaser import (IntegratorSettings, InvalidParameterError,
-                         SingularParameterError, gain, integrate_full,
-                         solve_nb_fixed_point, steady_optics, with_value)
+from defectlaser import (EffectiveParams, GrowthRateFit, IntegratorSettings,
+                         InvalidParameterError, MaterialParams,
+                         MeanFieldState, ReducedState,
+                         SingularParameterError, SweepAxis, SweepSpec,
+                         Trajectory, eigenvalues, gain, integrate_full,
+                         preset, solve_nb_fixed_point, steady_optics,
+                         with_value)
 from defectlaser import steadystate
 from defectlaser.config import params_to_config
 from defectlaser.constants import HBAR
 from defectlaser.params import derive_quantities
+from defectlaser.presets import FIGURE_PRESETS
 from defectlaser.steadystate import coefficients
 
 from conftest import GAMMA, GAMMA_M, OMEGA_M, make_params, random_params
+
+#: sha256 of every self-consistent preset row's fixed point (see
+#: ``TestFixedPoint.test_every_self_consistent_preset_row_is_pinned``)
+FIXED_POINT_PIN = ("28009a720334f15accd95ad41973bfe8"
+                   "675a8e3b8acba8e568dd6a930e8c3401")
 
 
 class TestSteadyOptics:
@@ -242,6 +253,25 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             solve_nb_fixed_point(fig2_params, n_b0=-1.0)
 
+    def test_every_self_consistent_preset_row_is_pinned(self):
+        """One sha256 over n_b*, residual (both as float.hex), iterations,
+        method and converged of every row of the six self-consistent
+        presets (3471 rows).  A speed-up keeps these bits; a new root
+        finder (ROADMAP item 5) moves them on purpose and recaptures it."""
+        digest, rows = hashlib.sha256(), 0
+        for name in FIGURE_PRESETS:
+            spec = preset(name)
+            if spec.mode != "self-consistent":
+                continue
+            for i in range(math.prod(spec.grid_shape())):
+                r = solve_nb_fixed_point(spec.point_params(i)[1])
+                digest.update(f"{r.n_b_star.hex()} {r.residual.hex()} "
+                              f"{r.iterations} {r.method} {r.converged}\n"
+                              .encode())
+                rows += 1
+        assert rows == 3471
+        assert digest.hexdigest() == FIXED_POINT_PIN
+
 
 def reference_n_b_map(p, n):
     """N_b(G(n)) at b = 0, each closed form written out in full.
@@ -299,21 +329,56 @@ class TestGainKernel:
             assert mapped == other or (math.isinf(mapped)
                                        and math.isinf(other))
 
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    def test_terms_is_the_b0_form(self):
+        """``terms`` evaluates a+- from the hoisted b = 0 numerators; every
+        entry it shares with ``supermodes(n, 0j)``, ``inversion`` and
+        ``defect_den`` has their bits, signed zeros and nan included.
+        300 draws: |a|**2 and |a|*|a| differ on 7 of their 3600 a+-."""
+        def bits(z):
+            return None if z is None else (float(z.real).hex(),
+                                           float(z.imag).hex())
+
+        for seed in range(300):
+            g_d = 0.0 if seed % 4 == 0 else None
+            c = coefficients(random_params(np.random.default_rng(seed), g_d))
+            for n in (0.0, 1e-12, 1.0, 1e3, 1e8, 1e300):
+                alpha, denom_sq, a_plus, a_minus = c.supermodes(n, 0j)
+                slow = (alpha, denom_sq, a_plus, a_minus,
+                        steadystate.inversion(a_plus, a_minus),
+                        c.defect_den(n))
+                assert (list(map(bits, c.terms(n)[:6]))
+                        == list(map(bits, slow))), (seed, n)
+
     def test_overflow_branch_reports_inf(self, fig2_params):
         hot = with_value(fig2_params, "optical.pump_power", 1.0)
         assert coefficients(hot).terms(1.0)[-1] == math.inf
         assert gain(hot, 1.0).N_b == math.inf
 
-    def test_singular_defect_raises_the_same_error(self):
-        p = make_params(gamma_q=0.0)
+    @staticmethod
+    def raised(p, slow):
+        """The messages of the SingularParameterError that ``gain``,
+        ``terms``, the fixed point and ``slow(bundle)`` raise at n_b = 0."""
         raised = []
         for evaluate in (lambda: gain(p, 0.0),
                          lambda: coefficients(p).terms(0.0),
-                         lambda: solve_nb_fixed_point(p)):
+                         lambda: solve_nb_fixed_point(p),
+                         lambda: slow(coefficients(p))):
             with pytest.raises(SingularParameterError) as err:
                 evaluate()
             raised.append(str(err.value))
-        assert raised[0] == raised[1] == raised[2]
+        return raised
+
+    def test_singular_defect_raises_the_same_error(self):
+        raised = self.raised(make_params(gamma_q=0.0),
+                             lambda c: c.defect_den(0.0))
+        assert len(set(raised)) == 1
+
+    def test_singular_supermodes_raise_the_same_error(self):
+        # alpha = 0 exactly, and 4 Delta^2 gamma^2 underflows to 0
+        p = make_params(gamma=1e-90, pump_detuning=1e-90, coupling_j=0.0)
+        raised = self.raised(p, lambda c: c.supermodes(0.0, 0j))
+        assert len(set(raised)) == 1 and "vanished" in raised[0]
 
     @pytest.mark.parametrize("pump_power", [10e-6, 20e-6])
     def test_evaluations_count_every_map_call(self, fig2_params, monkeypatch,
@@ -369,6 +434,16 @@ class TestCoefficientCache:
                 coefficients(p)
         assert "_coefficients" not in p.__dict__
 
+    def test_overflowing_numerator_is_out_of_range(self):
+        # eps_l ~ 1.26e154 and omega_-+ = -+1.3e154: every other coefficient
+        # is finite, but eps_l * x_+- overflows to an infinite num_+-
+        p = make_params(pump_power=1e250, cavity_freq=1.2e-24,
+                        pump_detuning=0.0, coupling_j=1.3e154, gamma=1.0,
+                        omega_m=2.6e154, omega_q=2.6e154)
+        with pytest.raises(SingularParameterError,
+                           match="leave the floating-point range"):
+            coefficients(p)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_no_bundle_has_a_non_finite_coefficient(self):
         # every input at an extreme value, alone or with one other one:
@@ -405,3 +480,60 @@ class TestCoefficientCache:
         fresh = make_params()
         assert gain(fresh, n_b) == g and len(calls) == 2
 
+
+
+class TestInputsFrozenRecordsPlain:
+    """Inputs are frozen: they are hashed, compared, and a SystemParams
+    carries the coefficient cache.  Results are plain dataclasses, built
+    fresh by every call, which keep the dataclass protocol."""
+
+    INPUTS = {  # each builds a new object, equal to the last one built
+        "OpticalParams": lambda: make_params().optical,
+        "MechanicalParams": lambda: make_params().mechanical,
+        "TlsParams": lambda: make_params().tls,
+        "MaterialParams": lambda: MaterialParams(1.6e-19, OMEGA_M, 0.0,
+                                                 72e9, 1e-19, 1e6),
+        "SystemParams": make_params,
+        "EffectiveParams": lambda: EffectiveParams.at(make_params(), 2.0,
+                                                      1e5),
+        "SweepAxis": lambda: SweepAxis("tls.tls_loss", 1e6, 2e6, 3),
+        "SweepSpec": lambda: SweepSpec(
+            base=make_params(), axes=(SweepAxis("tls.tls_loss", 1, 2, 3),),
+            quantities=("G",), mode="fixed-nb", n_b_fixed=0.0),
+        "IntegratorSettings": lambda: IntegratorSettings(dt=1e-9,
+                                                         t_final=1e-6),
+        "MeanFieldState": MeanFieldState,
+        "ReducedState": ReducedState,
+        "GrowthRateFit": lambda: GrowthRateFit(1.0, 0.1, 5, (0.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("make", INPUTS.values(), ids=list(INPUTS))
+    def test_inputs_are_frozen_and_hash_by_value(self, make):
+        a, b = make(), make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, dataclasses.fields(a)[0].name, None)
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_trajectory_is_frozen(self):
+        traj = Trajectory(np.zeros(1), np.zeros((1, 1), complex), ("b",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.meta = {}
+
+    @staticmethod
+    def records():
+        p = make_params()
+        report = solve_nb_fixed_point(p)
+        g = gain(p, report.n_b_star)
+        return [derive_quantities(p), coefficients(p), g, report,
+                eigenvalues(EffectiveParams.at(p, report.n_b_star, g.G0))]
+
+    def test_records_keep_the_dataclass_protocol(self):
+        for r, twin in zip(self.records(), self.records()):
+            names = [f.name for f in dataclasses.fields(r)]
+            assert r == twin and r is not twin
+            assert repr(r) == repr(twin)
+            assert repr(r).startswith(f"{type(r).__name__}({names[0]}=")
+            assert list(dataclasses.asdict(r)) == names
+            assert dataclasses.replace(r) == r
+            changed = dataclasses.replace(r, **{names[-1]: "changed"})
+            assert changed != r and getattr(changed, names[-1]) == "changed"

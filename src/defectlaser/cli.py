@@ -154,10 +154,11 @@ def cmd_integrate(args) -> int:
     try:
         traj = integrator(params, None, settings)
     except DivergenceError as err:
+        if err.partial is None:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_NONCONVERGED
         print(f"diverged at t = {err.time:.6g} s; writing the finite prefix",
               file=sys.stderr)
-        if err.partial is None:
-            return EXIT_NONCONVERGED
         traj = err.partial
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"trajectory-{args.model}.csv")

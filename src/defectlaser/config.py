@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .errors import ConfigError, InvalidParameterError, UnitError
-from .params import GROUPS, SystemParams, compute_gd, with_value
+from .params import GROUPS, SystemParams, setter
 from .units import format_si, parse_quantity
 
 # section -> key -> unit class, read off the parameter dataclasses
@@ -116,9 +116,7 @@ def params_to_config(params: SystemParams) -> str:
     """Serialize to config text in exact (round-trippable) SI values.
 
     A defect derived from material data is written as its ``[material]``
-    block, with the derived ``[tls]`` values as comments.  A defect that
-    no longer matches its material (say after a ``tls.*`` override) is
-    written as ``[tls]``.
+    block, with the derived ``[tls]`` values as comments.
     """
     lines = []
 
@@ -130,8 +128,7 @@ def params_to_config(params: SystemParams) -> str:
     for section in ("optical", "mechanical"):
         block(f"[{section}]", section, vars(getattr(params, section)))
         lines.append("")
-    if (params.material is not None
-            and params.tls == compute_gd(params.material, params.mechanical)):
+    if params.material is not None:
         block("[material]", "material", vars(params.material))
         block("derived from [material]:", "tls", vars(params.tls), "# ")
     else:
@@ -153,13 +150,8 @@ def apply_override(params: SystemParams, assignment: str) -> SystemParams:
     path = path.strip()
     group, _, key = path.partition(".")
     group, key = group.strip().lower(), key.strip().lower()
-    if group not in SCHEMA or key not in SCHEMA[group]:
-        raise ConfigError(f"unknown parameter path {path!r}", key=path)
     try:
-        si = parse_quantity(value.strip(), SCHEMA[group][key])
-    except UnitError as err:
-        raise ConfigError(str(err), key=path) from err
-    try:
-        return with_value(params, f"{group}.{key}", si)
-    except InvalidParameterError as err:
+        build = setter(params, f"{group}.{key}")
+        return build(parse_quantity(value.strip(), SCHEMA[group][key]))
+    except (InvalidParameterError, UnitError) as err:
         raise ConfigError(str(err), key=path) from err

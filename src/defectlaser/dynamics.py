@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
 from .params import SystemParams
-from .steadystate import (_SQRT2, _SQRT8, coefficients, inversion,
-                          steady_optics)
+from .steadystate import _SQRT2, _SQRT8, coefficients, inversion
 
 #: default seed phonon amplitude: smallest that still gives clean log fits
 DEFAULT_SEED = 1e-3
@@ -270,7 +269,7 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
 
     frozen = delta_n_mode == "frozen"
     if frozen and delta_n0 is None:
-        delta_n0 = steady_optics(params, 0.0, 0.0).delta_n
+        delta_n0 = c.terms(0.0)[4]  # gain(params, 0.0).delta_n
     dn0 = float(delta_n0) if frozen else None
 
     supermodes = c.supermodes

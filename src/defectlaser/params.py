@@ -146,10 +146,9 @@ class SystemParams:
     """Complete parameter set: optics, mechanics and one defect.
 
     The defect block comes directly (``tls``) or derived from ``material``;
-    at least one must be given.  A given ``tls`` is used as it is, even
-    beside a material; without one, the TlsParams derived from the
-    material are stored in ``tls``.  Either way ``tls`` is authoritative
-    and ``material`` is kept only for provenance.
+    at least one must be given.  A set ``material`` always derives ``tls``
+    (at the set's mode frequency): a ``tls`` given beside it must equal
+    the derived one.
     """
 
     optical: OpticalParams
@@ -158,12 +157,14 @@ class SystemParams:
     material: MaterialParams | None = None
 
     def __post_init__(self):
-        if self.tls is None and self.material is None:
-            raise InvalidParameterError(
-                "give tls or material; a given tls is used as it is")
-        if self.tls is None:
-            object.__setattr__(self, "tls",
-                               compute_gd(self.material, self.mechanical))
+        if self.material is not None:
+            tls = compute_gd(self.material, self.mechanical)
+            if self.tls is not None and self.tls != tls:
+                raise InvalidParameterError(
+                    "a tls given beside a material must be the one it derives")
+            object.__setattr__(self, "tls", tls)
+        elif self.tls is None:
+            raise InvalidParameterError("give tls or material")
         # one text per condition, warned from this one line: Python's
         # warning registry then reports each condition once, not per row
         for message in self.validity_report():
@@ -241,12 +242,9 @@ def setter(params: SystemParams, path: str):
     names = list(sub.__dataclass_fields__)
     if name not in names:
         raise InvalidParameterError(f"unknown field {name!r} in {group!r}")
-    if group == "material":
-        if params.tls != compute_gd(params.material, params.mechanical):
-            raise InvalidParameterError(
-                "the [tls] block does not match the one derived from "
-                "[material]; a material.* value would re-derive and drop it")
-        groups["tls"] = None  # derived from the material, so rebuild it
+    if params.material is not None:
+        # a tls.* value leaves the material behind; any other is re-derived
+        groups["material" if group == "tls" else "tls"] = None
     # SystemParams and each block take their fields positionally, in order
     i, k, cls = list(groups).index(group), names.index(name), type(sub)
     blocks, fields = list(groups.values()), [getattr(sub, f) for f in names]

@@ -97,13 +97,9 @@ class SweepSpec:
         if len(set(paths)) < len(paths):
             raise SweepError(f"both axes sweep {paths[0]}")
         if {path.partition(".")[0] for path in paths} == {"tls", "material"}:
-            raise SweepError("a material.* axis re-derives tls, dropping the "
-                             "tls.* axis; material.tls_loss sweeps the loss")
-        if (paths[0] == "mechanical.mech_freq"
-                and paths[-1].startswith("material.")):
-            raise SweepError("an outer mechanical.mech_freq axis keeps g_d "
-                             "at the base mode frequency, which no inner "
-                             "material.* value re-derives; swap the axes")
+            raise SweepError("a tls.* value drops the material that the "
+                             "material.* axis edits; material.tls_loss "
+                             "sweeps the loss")
         if not self.quantities:
             raise SweepError("quantity list must not be empty")
         unknown = [q for q in self.quantities if q not in KNOWN_QUANTITIES]
@@ -319,8 +315,10 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
                  ) -> dict[str, str]:
     """Write CSV (bit-stable), provenance sidecar, optional plot script.
 
-    Returns a manifest {kind: path}.  The run timestamp lives only in the
-    provenance sidecar so identical inputs give identical CSV bytes.
+    The CSV and the sidecar are always written; ``formats`` decides only
+    whether the plot script is.  Returns a manifest {kind: path}.  The
+    run timestamp lives only in the provenance sidecar so identical
+    inputs give identical CSV bytes.
     """
     check_formats(formats)
     name = table.provenance.get("name", "sweep")

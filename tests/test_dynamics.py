@@ -247,6 +247,9 @@ class TestReducedModel:
             dn0 = steady_optics(p, 0.0, 0.0).delta_n
             assert traj.meta["delta_n0"] == dn0
             assert np.all(traj.column("delta_n") == dn0)
+            # the b = 0 inversion that gain reports, bit for bit
+            assert (float.hex(traj.meta["delta_n0"])
+                    == float.hex(gain(p, 0.0).delta_n))
 
     @pytest.mark.parametrize("delta_n0", [None, 0.37])
     def test_frozen_inversion_is_held_by_dop853(self, fig2_params, delta_n0):

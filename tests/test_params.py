@@ -51,6 +51,17 @@ class TestInvariants:
             SystemParams(optical=opt, mechanical=MECH,
                          material=silica_material(tls_loss=-1.0))
 
+    def test_material_derives_tls(self):
+        opt = make_params().optical
+        derived = compute_gd(silica_material(), MECH)
+        p = SystemParams(optical=opt, mechanical=MECH, tls=derived,
+                         material=silica_material())
+        assert p.tls == derived
+        other = dataclasses.replace(derived, coupling=2e6)
+        with pytest.raises(InvalidParameterError, match="beside a material"):
+            SystemParams(optical=opt, mechanical=MECH, tls=other,
+                         material=silica_material())
+
     def test_validity_warning_on_strong_coupling(self):
         with pytest.warns(UserWarning, match="g_d/omega_q"):
             make_params(g_d=0.2 * OMEGA_M)
@@ -139,14 +150,34 @@ class TestWithValue:
         p2 = with_value(p, "material.mode_volume", 4e-19)
         assert p2.tls.coupling == pytest.approx(base_gd / 2.0, rel=1e-12)
 
+    def test_tls_path_on_material_drops_the_material(self):
+        p = SystemParams(optical=make_params().optical, mechanical=MECH,
+                         material=silica_material())
+        p2 = with_value(p, "tls.tls_loss", 3e6)
+        assert p2.material is None
+        assert p2.tls == dataclasses.replace(p.tls, tls_loss=3e6)
+
+    def test_mech_freq_on_material_rederives(self):
+        p = SystemParams(optical=make_params().optical, mechanical=MECH,
+                         material=silica_material())
+        p2 = with_value(p, "mechanical.mech_freq", 2.0 * OMEGA_M)
+        assert p2.material == p.material
+        assert p2.tls == compute_gd(p.material, p2.mechanical)
+        assert p2.tls.coupling == pytest.approx(math.sqrt(2.0)
+                                                * p.tls.coupling, rel=1e-12)
+
     @staticmethod
     def replace_reference(params, path, value):
-        """with_value spelled with dataclasses.replace."""
+        """with_value spelled with dataclasses.replace: on a material-based
+        set, a tls.* value drops the material and any other re-derives
+        tls."""
         group, _, name = path.partition(".")
         sub = dataclasses.replace(getattr(params, group), **{name: value})
-        if group == "material":
-            return dataclasses.replace(params, material=sub, tls=None)
-        return dataclasses.replace(params, **{group: sub})
+        if params.material is None:
+            return dataclasses.replace(params, **{group: sub})
+        if group == "tls":
+            return dataclasses.replace(params, tls=sub, material=None)
+        return dataclasses.replace(params, **{group: sub, "tls": None})
 
     @staticmethod
     def outcome(build, *args):
@@ -169,7 +200,7 @@ class TestWithValue:
         for params in (tls_params, material_params):
             for group in ("optical", "mechanical", "tls", "material"):
                 sub = getattr(params, group)
-                if sub is None or (group == "tls" and params.material):
+                if sub is None:
                     continue
                 for f in dataclasses.fields(sub):
                     path = f"{group}.{f.name}"
@@ -182,7 +213,7 @@ class TestWithValue:
                         assert repr(got[0]) == repr(want[0])
                         assert got[0].tls == want[0].tls
                     checked += 1
-        assert checked == 2 * (6 + 3) + 3 + 6
+        assert checked == 2 * (6 + 3 + 3) + 6
 
     def test_unknown_path_rejected(self, fig2_params):
         with pytest.raises(InvalidParameterError):

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from defectlaser import (SweepAxis, SweepSpec, SweepError, SweepTable,
-                         UnknownPresetError, emit_outputs, gain, params,
-                         preset, run_sweep, sweep, with_value)
+from defectlaser import (DivergenceError, SweepAxis, SweepSpec, SweepError,
+                         SweepTable, UnknownPresetError, compute_gd, dynamics,
+                         emit_outputs, gain, params, preset, run_sweep, sweep,
+                         with_value)
 from defectlaser.cli import EXIT_CONFIG, SWEEP_QUANTITIES, main as cli_main
 from defectlaser.config import (load_config, params_from_config,
                                 params_to_config)
@@ -169,22 +170,33 @@ class TestSweepSpec:
         ("tls.coupling", "material.mode_volume"),
         ("material.mode_volume", "tls.coupling")])
     def test_rejects_a_tls_axis_beside_a_material_axis(self, paths):
-        # a material axis re-derives tls, so either order loses the tls axis
+        # a tls value drops the material: outer, every material row fails;
+        # inner, it overrides the defect the material axis derives
         axes = tuple(SweepAxis(path, 1e-19, 2e-19, 2) for path in paths)
         with pytest.raises(SweepError, match="material.tls_loss"):
             small_spec(axes=axes)
 
-    def test_rejects_an_outer_mech_freq_axis_over_a_material_axis(self):
-        # the outer axis keeps g_d from the base mode frequency, so every
-        # row of the inner material axis would fail; swapped, it sweeps
+    @pytest.mark.parametrize("swap", [False, True],
+                             ids=["mech-freq-outer", "mech-freq-inner"])
+    def test_mech_freq_axis_rederives_g_d_beside_a_material_axis(self, swap):
+        # g_d ∝ sqrt(omega_m): each row's defect is derived at its own mode
         base = params_from_config(BASE_CONFIG.replace(TLS, MATERIAL))
         axes = (SweepAxis("mechanical.mech_freq", 1.4e8, 1.5e8, 2),
                 SweepAxis("material.mode_volume", 1e-19, 2e-19, 2))
-        with pytest.raises(SweepError, match="swap the axes"):
-            small_spec(base=base, axes=axes)
-        table = run_sweep(small_spec(base=base, axes=axes[::-1]))
+        spec = small_spec(base=base, axes=axes[::-1] if swap else axes)
+        table = run_sweep(spec)
         assert table.column("error") == [""] * 4
-        assert all(math.isfinite(g) for g in table.column("G"))
+        couplings = set()
+        for i, (w, v) in enumerate(zip(table.column("mechanical.mech_freq"),
+                                       table.column("material.mode_volume"))):
+            mech = dataclasses.replace(base.mechanical, mech_freq=w)
+            material = dataclasses.replace(base.material, mode_volume=v)
+            p = spec.point_params(i)[1]
+            assert p.tls == compute_gd(material, mech)
+            g = gain(p, 2.0)
+            assert table.rows[i][2:5] == (g.G, g.G0, g.Gd)
+            couplings.add(p.tls.coupling)
+        assert len(couplings) == 4
 
     def test_rejects_n_b_fixed_in_self_consistent_mode(self):
         with pytest.raises(SweepError, match="n_b_fixed is only for fixed-nb"):
@@ -723,19 +735,13 @@ class TestCli:
                       "--axis", "tls.tls_loss:1e7:2e7:2",
                       "--mode", "fixed-nb:0"),
                      "both axes sweep tls.tls_loss", id="axis-path-twice"),
-        # the material axis re-derived tls, dropping the --set coupling
+        # the --set coupling dropped the material the axis would edit
         pytest.param(("gain-sweep", "--config", MATERIAL_CONFIG,
                       "--set", "tls.coupling=2e6",
                       "--axis", "material.mode_volume:1e-19:1e-19:1",
                       "--mode", "fixed-nb:0"),
-                     "the [tls] block does not match",
+                     "parameter group 'material' is not set",
                      id="tls-set-beside-material-axis"),
-        # the outer axis would keep g_d at the base mode, failing every row
-        pytest.param(("gain-sweep", "--config", MATERIAL_CONFIG,
-                      "--axis", "mechanical.mech_freq:1.4e8:1.5e8:2",
-                      "--axis", "material.mode_volume:1e-19:2e-19:2",
-                      "--mode", "fixed-nb:0"),
-                     "swap the axes", id="mech-freq-over-material-axis"),
     ])
     def test_invalid_input_is_a_config_error(self, argv, message, tmp_path,
                                              tmp_path_factory, monkeypatch,
@@ -1000,6 +1006,16 @@ tls_loss              = 6.43 MHz
         assert "# tls_loss = 2000000.0 rad/s" in out  # the derived defect
         assert "coupling = 1576481.686" in out  # coupling unchanged
 
+    def test_set_mech_freq_rederives_the_material_defect(self, tmp_path,
+                                                         capsys):
+        # g_d ∝ S_zpf ∝ sqrt(omega_m): doubling omega_m scales it by sqrt 2
+        cfg = self.material_config(tmp_path)
+        assert self.run("validate-config", "--config", cfg,
+                        "--set", "mechanical.mech_freq=46.8 2pi.MHz") == 0
+        out = capsys.readouterr().out
+        assert "[material]" in out and "\n[tls]" not in out
+        assert "# coupling = 2229481.7824906055 rad/s" in out
+
     def test_sweep_over_material_tls_loss(self, tmp_path):
         cfg = self.material_config(tmp_path)
         code = self.run("gain-sweep", "--config", cfg,
@@ -1020,7 +1036,7 @@ tls_loss              = 6.43 MHz
 
     def test_tls_axis_beside_material_axis_is_a_config_error(self, tmp_path,
                                                               capsys):
-        # the material axis re-derived tls, so tls.coupling did nothing
+        # the outer tls.coupling value dropped the material of every row
         out = tmp_path / "out"
         assert self.run("gain-sweep", "--config", self.material_config(tmp_path),
                         "--axis", "tls.coupling:1e5:1e7:2",
@@ -1166,6 +1182,21 @@ tls_loss              = 6.43 MHz
         assert code == 2
         assert "diverged" in capsys.readouterr().err
         assert (tmp_path / "trajectory-full.csv").exists()
+
+    def test_integrate_failure_without_a_prefix_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # a failed adaptive step has no finite prefix: name the solver's
+        # message, not a prefix that is never written
+        def failed(rhs, y0, settings):
+            raise DivergenceError(1e-7, "adaptive integration failed: stiff")
+
+        monkeypatch.setattr(dynamics, "_run_adaptive", failed)
+        code = self.run("integrate", "--method", "dop853",
+                        "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: adaptive integration failed: stiff\n"
+        assert not list(tmp_path.iterdir())
 
     def test_preset_subcommand(self, tmp_path):
         code = self.run("preset", "fig2a", "--out", str(tmp_path),

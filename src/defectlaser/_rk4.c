@@ -16,14 +16,15 @@
      turns NaN (0.0 inf) only once a .re is infinite, which fails
      mag2 < 1e250 in both loops; rhs reads only .re of these components.
 
-   Every helper is forced inline, so each entry point compiles to its own
-   stepper with its model's right-hand side inlined.  The build is -O3:
-   without -ffast-math gcc neither reassociates nor contracts, and its
-   vectoriser keeps each operation's order, so the bits stay CPython's.
+   Every helper is forced inline, so each model's branch of the one entry,
+   ``integrate``, compiles to its own stepper with the model's right-hand
+   side inlined.  The build is -O3: without -ffast-math gcc neither
+   reassociates nor contracts, and its vectoriser keeps each operation's
+   order, so the bits stay CPython's.
 
-   Arguments: the complex coefficients of the model (their order is set in
-   dynamics.py), a flag (the reduced model's full closure; the full model
-   ignores it), y0 (5 complex), h, the number of steps n, the stride, then
+   Arguments: the model (0 full, 1 reduced with frozen delta_n, 2 reduced
+   with the full closure), its complex coefficients (their order is set in
+   dynamics.py), y0 (5 complex), h, the number of steps n, the stride, then
    times (rows) and states (rows x 5 complex) to fill; the caller sizes
    the rows as 1 + ceil(n / stride).  Row r holds the state after step
    r * stride, and the last row the state after step n.
@@ -77,7 +78,7 @@ INLINE cx quot(cx a, cx b)
 
 static const cx I = {0.0, 1.0};
 
-/* integrate_full's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
+/* the full model's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
 INLINE int rhs_full(const cx *c, const cx *y, cx *k)
 {
     const cx ap = y[0], am = y[1], b = y[2], sm = y[3];
@@ -91,7 +92,7 @@ INLINE int rhs_full(const cx *c, const cx *y, cx *k)
     return 0;
 }
 
-/* integrate_reduced's rhs, with GainCoefficients.supermodes(|b|^2, b) as
+/* the reduced model's rhs, with GainCoefficients.supermodes(|b|^2, b) as
    the closure; c = (cpp, k, cb, cs, dg_im, x_plus, x_minus, kx, eps_l, gd,
    gq, sqrt 2, alpha0, alpha_n, dg2, sqrt 8); flag = full closure */
 INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
@@ -175,16 +176,10 @@ INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
     return n;
 }
 
-int64_t integrate_full(const cx *c, int flag, const cx *y0, double h,
-                       int64_t n, int64_t stride, double *times, cx *states)
+int64_t integrate(int model, const cx *c, const cx *y0, double h, int64_t n,
+                  int64_t stride, double *times, cx *states)
 {
-    (void)flag;
-    return rk4(0, c, 0, y0, h, n, stride, times, states);
-}
-
-int64_t integrate_reduced(const cx *c, int full_closure, const cx *y0,
-                          double h, int64_t n, int64_t stride, double *times,
-                          cx *states)
-{
-    return rk4(1, c, full_closure, y0, h, n, stride, times, states);
+    if (model == 0)
+        return rk4(0, c, 0, y0, h, n, stride, times, states);
+    return rk4(1, c, model == 2, y0, h, n, stride, times, states);
 }

@@ -46,6 +46,7 @@ SCHEMA: dict[str, dict[str, str]] = {
 def parse_config_text(text: str) -> dict[str, dict[str, float]]:
     """Parse config text into {section: {key: SI value}} with line errors."""
     sections: dict[str, dict[str, float]] = {}
+    seen: dict = {}  # section, or (section, key) -> the line that gave it
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -57,7 +58,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, float]]:
                 raise ConfigError(
                     f"unknown section [{current}] (known: "
                     f"{', '.join(sorted(SCHEMA))})", line=lineno)
-            sections.setdefault(current, {})
+            if current in seen:
+                raise ConfigError(f"section [{current}] already given at line "
+                                  f"{seen[current]}", line=lineno)
+            seen[current], sections[current] = lineno, {}
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", line=lineno)
@@ -70,6 +74,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, float]]:
                 f"not a [{current}] key (known: "
                 f"{', '.join(sorted(SCHEMA[current]))})",
                 key=key, line=lineno)
+        if (current, key) in seen:
+            raise ConfigError(f"already given at line {seen[current, key]}",
+                              key=key, line=lineno)
+        seen[current, key] = lineno
         unit_class = SCHEMA[current][key]
         try:
             sections[current][key] = parse_quantity(value, unit_class)

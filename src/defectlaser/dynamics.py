@@ -151,8 +151,8 @@ def _default_settings(params: SystemParams) -> IntegratorSettings:
 def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
            y0, fields, native, fill=None, **meta) -> Trajectory:
     """Run ``settings.method`` (default ``_default_settings``) from y0 and
-    warn when dt under-resolves.  "rk4" runs the kernel entry ``native`` =
-    (name, coefficients, flag), or ``_run_rk4`` where that returns 0.
+    warn when dt under-resolves.  "rk4" runs the kernel's ``integrate`` on
+    ``native`` = (model, coefficients), or ``_run_rk4`` where that returns 0.
     ``fill(states)`` fills in place the columns the steps leave out."""
     settings = settings or _default_settings(params)
     rate = _fastest_rate(params)
@@ -178,8 +178,8 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
         if max(n_steps, stride) >= 2 ** 63:  # the kernel counts in int64_t
             raise InvalidParameterError(f"{where}: more than int64 counts")
         meta["rk4"] = "c" if (lib := _kernel()) else "python"
-        steps = 0 if lib is None else getattr(lib, native[0])(
-            np.array(native[1], dtype=complex), native[2],
+        steps = 0 if lib is None else lib.integrate(
+            native[0], np.array(native[1], dtype=complex),
             np.array(y0, dtype=complex), h, n_steps, stride, times, states)
         if steps == 0:  # no kernel, or a singular elimination: replay
             steps = _run_rk4(rhs, y0, h, n_steps, stride, times, states)
@@ -230,7 +230,7 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
     y0 = (complex(init.a_plus), complex(init.a_minus), complex(init.b),
           complex(init.sigma_minus), float(init.sigma_z))
     return _solve(params, settings, rhs, y0, FULL_FIELDS,
-                  ("integrate_full", (cp, cm, cb, cs, k, drv, gd, gq), 0),
+                  (0, (cp, cm, cb, cs, k, drv, gd, gq)),
                   model="full")
 
 
@@ -298,9 +298,9 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
 
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
           float(init.sigma_z), dn0 if frozen else 0.0)
-    native = ("integrate_reduced",
+    native = (1 if frozen else 2,
               (cpp, k, cb, cs, c.dg_im, c.x_plus, c.x_minus, kx, eps, gd, gq,
-               _SQRT2, c.alpha0, c.alpha_n, c.dg2, _SQRT8), not frozen)
+               _SQRT2, c.alpha0, c.alpha_n, c.dg2, _SQRT8))
     return _solve(params, settings, rhs, y0, REDUCED_FIELDS, native,
                   None if frozen else fill, model="reduced",
                   delta_n_mode=delta_n_mode, delta_n0=dn0)
@@ -377,10 +377,9 @@ def _kernel():
                       RuntimeWarning, stacklevel=5)
         return None
     cx, re = (np.ctypeslib.ndpointer(t, flags="C") for t in (complex, float))
-    for fn in (lib.integrate_full, lib.integrate_reduced):
-        fn.argtypes = [cx, ctypes.c_int, cx, ctypes.c_double, ctypes.c_int64,
-                       ctypes.c_int64, re, cx]
-        fn.restype = ctypes.c_int64
+    lib.integrate.argtypes = [ctypes.c_int, cx, cx, ctypes.c_double,
+                              ctypes.c_int64, ctypes.c_int64, re, cx]
+    lib.integrate.restype = ctypes.c_int64
     return lib
 
 

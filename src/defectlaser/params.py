@@ -28,6 +28,10 @@ from .errors import InvalidParameterError, SingularParameterError
 # Defect coupling is a perturbative two-level term; warn when g_d/omega_q
 # exceeds this ratio (do not reject).
 VALIDITY_RATIO = 0.05
+_STRONG_COUPLING = (f"defect coupling g_d/omega_q exceeds {VALIDITY_RATIO:g}; "
+                    "two-level treatment is marginal")
+_OFF_RESONANCE = ("defect splitting omega_q is more than omega_m/2 from "
+                  "omega_m; the resonant rotating-wave model is inaccurate")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -165,27 +169,13 @@ class SystemParams:
             object.__setattr__(self, "tls", tls)
         elif self.tls is None:
             raise InvalidParameterError("give tls or material")
-        # one text per condition, warned from this one line: Python's
-        # warning registry then reports each condition once, not per row
-        for message in self.validity_report():
-            warnings.warn(message, UserWarning)
-
-    def validity_report(self) -> list[str]:
-        """Soft checks on the perturbative two-level description: one
-        fixed message per failed condition."""
-        out = []
-        tls = self.tls
+        # a fixed text and own warn line per condition: shown once, not per row
+        tls, wm = self.tls, self.mechanical.mech_freq
         if tls.coupling > 0:
             if tls.coupling / tls.tls_freq >= VALIDITY_RATIO:
-                out.append(f"defect coupling g_d/omega_q exceeds "
-                           f"{VALIDITY_RATIO:g}; two-level treatment is "
-                           "marginal")
-            wm = self.mechanical.mech_freq
+                warnings.warn(_STRONG_COUPLING, UserWarning)
             if abs(tls.tls_freq - wm) > 0.5 * wm:
-                out.append("defect splitting omega_q is more than omega_m/2 "
-                           "from omega_m; the resonant rotating-wave model "
-                           "is inaccurate")
-        return out
+                warnings.warn(_OFF_RESONANCE, UserWarning)
 
 
 @dataclass

@@ -138,8 +138,8 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     # the block [[a, kappa], [kappa, d]] in the basis {|n_b,g>, |n_b-1,e>}
     a, d = eff.n_b * zm, (eff.n_b - 1.0) * zm + zq
     kappa = eff.g_d * math.sqrt(eff.n_b)
-    w_plus, v_plus = _eigvec(a, kappa, d, e_plus)
-    w_minus, v_minus = _eigvec(a, kappa, d, e_minus)
+    w_plus, v_plus = _eigvec(a, kappa, d, e_plus, (1.0, 0.0))
+    w_minus, v_minus = _eigvec(a, kappa, d, e_minus, (0.0, 1.0))
     overlap = abs(np.vdot(v_plus, v_minus))
 
     gq_ep = _ep_losses(eff)[0]
@@ -154,9 +154,10 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
                           phase=phase, eigvec_overlap=overlap)
 
 
-def _eigvec(a: complex, kappa: float, d: complex, e: complex
-            ) -> tuple[tuple[float, float], np.ndarray]:
-    """Normalized eigenvector for eigenvalue e; stable at degeneracy."""
+def _eigvec(a: complex, kappa: float, d: complex, e: complex,
+            basis: tuple) -> tuple[tuple[float, float], np.ndarray]:
+    """Normalized eigenvector for eigenvalue e; stable at degeneracy.  Where
+    M - e is zero (kappa = 0, a = d = e) it is the basis vector ``basis``."""
     # (M - e) v = 0 for a 2x2: use the better-conditioned row
     r1 = (kappa, e - a)
     r2 = (e - d, kappa)
@@ -168,7 +169,7 @@ def _eigvec(a: complex, kappa: float, d: complex, e: complex
         raise SingularParameterError(
             "an eigenvector's norm leaves the floating-point range")
     if norm == 0.0:
-        v = np.array([1.0, 0.0], dtype=complex)
+        v = np.array(basis, dtype=complex)
         norm = 1.0
     v = v / norm
     return (abs(v[0]) ** 2, abs(v[1]) ** 2), v

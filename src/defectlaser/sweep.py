@@ -60,9 +60,12 @@ class SweepAxis:
     def values(self) -> np.ndarray:
         if self.num == 1:
             return np.asarray([self.start], dtype=float)
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.num)
-        return np.linspace(self.start, self.stop, self.num)
+        space = np.geomspace if self.scale == "log" else np.linspace
+        try:
+            return space(self.start, self.stop, self.num)
+        except (ValueError, IndexError, MemoryError) as err:
+            raise SweepError(f"axis {self.path}: numpy cannot allocate "
+                             f"{self.num} points") from err
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,9 @@ def _along(points, path: str, grid: np.ndarray):
     """Each point of ``points`` extended by every value of one axis; the
     path is resolved once per point, not per value."""
     for vals, p in points:
-        try:
-            build = p if isinstance(p, DefectLaserError) else setter(p, path)
-        except DefectLaserError as err:
-            build = err
+        # setter cannot raise: run_sweep resolves the path on the base, and
+        # SweepSpec refuses tls.* beside material.*, which could unset a group
+        build = p if isinstance(p, DefectLaserError) else setter(p, path)
         for v in grid.tolist():
             try:
                 q = build if isinstance(build, DefectLaserError) else build(v)

@@ -33,6 +33,15 @@ class TestEigenvalues:
         assert abs((r.E_plus - r.E_minus).real) < 1e-6
         assert r.gap == pytest.approx(3e6 - 1e5, rel=1e-12)
 
+    def test_uncoupled_degenerate_block_keeps_orthogonal_vectors(self):
+        # g_d = 0 and a = d: every vector is an eigenvector, so the branches
+        # take the phonon and the defect basis vectors, not one twice
+        r = eigenvalues(eff(g_d=0.0, gamma_m_eff=2e5, gamma_q=2e5))
+        assert r.E_plus == r.E_minus
+        assert r.weights_plus == (1.0, 0.0)
+        assert r.weights_minus == (0.0, 1.0)
+        assert r.eigvec_overlap == 0.0
+
     def test_discriminant_vanishes_at_ep(self):
         e = eff(n_b=1.0, gamma_m_eff=0.0, gamma_q=2e6, g_d=1e6)
         assert discriminant(e) == pytest.approx(0.0, abs=1e-3)

@@ -707,6 +707,15 @@ class TestCli:
                      id="axis-start-not-a-number"),
         pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1:2:0"),
                      "axis point count must be >= 1", id="axis-zero-points"),
+        # numpy refuses both counts before allocating anything
+        pytest.param(("gain-sweep", "--axis",
+                      f"tls.tls_loss:1e5:1e7:{2 ** 60}", "--format", "csv"),
+                     f"axis tls.tls_loss: numpy cannot allocate {2 ** 60} "
+                     "points", id="axis-too-big"),
+        pytest.param(("gain-sweep", "--axis",
+                      f"tls.tls_loss:1e5:1e7:{2 ** 63}:log"),
+                     f"axis tls.tls_loss: numpy cannot allocate {2 ** 63} "
+                     "points", id="axis-beyond-int64"),
         pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1:2:3:cubic"),
                      "axis scale must be 'linear' or 'log'",
                      id="axis-unknown-scale"),

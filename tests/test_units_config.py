@@ -143,6 +143,23 @@ class TestConfig:
         assert exc.value.line == 3
         assert "angular_rate" in str(exc.value)
 
+    def test_repeated_key_names_both_lines(self):
+        text = FIG2_CONFIG.replace("pump_detuning = 73.513268093 MHz\n",
+                                   "pump_detuning = 73.513268093 MHz\n"
+                                   "pump_power    = 20 uW\n")
+        with pytest.raises(ConfigError) as exc:
+            params_from_config(text)
+        assert (exc.value.key, exc.value.line) == ("pump_power", 10)
+        assert str(exc.value) == ("line 10: key 'pump_power': already given "
+                                  "at line 8")
+
+    def test_repeated_section_names_both_lines(self):
+        text = FIG2_CONFIG + "\n[optical]\nradius = 30 um\n"
+        with pytest.raises(ConfigError) as exc:
+            params_from_config(text)
+        assert exc.value.line == len(FIG2_CONFIG.splitlines()) + 2
+        assert "section [optical] already given at line 3" in str(exc.value)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="not a \\[optical\\] key"):
             params_from_config("[optical]\nfinesse = 10\n")

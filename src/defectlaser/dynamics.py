@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
 from .params import SystemParams
-from .steadystate import _SQRT2, _SQRT8, coefficients, inversion
+from .steadystate import _SQRT2, _SQRT8, coefficients
 
 #: default seed phonon amplitude: smallest that still gives clean log fits
 DEFAULT_SEED = 1e-3
@@ -60,6 +61,9 @@ class IntegratorSettings:
             raise InvalidParameterError("dt must be > 0 and finite")
         if not 0 < self.t_final < math.inf:
             raise InvalidParameterError("t_final must be > 0 and finite")
+        if not isinstance(self.stride, numbers.Integral):
+            raise InvalidParameterError(
+                f"stride must be an integer, not {self.stride!r}")
         if self.stride < 1:
             raise InvalidParameterError("stride must be >= 1")
         if self.method not in ("rk4", "dop853"):
@@ -275,15 +279,15 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     supermodes = c.supermodes
 
     def closure(b):
-        # steady supermode amplitudes at the current b (n_b = |b|^2)
+        # steady a+, a- and delta_n at the current b (n_b = |b|^2)
         _, _, ap, am = supermodes(b.real * b.real + b.imag * b.imag, b)
-        return ap, am
+        return ap, am, ((ap.real * ap.real + ap.imag * ap.imag)
+                        - (am.real * am.real + am.imag * am.imag))
 
     def rhs(p, b, sm, sz, dn):
-        ap, am = closure(b)
+        ap, am, closed = closure(b)
         if not frozen:
-            dn = ((ap.real * ap.real + ap.imag * ap.imag)
-                  - (am.real * am.real + am.imag * am.imag))
+            dn = closed
         drive = (eps * ap + eps * am.conjugate()) / _SQRT2
         return (cpp * p - 1j * 0.5 * kx * dn * b + drive,
                 cb * b + k * p - 1j * gd * sm,
@@ -292,9 +296,9 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                 0.0)
 
     def fill(states):
-        # recompute the reported inversion from the stored b
+        # the inversion the step's closure gives at each stored b
         for i in range(len(states)):
-            states[i, 4] = inversion(*closure(complex(states[i, 1])))
+            states[i, 4] = closure(complex(states[i, 1]))[2]
 
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
           float(init.sigma_z), dn0 if frozen else 0.0)
@@ -409,8 +413,6 @@ class GrowthRateFit:
 
     rate: float
     stderr: float
-    n_points: int
-    window: tuple[float, float]
 
 
 def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
@@ -439,8 +441,7 @@ def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
     ss = float(res[0]) if len(res) else float(np.sum((y - A @ coef) ** 2))
     var_t = float(np.sum((tw - tw.mean()) ** 2))
     stderr = math.sqrt(ss / max(n - 2, 1) / var_t) if var_t > 0 else math.inf
-    return GrowthRateFit(rate=float(coef[0]), stderr=stderr, n_points=n,
-                         window=(t0, t1))
+    return GrowthRateFit(rate=float(coef[0]), stderr=stderr)
 
 
 def crossing_time(times: np.ndarray, values: np.ndarray, level: float) -> float:

@@ -43,12 +43,10 @@ _SINGULAR_SUPERMODES = ("alpha^2 + 4 Delta^2 gamma^2 vanished; supermode "
 
 @dataclass(frozen=True)
 class SteadyOptics:
-    """Eliminated optical/defect amplitudes at given (b, n_b)."""
+    """Eliminated supermode amplitudes, alpha and inversion at (b, n_b)."""
 
     a_plus: complex
     a_minus: complex
-    p: complex
-    sigma_minus: complex
     alpha: float
     delta_n: float
 
@@ -160,9 +158,9 @@ class GainCoefficients:
         G0, Gd, G, N_b) at b = 0 and phonon number n; the fixed point
         iterates the last entry.
 
-        The b = 0 form of ``supermodes`` and ``inversion``, written out in
-        one straight line on the hoisted numerators; it gives their bits,
-        signed zeros included (``TestGainKernel::test_terms_is_the_b0_form``).
+        The b = 0 form of ``steady_optics``, written out in one straight
+        line on the hoisted numerators; it gives its bits, signed zeros
+        included (``TestGainKernel::test_terms_is_the_b0_form``).
         """
         alpha = self.alpha0 + self.alpha_n * n
         denom_sq = alpha * alpha + self.dg2
@@ -227,32 +225,20 @@ def coefficients(params: SystemParams) -> GainCoefficients:
     return c
 
 
-def inversion(a_plus: complex, a_minus: complex) -> float:
-    """Population inversion delta_n = |a+|^2 - |a-|^2."""
-    return abs(a_plus) ** 2 - abs(a_minus) ** 2
-
-
 def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     """Closed-form steady supermode amplitudes at mechanical amplitude b.
 
     ``n_b`` is the phonon number entering the saturation terms; callers
     decide whether it equals |b|^2 (dynamics closure) or labels a sector
-    (linear-response gain).
+    (linear-response gain).  delta_n squares with ``abs(a) ** 2``, as
+    ``terms`` does; ``gain`` carries the eliminated p and sigma_-.
     """
     if not 0.0 <= n_b < math.inf:
         raise InvalidParameterError("n_b must be >= 0 and finite")
     c = coefficients(params)
-    b = complex(b)
-    alpha, _, a_plus, a_minus = c.supermodes(n_b, b)
-    delta_n = inversion(a_plus, a_minus)
-    gam = params.optical.cavity_loss
-    drive = (c.eps_l * a_plus + c.eps_l * a_minus.conjugate()) / _SQRT2
-    p = (drive - 0.5j * c.kx * delta_n * b) / (1j * c.dj + 2.0 * gam)
-    tls_den = c.defect_den(n_b)
-    sigma_minus = 0j if tls_den is None else (
-        -(c.g_d * c.dq + 1j * c.g_d * params.tls.tls_loss) / tls_den * b)
-    return SteadyOptics(a_plus=a_plus, a_minus=a_minus, p=p,
-                        sigma_minus=sigma_minus, alpha=alpha, delta_n=delta_n)
+    alpha, _, a_plus, a_minus = c.supermodes(n_b, complex(b))
+    return SteadyOptics(a_plus, a_minus, alpha,
+                        abs(a_plus) ** 2 - abs(a_minus) ** 2)
 
 
 def gain(params: SystemParams, n_b: float) -> GainResult:

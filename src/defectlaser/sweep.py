@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -48,6 +49,9 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self):
+        if not isinstance(self.num, numbers.Integral):
+            raise SweepError(
+                f"axis point count must be an integer, not {self.num!r}")
         if self.num < 1:
             raise SweepError("axis point count must be >= 1")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):

@@ -2,6 +2,7 @@ import ctypes
 import functools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from defectlaser import (DivergenceError, IntegratorSettings,
                          integrate_full, integrate_reduced, steady_optics,
                          with_value)
 from defectlaser.params import derive_quantities
+from defectlaser.steadystate import coefficients
 
 from conftest import GAMMA, GAMMA_M, OMEGA_M, make_params, random_params
 
@@ -278,20 +280,31 @@ class TestReducedModel:
         assert meta["delta_n0"] == steady_optics(fig2_params, 0, 0).delta_n
         assert meta["diverged_at"] == exc.value.time
 
-    def test_diverged_full_closure_reports_the_closure_inversion(self):
-        """A diverged full-closure run's prefix reports delta_n from the
-        closure at each stored b, as a finished run does."""
+    def test_diverged_full_closure_reports_the_closure_inversion(
+            self, monkeypatch):
+        """A diverged full-closure run's prefix stores, at each stored b,
+        the delta_n its step's closure computes (squared as x * x, not
+        abs(a) ** 2), bit for bit, on the kernel and the Python loop."""
         p = make_params(pump_power=12e-6)
-        with pytest.raises(DivergenceError) as exc:
-            integrate_reduced(p, None, settings_for(4e-6, stride=1),
-                              delta_n_mode="full-closure")
-        part = exc.value.partial
-        assert 1.9e-6 < exc.value.time < 2.0e-6
-        expected = [steady_optics(p, b, b.real * b.real + b.imag * b.imag)
-                    .delta_n for b in map(complex, part.column("b"))]
-        dn = part.column("delta_n").real
-        assert np.array_equal(dn, expected)
-        assert np.all(dn[:-2] > 1e7)  # all but the last two blow-up samples
+        c = coefficients(p)
+
+        def closure_dn(b):
+            _, _, ap, am = c.supermodes(b.real * b.real + b.imag * b.imag, b)
+            return ((ap.real * ap.real + ap.imag * ap.imag)
+                    - (am.real * am.real + am.imag * am.imag))
+
+        for run, rk4 in ((outcome, "c"),
+                         (functools.partial(python_loop, monkeypatch),
+                          "python")):
+            part, time = run(integrate_reduced, p, None,
+                             settings_for(4e-6, stride=1),
+                             delta_n_mode="full-closure")
+            assert part.meta["rk4"] == rk4
+            assert 1.9e-6 < time < 2.0e-6
+            expected = [closure_dn(b) for b in map(complex, part.column("b"))]
+            dn = part.column("delta_n").real
+            assert dn.tobytes() == np.array(expected).tobytes()
+            assert np.all(dn[:-2] > 1e7)  # all but the last two blow-ups
 
     def test_frozen_inversion_growth_rate(self):
         """With the drive off and the inversion frozen positive, b grows at
@@ -446,6 +459,12 @@ class TestGrowthRateFit:
     pytest.param(lambda: IntegratorSettings(dt=1e-9, t_final=1e-6,
                                             method="euler"),
                  "method must be 'rk4' or 'dop853'", id="unknown-method"),
+    pytest.param(lambda: IntegratorSettings(dt=1e-9, t_final=1e-6,
+                                            stride=2.5),
+                 "stride must be an integer, not 2.5", id="stride-fraction"),
+    pytest.param(lambda: IntegratorSettings(dt=1e-9, t_final=1e-6,
+                                            stride=3.0),
+                 "stride must be an integer, not 3.0", id="stride-float"),
     pytest.param(lambda: Trajectory(times=np.zeros(2),
                                     states=np.zeros((3, 1), complex),
                                     fields=("b",)),
@@ -463,6 +482,14 @@ class TestGrowthRateFit:
 def test_malformed_dynamics_input_is_rejected(build, message):
     with pytest.raises(InvalidParameterError, match=message):
         build()
+
+
+def test_numpy_integer_stride_is_accepted(fig2_params):
+    s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=1e-7,
+                           stride=np.int64(7))
+    assert integrate_full(fig2_params, None, s).states.tobytes() == (
+        integrate_full(fig2_params, None, replace(s, stride=7)).states
+        .tobytes())
 
 
 class TestTrajectoryIO:

@@ -43,7 +43,6 @@ class TestSteadyOptics:
         so = steady_optics(p, 0.3 + 0.1j, 5.0)
         assert so.a_plus == 0.0
         assert so.a_minus == 0.0
-        assert so.p == 0.0  # drive part vanishes, b part needs delta_n = 0
 
     def test_alpha_definition(self, fig2_params):
         d = derive_quantities(fig2_params)
@@ -81,6 +80,21 @@ class TestSteadyOptics:
     def test_negative_nb_rejected(self, fig2_params):
         with pytest.raises(ValueError):
             steady_optics(fig2_params, 0.0, -1.0)
+
+    def test_undamped_resonant_defect_leaves_the_optics_alone(self):
+        """At gamma_q = 0, omega_q = omega_m and n_b = 0 the defect's
+        elimination is singular, so ``gain`` raises; ``steady_optics``
+        reads no defect term and returns the supermode closure, bit for
+        bit."""
+        p = make_params(gamma_q=0.0, omega_q=OMEGA_M)
+        with pytest.raises(SingularParameterError, match="undamped"):
+            gain(p, 0.0)
+        so = steady_optics(p, 0j, 0.0)
+        alpha, _, a_plus, a_minus = coefficients(p).supermodes(0.0, 0j)
+        got = np.array([so.a_plus, so.a_minus, so.alpha, so.delta_n])
+        want = np.array([a_plus, a_minus, alpha,
+                         abs(a_plus) ** 2 - abs(a_minus) ** 2])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGain:
@@ -332,8 +346,9 @@ class TestGainKernel:
     @pytest.mark.filterwarnings("ignore:defect coupling")
     def test_terms_is_the_b0_form(self):
         """``terms`` evaluates a+- from the hoisted b = 0 numerators; every
-        entry it shares with ``supermodes(n, 0j)``, ``inversion`` and
-        ``defect_den`` has their bits, signed zeros and nan included.
+        entry it shares with ``supermodes(n, 0j)``, ``steady_optics``'
+        ``abs(a) ** 2`` inversion and ``defect_den`` has their bits,
+        signed zeros and nan included.
         300 draws: |a|**2 and |a|*|a| differ on 7 of their 3600 a+-."""
         def bits(z):
             return None if z is None else (float(z.real).hex(),
@@ -345,7 +360,7 @@ class TestGainKernel:
             for n in (0.0, 1e-12, 1.0, 1e3, 1e8, 1e300):
                 alpha, denom_sq, a_plus, a_minus = c.supermodes(n, 0j)
                 slow = (alpha, denom_sq, a_plus, a_minus,
-                        steadystate.inversion(a_plus, a_minus),
+                        abs(a_plus) ** 2 - abs(a_minus) ** 2,
                         c.defect_den(n))
                 assert (list(map(bits, c.terms(n)[:6]))
                         == list(map(bits, slow))), (seed, n)
@@ -504,7 +519,7 @@ class TestInputsFrozenRecordsPlain:
                                                          t_final=1e-6),
         "MeanFieldState": MeanFieldState,
         "ReducedState": ReducedState,
-        "GrowthRateFit": lambda: GrowthRateFit(1.0, 0.1, 5, (0.0, 1.0)),
+        "GrowthRateFit": lambda: GrowthRateFit(1.0, 0.1),
     }
 
     @pytest.mark.parametrize("make", INPUTS.values(), ids=list(INPUTS))

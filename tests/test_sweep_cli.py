@@ -142,6 +142,17 @@ class TestSweepSpec:
         with pytest.raises(SweepError, match="1 or 2"):
             small_spec(axes=(ax, ax, ax))
 
+    @pytest.mark.parametrize("num", [2.5, 3.0, "3"])
+    def test_rejects_a_non_integer_point_count(self, num):
+        # each raised a raw TypeError, from numpy or from the `< 1` test
+        with pytest.raises(SweepError,
+                           match="axis point count must be an integer"):
+            SweepAxis("tls.tls_loss", 1e6, 2e6, num)
+
+    def test_accepts_a_numpy_integer_point_count(self):
+        ax = SweepAxis("tls.tls_loss", 1e6, 2e6, np.int64(3))
+        assert small_spec(axes=(ax,)).grid_shape() == (3,)
+
     def test_rejects_log_axis_through_zero(self):
         with pytest.raises(SweepError, match="log"):
             SweepAxis("optical.pump_detuning", -1e6, 1e6, 5, "log")

@@ -25,9 +25,9 @@
    Arguments: the model (0 full, 1 reduced with frozen delta_n, 2 reduced
    with the full closure), its complex coefficients (their order is set in
    dynamics.py), y0 (5 complex), h, the number of steps n, the stride, then
-   times (rows) and states (rows x 5 complex) to fill; the caller sizes
-   the rows as 1 + ceil(n / stride).  Row r holds the state after step
-   r * stride, and the last row the state after step n.
+   states (rows x 5 complex) to fill; the caller sizes the rows as
+   1 + ceil(n / stride) and lays out their times.  Row r holds the state
+   after step r * stride, and the last row the state after step n.
 
    Returns n when the run finished, and -i when the squared norm of the
    state after step i was not < 1e250 (that state is not stored; rows 0 to
@@ -136,8 +136,7 @@ INLINE void stage(const cx *y, double hh, const cx *k, cx *s)
 }
 
 INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
-                   double h, int64_t n, int64_t stride, double *times,
-                   cx *states)
+                   double h, int64_t n, int64_t stride, cx *states)
 {
     const double h2 = 0.5 * h, h6 = h / 6.0;
     cx y[5], s[5], k1[5], k2[5], k3[5], k4[5];
@@ -145,7 +144,6 @@ INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
 
     for (int j = 0; j < 5; j++)
         y[j] = states[j] = y0[j];
-    times[0] = 0.0;
     for (i = 1; i <= n; i++) {
         if (rhs(reduced, c, flag, y, k1))
             return 0;
@@ -167,7 +165,6 @@ INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
         if (!(mag2 < 1e250))
             return -i;
         if (i % stride == 0 || i == n) {
-            times[r] = (double)i * h;
             for (int j = 0; j < 5; j++)
                 states[5 * r + j] = y[j];
             r++;
@@ -177,9 +174,9 @@ INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
 }
 
 int64_t integrate(int model, const cx *c, const cx *y0, double h, int64_t n,
-                  int64_t stride, double *times, cx *states)
+                  int64_t stride, cx *states)
 {
     if (model == 0)
-        return rk4(0, c, 0, y0, h, n, stride, times, states);
-    return rk4(1, c, model == 2, y0, h, n, stride, times, states);
+        return rk4(0, c, 0, y0, h, n, stride, states);
+    return rk4(1, c, model == 2, y0, h, n, stride, states);
 }

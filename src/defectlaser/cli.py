@@ -18,8 +18,7 @@ from dataclasses import asdict, replace
 
 from .config import apply_override, load_config, params_to_config
 from .dynamics import _default_settings, integrate_full, integrate_reduced
-from .errors import (ConfigError, DefectLaserError, DivergenceError,
-                     InvalidParameterError, SweepError, UnitError)
+from .errors import ConfigError, DefectLaserError, DivergenceError, SweepError
 from .params import SystemParams
 from .presets import FIGURE_PRESETS, base_params, preset
 from .spectrum import EffectiveParams, locate_ep, turning_point
@@ -155,8 +154,7 @@ def cmd_integrate(args) -> int:
         traj = integrator(params, None, settings)
     except DivergenceError as err:
         if err.partial is None:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_NONCONVERGED
+            raise
         print(f"diverged at t = {err.time:.6g} s; writing the finite prefix",
               file=sys.stderr)
         traj = err.partial
@@ -272,19 +270,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, UnitError, InvalidParameterError,
-            SweepError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO
-    except DefectLaserError as err:
+    except DefectLaserError as err:  # a ValueError is a configuration error
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGED
+        return EXIT_CONFIG if isinstance(err, ValueError) \
+            else EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

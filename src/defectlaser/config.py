@@ -116,8 +116,13 @@ def params_from_config(text: str) -> SystemParams:
 
 
 def load_config(path) -> SystemParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return params_from_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return params_from_config(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"not UTF-8 text (byte {data[err.start]:#04x})",
+                          line=data.count(b"\n", 0, err.start) + 1) from None
 
 
 def params_to_config(params: SystemParams) -> str:

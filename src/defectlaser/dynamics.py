@@ -44,9 +44,10 @@ DEFAULT_SEED = 1e-3
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Fixed-step integrator configuration.
+    """Integrator configuration; dt and t_final are in seconds.
 
-    dt and t_final are in seconds.  ``stride`` thins the stored output.
+    Both methods store the state after every ``stride``-th of
+    round(t_final / dt) steps and after the last, step i at float(i) * dt.
     ``method`` is "rk4" (reference, bit-reproducible) or "dop853"
     (adaptive cross-check at rtol 1e-10, atol 1e-12).
     """
@@ -154,9 +155,10 @@ def _default_settings(params: SystemParams) -> IntegratorSettings:
 
 def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
            y0, fields, native, fill=None, **meta) -> Trajectory:
-    """Run ``settings.method`` (default ``_default_settings``) from y0 and
-    warn when dt under-resolves.  "rk4" runs the kernel's ``integrate`` on
-    ``native`` = (model, coefficients), or ``_run_rk4`` where that returns 0.
+    """Run ``settings.method`` (default ``_default_settings``) from y0 on
+    the rows ``IntegratorSettings`` lays out; warn when dt under-resolves.
+    "rk4" runs the kernel's ``integrate`` on ``native`` = (model,
+    coefficients), or ``_run_rk4`` where that returns 0.
     ``fill(states)`` fills in place the columns the steps leave out."""
     settings = settings or _default_settings(params)
     rate = _fastest_rate(params)
@@ -167,26 +169,27 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
             "> 0.1: the fastest oscillation is under-resolved")
         warnings.warn(notes[-1], UserWarning, stacklevel=3)
     meta.update(settings=settings, warnings=notes)
+    h, stride = settings.dt, settings.stride
+    where = (f"t_final / dt = {settings.t_final / h:.3g} steps at stride "
+             f"{stride:.3g}")
+    try:
+        n_steps = max(1, round(settings.t_final / h))
+        states = np.empty((1 + -(-n_steps // stride), 5), dtype=complex)
+    except (OverflowError, ValueError, MemoryError) as err:
+        raise InvalidParameterError(
+            f"{where}: cannot allocate the stored rows ({err})") from err
+    if max(n_steps, stride) >= 2 ** 63:  # the kernel counts in int64_t
+        raise InvalidParameterError(f"{where}: more than int64 counts")
+    times = np.append(np.arange(0, n_steps, stride), n_steps) * h
     if settings.method == "dop853":
-        times, states = _run_adaptive(rhs, y0, settings)
+        states[:] = _run_adaptive(rhs, y0, times)
     else:
-        h, stride = settings.dt, settings.stride
-        n_steps = max(1, int(round(settings.t_final / h)))
-        where = f"t_final / dt = {n_steps:.3g} steps at stride {stride:.3g}"
-        try:
-            times = np.empty(1 + -(-n_steps // stride))
-            states = np.empty((len(times), 5), dtype=complex)
-        except (ValueError, MemoryError) as err:
-            raise InvalidParameterError(
-                f"{where}: cannot allocate the stored rows ({err})") from err
-        if max(n_steps, stride) >= 2 ** 63:  # the kernel counts in int64_t
-            raise InvalidParameterError(f"{where}: more than int64 counts")
         meta["rk4"] = "c" if (lib := _kernel()) else "python"
         steps = 0 if lib is None else lib.integrate(
             native[0], np.array(native[1], dtype=complex),
-            np.array(y0, dtype=complex), h, n_steps, stride, times, states)
+            np.array(y0, dtype=complex), h, n_steps, stride, states)
         if steps == 0:  # no kernel, or a singular elimination: replay
-            steps = _run_rk4(rhs, y0, h, n_steps, stride, times, states)
+            steps = _run_rk4(rhs, y0, h, n_steps, stride, states)
         meta["steps"] = abs(steps)
         if steps < 0:  # the state after step -steps is not finite
             rows = 1 + (-steps - 1) // stride
@@ -310,17 +313,17 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                   delta_n_mode=delta_n_mode, delta_n0=dn0)
 
 
-def _run_rk4(rhs, y0, h, n_steps, stride, times, states) -> int:
+def _run_rk4(rhs, y0, h, n_steps, stride, states) -> int:
     """Classical fixed-step RK4 over a tuple state of 5 scalars, the oracle
-    of ``_rk4.c`` with its contract: fills row 0 of the preallocated times
-    and states with y0, then one row every stride-th step and at the last;
+    of ``_rk4.c`` with its contract: fills row 0 of the preallocated states
+    with y0, then one row every stride-th step and at the last;
     returns n_steps, or -i when the state after step i is not finite (not
     stored); raises only where CPython raises, where the kernel returns 0.
     """
     h2 = 0.5 * h
     h6 = h / 6.0
 
-    times[0], states[0], r = 0.0, y0, 1
+    states[0], r = y0, 1
     y1, y2, y3, y4, y5 = y0
     for i in range(1, n_steps + 1):
         a1, b1, c1, d1, e1 = rhs(y1, y2, y3, y4, y5)
@@ -344,7 +347,7 @@ def _run_rk4(rhs, y0, h, n_steps, stride, times, states) -> int:
         if not mag2 < 1e250:
             return -i
         if i % stride == 0 or i == n_steps:
-            times[r], states[r] = i * h, (y1, y2, y3, y4, y5)
+            states[r] = (y1, y2, y3, y4, y5)
             r += 1
     return n_steps
 
@@ -380,31 +383,28 @@ def _kernel():
         warnings.warn(f"RK4 runs in Python: no C kernel ({err})",
                       RuntimeWarning, stacklevel=5)
         return None
-    cx, re = (np.ctypeslib.ndpointer(t, flags="C") for t in (complex, float))
+    cx = np.ctypeslib.ndpointer(complex, flags="C")
     lib.integrate.argtypes = [ctypes.c_int, cx, cx, ctypes.c_double,
-                              ctypes.c_int64, ctypes.c_int64, re, cx]
+                              ctypes.c_int64, ctypes.c_int64, cx]
     lib.integrate.restype = ctypes.c_int64
     return lib
 
 
-def _run_adaptive(rhs, y0, settings: IntegratorSettings):
+def _run_adaptive(rhs, y0, times) -> np.ndarray:
+    """DOP853 from y0 at t = 0, its states at ``times`` (one row each)."""
     from scipy.integrate import solve_ivp
 
     def f(t, y):
         return np.asarray(rhs(*y), dtype=complex)
 
-    n_out = max(2, int(round(settings.t_final / settings.dt / settings.stride)))
-    t_eval = np.linspace(0.0, settings.t_final, n_out + 1)
-    sol = solve_ivp(f, (0.0, settings.t_final),
-                    np.asarray(y0, dtype=complex), method="DOP853",
-                    rtol=1e-10, atol=1e-12, t_eval=t_eval)
+    sol = solve_ivp(f, (0.0, times[-1]), np.asarray(y0, dtype=complex),
+                    method="DOP853", rtol=1e-10, atol=1e-12, t_eval=times)
     if not sol.success:
         raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0,
                               f"adaptive integration failed: {sol.message}")
-    states = sol.y.T.copy()
-    if not np.all(np.isfinite(states.view(float))):
+    if not np.isfinite(sol.y).all():
         raise DivergenceError(sol.t[-1])
-    return sol.t.copy(), states
+    return sol.y.T
 
 
 @dataclass(frozen=True)
@@ -433,15 +433,13 @@ def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
     amp = traj.abs_b[mask]
     if np.any(amp <= 0.0):
         raise ValueError("|b| touches zero inside the window")
-    tw = t[mask]
-    y = np.log(amp)
-    A = np.column_stack([tw - tw[0], np.ones_like(tw)])
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    n = len(tw)
-    ss = float(res[0]) if len(res) else float(np.sum((y - A @ coef) ** 2))
-    var_t = float(np.sum((tw - tw.mean()) ** 2))
-    stderr = math.sqrt(ss / max(n - 2, 1) / var_t) if var_t > 0 else math.inf
-    return GrowthRateFit(rate=float(coef[0]), stderr=stderr)
+    x, y = t[mask], np.log(amp)
+    x, y = x - x.mean(), y - y.mean()  # the centred least-squares line
+    var_t = x @ x
+    rate = float(x @ y / var_t)
+    ss = float(np.sum((y - rate * x) ** 2))
+    stderr = math.sqrt(ss / (len(x) - 2) / var_t) if var_t > 0 else math.inf
+    return GrowthRateFit(rate=rate, stderr=stderr)
 
 
 def crossing_time(times: np.ndarray, values: np.ndarray, level: float) -> float:

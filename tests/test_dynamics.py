@@ -150,15 +150,18 @@ class TestFullModel:
             integrate_reduced(p, None, coarser)
 
     def test_adaptive_cross_check(self, fig2_params):
-        # t_final is an exact step multiple so both methods end together
-        s_rk = IntegratorSettings(dt=3.125e-10, t_final=1.0e-6, stride=40)
-        s_ad = IntegratorSettings(dt=3.125e-10, t_final=1.0e-6,
-                                  method="dop853", stride=40)
-        a = integrate_full(fig2_params, None, s_rk)
-        b = integrate_full(fig2_params, None, s_ad)
-        assert a.times[-1] == b.times[-1]
-        fa, fb = a.column("b")[-1], b.column("b")[-1]
-        assert abs(fa - fb) / abs(fa) < 1e-5
+        """DOP853 stores at RK4's sample times, also where t_final is not a
+        step multiple (both end at step round(t_final / dt)), and agrees
+        with RK4 at every sample."""
+        for t_final in (1.0e-6, 1.0001e-6):
+            s_rk = IntegratorSettings(dt=3.125e-10, t_final=t_final, stride=40)
+            a = integrate_full(fig2_params, None, s_rk)
+            b = integrate_full(fig2_params, None,
+                               replace(s_rk, method="dop853"))
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.times[-1] == 3200 * 3.125e-10
+            fa, fb = a.column("b"), b.column("b")
+            assert np.max(np.abs(fa - fb) / np.abs(fa)) < 1e-5
 
     def test_growth_matches_exact_linearization(self, fig2_params):
         """Dynamics oracle: the windowed growth rate equals the exact

@@ -707,6 +707,13 @@ class TestCli:
                       repr((2 ** 64 + 4096) * 2.0 ** -32), "--stride",
                       str(2 ** 64 + 1)), "more than int64 counts",
                      id="integrate-steps-beyond-int64"),
+        # t_final / dt overflows to inf: no step count, on either method
+        pytest.param(("integrate", "--dt", "1e-320", "--method", "rk4"),
+                     "inf steps at stride 10: cannot allocate",
+                     id="integrate-steps-infinite-rk4"),
+        pytest.param(("integrate", "--dt", "1e-320", "--method", "dop853"),
+                     "inf steps at stride 10: cannot allocate",
+                     id="integrate-steps-infinite-dop853"),
         pytest.param(("gain-sweep", "--axis",
                       "tls.coupling_ratio:0.01:0.02:3"),
                      "unknown field", id="property-coupling_ratio"),
@@ -980,6 +987,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
+
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        # a Latin-1 comment on line 3, after CRLF line ends
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"# base\r\n\r\n# caf\xe9\n" + BASE_CONFIG.encode())
+        assert self.run("validate-config", "--config", str(bad)) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: line 3: not UTF-8 text (byte 0xe9)\n"
 
     def test_missing_config_file_is_io_error(self):
         assert self.run("validate-config", "--config", "/nonexistent.cfg") == 3

@@ -183,7 +183,8 @@ def cmd_ep_locate(args) -> int:
     }
     _print_json(out)
     if not res.found:
-        print(res.message, file=sys.stderr)
+        print("no minimum of the discriminant lies inside the bracket",
+              file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 

@@ -24,9 +24,9 @@ carries a unit tag, e.g.::
 A ``[material]`` section (the fields of ``MaterialParams``) may replace
 ``[tls]``; the defect coupling is then derived from material data.  The
 keys and unit classes of every section are the fields of the parameter
-dataclasses and their ``unit`` metadata.  ``#`` and ``;``
-start comments.  Parse errors report the key, line number and expected
-unit class.
+dataclasses and their ``unit`` metadata.  A line ends at a newline
+(LF) only; ``#`` and ``;`` start comments.  Parse errors report the
+key, line number and expected unit class.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, float]]:
     sections: dict[str, dict[str, float]] = {}
     seen: dict = {}  # section, or (section, key) -> the line that gave it
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
             continue

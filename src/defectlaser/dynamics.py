@@ -224,7 +224,7 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
     cp = -1j * d.omega_plus - gam
     cm = -1j * d.omega_minus - gam
     cb, cs = _poles(params)
-    k, drv = 0.5j * c.kx, c.eps_l / math.sqrt(2.0)
+    k, drv = 0.5j * c.kx, c.eps_l / _SQRT2
     gd, gq = c.g_d, params.tls.tls_loss
 
     def rhs(ap, am, b, sm, sz):

@@ -185,13 +185,12 @@ class DerivedQuantities:
     x0: float          # zero-point displacement, m
     xi: float          # optomechanical frequency pull, rad/s per m
     eps_l: float       # pump amplitude, rad/s
-    omega_l: float     # pump angular frequency, rad/s
     omega_plus: float  # upper supermode detuning, rad/s
     omega_minus: float  # lower supermode detuning, rad/s
 
 
 def derive_quantities(params: SystemParams) -> DerivedQuantities:
-    """Compute x0, xi, eps_l, omega_l and the supermode detunings.
+    """Compute x0, xi, eps_l and the supermode detunings.
 
     Deterministic; identical inputs give bit-identical outputs.
     """
@@ -203,7 +202,7 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     eps_l = math.sqrt(2.0 * opt.pump_power * opt.cavity_loss / (HBAR * omega_l))
     omega_plus = -opt.pump_detuning + opt.coupling
     omega_minus = -opt.pump_detuning - opt.coupling
-    return DerivedQuantities(x0, xi, eps_l, omega_l, omega_plus, omega_minus)
+    return DerivedQuantities(x0, xi, eps_l, omega_plus, omega_minus)
 
 
 def with_value(params: SystemParams, path: str, value: float) -> SystemParams:

@@ -62,14 +62,9 @@ class SpectrumResult:
     gamma_q_min: float
     phase: str                          # below-EP | at-EP | above-EP
     eigvec_overlap: float               # |<v+|v->|, -> 1 at the EP
-
-    @property
-    def localization(self) -> float:
-        """max over eigenvectors of | |w_phonon|^2 - |w_defect|^2 |: ~0
-        below the EP, where both share phonon and defect weight equally;
-        toward 1 above it, where one localizes on each."""
-        return max(abs(self.weights_plus[0] - self.weights_plus[1]),
-                   abs(self.weights_minus[0] - self.weights_minus[1]))
+    # localization, max over v+- of |w_phonon - w_defect|: ~0 below the EP
+    # (both share the weight), toward 1 above it (each localizes)
+    L: float
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,6 @@ class EpSearchResult:
     gamma_q: float
     disc_abs: float
     found: bool
-    message: str = ""
 
 
 def discriminant(eff: EffectiveParams, gamma_q: float | None = None) -> complex:
@@ -151,7 +145,9 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
                           gap=abs(e_plus - e_minus),
                           gamma_q_EP=gq_ep,
                           gamma_q_min=turning_point(eff),
-                          phase=phase, eigvec_overlap=overlap)
+                          phase=phase, eigvec_overlap=overlap,
+                          L=max(abs(w_plus[0] - w_plus[1]),
+                                abs(w_minus[0] - w_minus[1])))
 
 
 def _eigvec(a: complex, kappa: float, d: complex, e: complex,
@@ -191,7 +187,5 @@ def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchRes
             return EpSearchResult(
                 gamma_q=gq, disc_abs=abs(discriminant(eff, gamma_q=gq)),
                 found=True)
-    return EpSearchResult(gamma_q=losses[0], disc_abs=math.nan,
-                          found=False, message="no minimum of the "
-                          "discriminant lies inside the bracket")
+    return EpSearchResult(gamma_q=losses[0], disc_abs=math.nan, found=False)
 

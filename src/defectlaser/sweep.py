@@ -208,7 +208,7 @@ def _eval_point(spec: SweepSpec, row: list, params) -> list:
                               "(needs one phonon)")
             else:
                 res = eigenvalues(EffectiveParams.at(params, n_b, g.G0))
-                values.update(vars(res), L=res.localization)
+                values.update(vars(res))
                 if (spec.ep_noted and params.tls.tls_freq
                         != params.mechanical.mech_freq):
                     errors.append("no exact EP off resonance: gamma_q_EP "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 
+from .constants import EV
 from .errors import UnitError
 
 _FREQ_SCALES = {
@@ -35,7 +36,8 @@ UNIT_CLASSES: dict[str, dict[str, float]] = {
     "length": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
     "mass": {"kg": 1.0, "g": 1e-3, "mg": 1e-6, "ug": 1e-9, "ng": 1e-12, "pg": 1e-15},
     "power": {"w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9, "pw": 1e-12},
-    "energy": {"j": 1.0, "ev": 1.602176634e-19, "mev": 1.602176634e-22},
+    # meV is its own literal: EV / 1000 is not the nearest double
+    "energy": {"j": 1.0, "ev": EV, "mev": 1.602176634e-22},
     "pressure": {"pa": 1.0, "kpa": 1e3, "mpa": 1e6, "gpa": 1e9},
     "volume": {"m^3": 1.0, "um^3": 1e-18, "nm^3": 1e-27},
 }

@@ -1,8 +1,10 @@
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from defectlaser import (MechanicalParams, OpticalParams, SystemParams,
                          TlsParams, discriminant, eigenvalues)
@@ -83,3 +85,9 @@ def assert_matches_eig(eff) -> bool:
     assert mismatch <= 1e-12, (
         f"closed form and 2x2 diagonalization disagree: {mismatch:.3e}")
     return True
+
+
+def fake_solve_ivp(monkeypatch, **result):
+    """Make scipy's solve_ivp return ``result`` without integrating."""
+    monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                        lambda *args, **kwargs: types.SimpleNamespace(**result))

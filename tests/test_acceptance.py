@@ -270,6 +270,6 @@ class TestAcceptance:
             hi = eigenvalues(EffectiveParams(
                 n_b=n_b, omega_m=OMEGA_M, omega_q=OMEGA_M,
                 gamma_m_eff=gpm, gamma_q=5.0 * gq_ep, g_d=g_d))
-            if not (lo.localization <= 1e-6 and hi.localization >= 0.5):
+            if not (lo.L <= 1e-6 and hi.L >= 0.5):
                 ok = False
         verdict("C9 phase classification", ok, f"{tested} resonant samples")

@@ -16,7 +16,8 @@ from defectlaser import (DivergenceError, IntegratorSettings,
 from defectlaser.params import derive_quantities
 from defectlaser.steadystate import coefficients
 
-from conftest import GAMMA, GAMMA_M, OMEGA_M, make_params, random_params
+from conftest import (GAMMA, GAMMA_M, OMEGA_M, fake_solve_ivp, make_params,
+                      random_params)
 
 
 def settings_for(t_final, dt_factor=0.1, stride=5):
@@ -162,6 +163,29 @@ class TestFullModel:
             assert a.times[-1] == 3200 * 3.125e-10
             fa, fb = a.column("b"), b.column("b")
             assert np.max(np.abs(fa - fb) / np.abs(fa)) < 1e-5
+
+    @pytest.mark.parametrize("t, time", [([0.0, 2e-8], 2e-8), ([], 0.0)])
+    def test_adaptive_failure_names_the_solver_message(
+            self, fig2_params, monkeypatch, t, time):
+        fake_solve_ivp(monkeypatch, success=False, message="stiff",
+                       t=np.array(t), y=np.zeros((5, len(t)), complex))
+        with pytest.raises(DivergenceError) as exc:
+            integrate_full(fig2_params, None, IntegratorSettings(
+                dt=1e-10, t_final=1e-7, method="dop853"))
+        assert str(exc.value) == "adaptive integration failed: stiff"
+        assert exc.value.time == time and exc.value.partial is None
+
+    def test_adaptive_non_finite_state_raises_at_the_last_time(
+            self, fig2_params, monkeypatch):
+        y = np.zeros((5, 2), complex)
+        y[2, 1] = complex(math.inf, 0.0)
+        fake_solve_ivp(monkeypatch, success=True, message="done",
+                       t=np.array([0.0, 3e-8]), y=y)
+        with pytest.raises(DivergenceError) as exc:
+            integrate_full(fig2_params, None, IntegratorSettings(
+                dt=1e-10, t_final=1e-7, method="dop853"))
+        assert str(exc.value) == "non-finite state at t = 3e-08 s"
+        assert exc.value.time == 3e-8 and exc.value.partial is None
 
     def test_growth_matches_exact_linearization(self, fig2_params):
         """Dynamics oracle: the windowed growth rate equals the exact

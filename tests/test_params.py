@@ -127,8 +127,6 @@ class TestDerivedQuantities:
         assert d.x0 == pytest.approx(8.4691576570052179e-17, rel=1e-14)
         assert d.xi == pytest.approx(3.5149413457555368e19, rel=1e-14)
         assert d.eps_l == pytest.approx(31711282170.024555, rel=1e-14)
-        assert d.omega_l == fig2_params.optical.cavity_freq \
-            + fig2_params.optical.pump_detuning
 
     def test_pure_function(self, fig2_params):
         a = derive_quantities(fig2_params)

@@ -336,7 +336,7 @@ class TestPhase:
         assert r.phase == "below-EP"
         assert r.weights_plus[0] == pytest.approx(0.5, abs=1e-9)
         assert r.weights_minus[0] == pytest.approx(0.5, abs=1e-9)
-        assert r.localization <= 1e-9
+        assert r.L <= 1e-9
 
     def test_localized_above_ep(self):
         e = eff(n_b=4.0, gamma_m_eff=0.5e6, g_d=1e6)
@@ -345,7 +345,7 @@ class TestPhase:
             n_b=4.0, omega_m=WM, omega_q=WM, gamma_m_eff=0.5e6,
             gamma_q=10.0 * gq_ep, g_d=1e6))
         assert r.phase == "above-EP"
-        assert r.localization > 0.9
+        assert r.L > 0.9
         # one branch phonon-dominated, the other defect-dominated
         weights = sorted([r.weights_plus[0], r.weights_minus[0]])
         assert weights[0] < 0.1 and weights[1] > 0.9
@@ -364,7 +364,7 @@ class TestPhase:
             r = eigenvalues(EffectiveParams(
                 n_b=2.0, omega_m=WM, omega_q=WM, gamma_m_eff=0.2e6,
                 gamma_q=f * gq_ep, g_d=1e6))
-            locs.append(r.localization)
+            locs.append(r.L)
         assert all(b > a for a, b in zip(locs, locs[1:]))
 
 

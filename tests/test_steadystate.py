@@ -263,6 +263,15 @@ class TestFixedPoint:
         assert r.residual == 3.5762786865234375e-07
         assert r.iterations == 77
 
+    def test_unclosed_bracket_is_reported(self, fig2_params, monkeypatch):
+        """A map that is infinite everywhere leaves no n with N_b(G(n)) < n,
+        so the bracket top grows past 1e300 and the solve reports that."""
+        monkeypatch.setattr(steadystate.GainCoefficients, "terms",
+                            lambda self, n: (math.inf,))
+        r = solve_nb_fixed_point(fig2_params)
+        assert r.method == "bisection" and r.converged is False
+        assert r.n_b_star > 1e300 and r.residual == math.inf
+
     def test_negative_start_rejected(self, fig2_params):
         with pytest.raises(ValueError):
             solve_nb_fixed_point(fig2_params, n_b0=-1.0)

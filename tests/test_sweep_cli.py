@@ -18,7 +18,7 @@ from defectlaser.config import (load_config, params_from_config,
                                 params_to_config)
 from defectlaser.presets import FIGURE_PRESETS, base_params
 
-from conftest import GAMMA, OMEGA_M, make_params
+from conftest import GAMMA, OMEGA_M, fake_solve_ivp, make_params
 
 #: a matplotlib.pyplot with just what the generated plot scripts call
 PYPLOT_STUB = """
@@ -1232,6 +1232,17 @@ tls_loss              = 6.43 MHz
         err = capsys.readouterr().err
         assert err == "error: adaptive integration failed: stiff\n"
         assert not list(tmp_path.iterdir())
+
+    def test_integrate_solver_failure_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch):
+        fake_solve_ivp(monkeypatch, success=False, message="stiff",
+                       t=np.array([0.0, 1e-7]), y=np.zeros((5, 2), complex))
+        out = tmp_path / "out"
+        code = self.run("integrate", "--method", "dop853", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: adaptive integration failed: stiff\n"
+        assert not out.exists()
 
     def test_preset_subcommand(self, tmp_path):
         code = self.run("preset", "fig2a", "--out", str(tmp_path),

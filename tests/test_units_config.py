@@ -143,6 +143,19 @@ class TestConfig:
         assert exc.value.line == 3
         assert "angular_rate" in str(exc.value)
 
+    @pytest.mark.parametrize("mark", ["\x0c", "\u2028"])
+    def test_a_line_ends_at_newline_only(self, mark):
+        # a form feed or line separator inside a comment starts no line
+        bad = f"[optical]\n# note{mark} page\ncavity_loss = 6.43 parsecs\n"
+        with pytest.raises(ConfigError) as exc:
+            params_from_config(bad)
+        assert (exc.value.key, exc.value.line) == ("cavity_loss", 3)
+
+    def test_crlf_line_ends_keep_the_line_numbers(self):
+        with pytest.raises(ConfigError) as exc:
+            params_from_config("[optical]\r\ncavity_loss = 6.43 parsecs\r\n")
+        assert (exc.value.key, exc.value.line) == ("cavity_loss", 2)
+
     def test_repeated_key_names_both_lines(self):
         text = FIG2_CONFIG.replace("pump_detuning = 73.513268093 MHz\n",
                                    "pump_detuning = 73.513268093 MHz\n"

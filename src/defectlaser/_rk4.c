@@ -5,10 +5,8 @@
    3.11 evaluates them, so every trajectory is bit-identical to the Python
    loop (the tests pin this against the loop on the running interpreter):
 
-   - operations run left to right, one rounding each (build with
-     -ffp-contract=off, so no multiply-add is fused);
-   - a float operand of a complex operation is promoted to (x, 0.0) and the
-     operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or _Py_c_quot;
+   - operations run left to right, one rounding each, with CPython's
+     complex arithmetic (_cx.h);
    - every component steps as a complex number.  sigma_z and the reduced
      delta_n, floats in Python, enter as (x, +0.0) and rhs returns F(x'):
      with h > 0, mul(F(hh), k) = (hh x' - 0.0 0.0, hh 0.0 + 0.0 x') =
@@ -35,46 +33,9 @@
    singular supermode elimination): the caller then replays the Python
    loop, which raises the same exception. */
 
-#include <math.h>
 #include <stdint.h>
 
-#define INLINE static inline __attribute__((always_inline))
-
-typedef struct { double re, im; } cx;
-
-INLINE cx C(double re, double im) { cx r; r.re = re; r.im = im; return r; }
-INLINE cx F(double x) { return C(x, 0.0); } /* float operand, promoted */
-INLINE cx add(cx a, cx b) { return C(a.re + b.re, a.im + b.im); }
-INLINE cx sub(cx a, cx b) { return C(a.re - b.re, a.im - b.im); }
-INLINE cx mul(cx a, cx b)
-{
-    return C(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re);
-}
-INLINE cx conj_(cx a) { return C(a.re, -a.im); }
-
-/* _Py_c_quot without its zero-divisor branch, which no caller reaches.
-   Every divisor is (sqrt 2, 0) or sqrt 8 (alpha - 2i gamma Delta), and
-   the latter only after alpha^2 + 4 Delta^2 gamma^2 != 0 has passed: if
-   alpha != 0 its real part sqrt 8 alpha is nonzero (sqrt 8 > 1, so it
-   cannot underflow); if alpha = 0 the check gives 4 Delta^2 gamma^2 != 0,
-   so 2 gamma Delta and the imaginary part are nonzero.  A NaN divisor
-   takes the last branch, as in CPython. */
-INLINE cx quot(cx a, cx b)
-{
-    const double abs_br = b.re < 0 ? -b.re : b.re;
-    const double abs_bi = b.im < 0 ? -b.im : b.im;
-    if (abs_br >= abs_bi) {
-        const double ratio = b.im / b.re;
-        const double denom = b.re + b.im * ratio;
-        return C((a.re + a.im * ratio) / denom, (a.im - a.re * ratio) / denom);
-    }
-    if (abs_bi >= abs_br) {
-        const double ratio = b.re / b.im;
-        const double denom = b.re * ratio + b.im;
-        return C((a.re * ratio + a.im) / denom, (a.im * ratio - a.re) / denom);
-    }
-    return C(NAN, NAN);
-}
+#include "_cx.h"
 
 static const cx I = {0.0, 1.0};
 

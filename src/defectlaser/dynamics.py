@@ -27,10 +27,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -352,42 +350,15 @@ def _run_rk4(rhs, y0, h, n_steps, stride, states) -> int:
     return n_steps
 
 
-def _kernel_cmd() -> list[str]:
-    """The compiler command that builds ``_rk4.c``, before the source and
-    output paths; its header says why each floating-point flag is needed."""
-    import sysconfig
-    return [*(sysconfig.get_config_var("CC") or "cc").split(), "-O3",
-            "-ffp-contract=off", "-fPIC", "-shared"]
-
-
 @functools.cache
 def _kernel():
-    """``_rk4.c``, built once into ``__pycache__``, or None and a warning."""
+    """``_rk4.c`` (``_kernels.load_kernel``), or None and a warning."""
     import ctypes
-    import zlib
-    src = Path(__file__).resolve().with_name("_rk4.c")
-    cmd = _kernel_cmd()
-    try:
-        key = zlib.crc32(src.read_bytes() + " ".join(cmd).encode())
-        path = src.parent / "__pycache__" / f"_rk4.{key:08x}.so"
-        if not path.exists():
-            import subprocess
-            path.parent.mkdir(exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            if subprocess.run([*cmd, str(src), "-o", str(tmp)],
-                              capture_output=True).returncode:
-                raise OSError(f"{cmd[0]} could not build {src.name}")
-            os.replace(tmp, path)
-        lib = ctypes.CDLL(str(path))
-    except OSError as err:
-        warnings.warn(f"RK4 runs in Python: no C kernel ({err})",
-                      RuntimeWarning, stacklevel=5)
-        return None
+    from ._kernels import load_kernel
     cx = np.ctypeslib.ndpointer(complex, flags="C")
-    lib.integrate.argtypes = [ctypes.c_int, cx, cx, ctypes.c_double,
-                              ctypes.c_int64, ctypes.c_int64, cx]
-    lib.integrate.restype = ctypes.c_int64
-    return lib
+    return load_kernel("_rk4.c", "integrate", (
+        ctypes.c_int64, ctypes.c_int, cx, cx, ctypes.c_double, ctypes.c_int64,
+        ctypes.c_int64, cx), "RK4 runs in Python", 4)
 
 
 def _run_adaptive(rhs, y0, times) -> np.ndarray:

@@ -18,14 +18,16 @@ The closed forms depend on the phonon number n_b only through alpha(n_b)
 and the defect denominator.  ``coefficients`` hoists everything else into
 a ``GainCoefficients`` bundle, cached on the (frozen) parameter object,
 and ``GainCoefficients.terms`` evaluates G and N_b at one n_b.  ``gain``
-and ``solve_nb_fixed_point``, which closes the loop n_b = N_b(G(n_b))
-self-consistently, both read that one evaluation.
+reads it; ``solve_nb_fixed_point`` closes the loop n_b = N_b(G(n_b)) on
+its C transcription (``_fixed_point.c``), bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .constants import HBAR
@@ -36,6 +38,7 @@ _EXP_MAX = 700.0  # exp overflow guard; beyond this N_b is reported as inf
 _RELAXATION = 0.5  # damping eta of the fixed-point iteration
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = 2.0 * _SQRT2
+_ROOM = array("d", bytes(8 * (5 + 2400)))  # the kernel's outputs, history
 _SINGULAR_SUPERMODES = ("alpha^2 + 4 Delta^2 gamma^2 vanished; supermode "
                         "elimination is singular (requires gamma = 0 and "
                         "alpha = 0)")
@@ -297,15 +300,28 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     eightfold until N_b(G(hi)) < hi and halved down to adjacent floats,
     with no step cap.  Genuine non-convergence is reported, not raised.
 
-    The coefficient bundle is shared with ``gain``; each step evaluates
-    only ``GainCoefficients.terms``, the same evaluation ``gain`` reports,
-    so N_b(G(n)) here equals ``gain(params, n).N_b`` bit for bit.
+    Each step evaluates N_b(G(n)) as ``gain(params, n).N_b``, bit for bit.
+    ``_fixed_point.c`` runs this loop, transcribed; the loop below runs
+    without a kernel and replays where the kernel returns 0 (README).
     """
     if not 0.0 <= n_b0 < math.inf:
         raise InvalidParameterError("n_b0 must be >= 0 and finite")
     if max_iter < 1 or not 0.0 < tol < math.inf:
         raise InvalidParameterError("max_iter must be >= 1 and tol > 0 finite")
-    terms = coefficients(params).terms
+    c = coefficients(params)
+    if (type(n_b0) is type(tol) is float and type(max_iter) is int
+            and max_iter < 2 ** 63 and (lib := _kernel())):
+        w = array("d", (c.alpha0, c.alpha_n, c.dg2, c.dg_im.real,
+                        c.dg_im.imag, c.num_plus.real, c.num_plus.imag,
+                        c.num_minus.real, c.num_minus.imag, c.g0, c.g0_pump,
+                        c.g_d, c.tls_den0, c.tls_den_n, c.gd_num, c.gamma_m,
+                        _SQRT8)) + _ROOM
+        if k := lib.fixed_point(w.buffer_info()[0], n_b0, tol, max_iter,
+                                len(_ROOM) - 5):
+            return FixedPointReport(
+                w[17], int(w[19]), w[18], w[20] == 1.0, tuple(w[22:22 + k]),
+                "bisection" if w[21] else "damped")
+    terms = c.terms
     evaluations = 0
     history = [n_b0]
 
@@ -363,3 +379,13 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         history.append(mid)
     evaluations += 1
     return report(mid, terms(mid)[-1], "bisection")
+
+
+@functools.cache
+def _kernel():
+    """``_fixed_point.c`` (``_kernels.load_kernel``), or None and a warning."""
+    import ctypes
+    from ._kernels import load_kernel
+    return load_kernel("_fixed_point.c", "fixed_point", (
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_int64), "the fixed point runs in Python", 3)

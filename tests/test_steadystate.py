@@ -1,9 +1,13 @@
 import cmath
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
 import pickle
+import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -265,7 +269,9 @@ class TestFixedPoint:
 
     def test_unclosed_bracket_is_reported(self, fig2_params, monkeypatch):
         """A map that is infinite everywhere leaves no n with N_b(G(n)) < n,
-        so the bracket top grows past 1e300 and the solve reports that."""
+        so the bracket top grows past 1e300 and the solve reports that.
+        The kernel never calls ``terms``, so the Python loop runs."""
+        monkeypatch.setattr(steadystate, "_kernel", lambda: None)
         monkeypatch.setattr(steadystate.GainCoefficients, "terms",
                             lambda self, n: (math.inf,))
         r = solve_nb_fixed_point(fig2_params)
@@ -414,12 +420,138 @@ class TestGainKernel:
             calls.append(n)
             return terms(self, n)
 
+        # the kernel never calls terms: count the Python loop's calls
+        monkeypatch.setattr(steadystate, "_kernel", lambda: None)
         monkeypatch.setattr(steadystate.GainCoefficients, "terms", counted)
         p = with_value(fig2_params, "optical.pump_power", pump_power)
         r = solve_nb_fixed_point(p)
         assert r.converged
         assert r.method == ("damped" if pump_power == 10e-6 else "bisection")
         assert r.iterations == len(calls) - 1 >= 0
+
+
+def report_bits(r):
+    """Every field of a ``FixedPointReport``, each float as float.hex."""
+    return (r.n_b_star.hex(), r.iterations, r.residual.hex(), r.converged,
+            r.method, [x.hex() for x in r.history])
+
+
+@pytest.fixture
+def kernel_returns(monkeypatch):
+    """What each call of ``_fixed_point.c``'s entry returns (0: replay)."""
+    lib = steadystate._kernel()
+    assert lib is not None
+    entry, returns = lib.fixed_point, []
+    monkeypatch.setattr(lib, "fixed_point",
+                        lambda *args: returns.append(entry(*args))
+                        or returns[-1])
+    return returns
+
+
+def python_loop(monkeypatch, p, **kwargs):
+    """The same solve through the Python loop, the kernel's oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(steadystate, "_kernel", lambda: None)
+        return solve_nb_fixed_point(p, **kwargs)
+
+
+class TestFixedPointKernel:
+    """``_fixed_point.c`` against the Python loop: equal bits."""
+
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    def test_bit_identical_to_python_loop(self, monkeypatch, kernel_returns,
+                                          fig2_params):
+        # 2400 random points at 1, 10 and 100 times their pump with random
+        # n_b0, tol and max_iter; then the 1 mW map that is infinite at 0,
+        # the three-root point after one damped step, and the 20 uW exact
+        # cycle
+        rng = np.random.default_rng(28)
+        cases = []
+        for i in range(2400):
+            p = random_params(rng)
+            p = with_value(p, "optical.pump_power",
+                           p.optical.pump_power * (1.0, 10.0, 100.0)[i % 3])
+            cases.append((p, {
+                "n_b0": 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-3, 9),
+                "tol": 10.0 ** rng.uniform(-13, -6),
+                "max_iter": int(rng.integers(1, 300))}))
+        cases += [
+            (with_value(fig2_params, "optical.pump_power", 1e-3), {}),
+            (with_value(fig2_params, "tls.tls_loss", 3.2e5), {"max_iter": 1}),
+            (with_value(fig2_params, "optical.pump_power", 20e-6), {})]
+        methods = []
+        for p, kwargs in cases:
+            c = solve_nb_fixed_point(p, **kwargs)
+            py = python_loop(monkeypatch, p, **kwargs)
+            assert report_bits(c) == report_bits(py), (p, kwargs)
+            methods.append(c.method)
+        # the kernel answered every solve, none was replayed
+        assert len(kernel_returns) == len(cases) and min(kernel_returns) > 0
+        assert methods.count("bisection") >= 100
+        assert c.iterations == 77  # after the cycle exit (272 without)
+
+    @pytest.mark.parametrize("case", ["singular", "abs", "square"])
+    def test_raising_point_replays_the_same_error(self, monkeypatch,
+                                                  kernel_returns, fig2_params,
+                                                  case):
+        """Where the map raises, the kernel returns 0 and the loop raises.
+        The two overflows come from a bundle patched into the cache: at
+        alpha = 0.1 a numerator of 3.7e307 (1 + i) makes abs(a+) overflow,
+        and one of 1e200 makes abs(a+) ** 2 overflow."""
+        if case == "singular":  # alpha = 0, 4 Delta^2 gamma^2 underflows
+            p = make_params(gamma=1e-90, pump_detuning=1e-90, coupling_j=0.0)
+        else:
+            p = fig2_params
+            p.__dict__["_coefficients"] = dataclasses.replace(
+                coefficients(p), alpha0=0.1, alpha_n=0.0, dg2=0.0, dg_im=0j,
+                num_plus=complex(3.7e307, 3.7e307) if case == "abs"
+                else complex(1e200, 0.0))
+        raised = []
+        for solve in (solve_nb_fixed_point, functools.partial(
+                python_loop, monkeypatch)):
+            with pytest.raises((SingularParameterError, OverflowError)) as err:
+                solve(p)
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1] and kernel_returns == [0]
+        assert (raised[0][0] is OverflowError) == (case != "singular")
+
+    def test_history_overflow_replays_the_same_report(self, monkeypatch,
+                                                      kernel_returns,
+                                                      fig2_params):
+        # room for 5 history entries, where the solve keeps 10
+        monkeypatch.setattr(steadystate, "_ROOM", array("d", bytes(80)))
+        c = solve_nb_fixed_point(fig2_params)
+        assert len(c.history) > 5 and kernel_returns == [0]
+        assert report_bits(c) == report_bits(
+            python_loop(monkeypatch, fig2_params))
+
+    def test_inputs_it_cannot_take_go_to_the_loop(self, kernel_returns,
+                                                  fig2_params):
+        # beyond int64, an int n_b0 (history keeps the int): no kernel call
+        for kwargs in ({"max_iter": 2 ** 64 + 200}, {"n_b0": 0}):
+            r = solve_nb_fixed_point(fig2_params, **kwargs)
+            assert r.converged and type(r.history[0]) is type(
+                kwargs.get("n_b0", 0.0))
+        assert kernel_returns == []
+
+    def test_fallback_warns_once_and_gives_the_same_bits(self, monkeypatch,
+                                                          fig2_params):
+        p = with_value(fig2_params, "optical.pump_power", 20e-6)
+        c = solve_nb_fixed_point(p)
+
+        def unloadable(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        monkeypatch.setattr(steadystate, "_kernel",
+                            functools.cache(steadystate._kernel.__wrapped__))
+        with pytest.warns(RuntimeWarning,
+                          match="the fixed point runs in Python"):
+            py = solve_nb_fixed_point(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = solve_nb_fixed_point(p)  # no second warning
+        assert report_bits(c) == report_bits(py) == report_bits(again)
 
 
 class TestCoefficientCache:

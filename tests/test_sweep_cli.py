@@ -1222,7 +1222,7 @@ tls_loss              = 6.43 MHz
             self, tmp_path, capsys, monkeypatch):
         # a failed adaptive step has no finite prefix: name the solver's
         # message, not a prefix that is never written
-        def failed(rhs, y0, settings):
+        def failed(rhs, y0, times):
             raise DivergenceError(1e-7, "adaptive integration failed: stiff")
 
         monkeypatch.setattr(dynamics, "_run_adaptive", failed)
@@ -1364,6 +1364,22 @@ tls_loss              = 6.43 MHz
                   "if m == 'scipy' or m.startswith('scipy.')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_kernel(self):
+        # (fixed-point kernel, RK4 kernel) loads: none at import, then
+        # the first solve loads its own
+        proc = self.run_child(
+            "-c", "import defectlaser, defectlaser.cli\n"
+                  "from defectlaser import dynamics, steadystate\n"
+                  "from defectlaser.presets import base_params\n"
+                  "def loaded():\n"
+                  "    return (steadystate._kernel.cache_info().currsize,\n"
+                  "            dynamics._kernel.cache_info().currsize)\n"
+                  "before = loaded()\n"
+                  "defectlaser.solve_nb_fixed_point(base_params())\n"
+                  "print(before, loaded())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "(0, 0) (1, 0)"
 
     def test_benchmark_self_tests_pass(self):
         """The benchmark's own checks run here too: they pin one ``gain``

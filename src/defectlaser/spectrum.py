@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError, SingularParameterError
 from .params import SystemParams
 
@@ -134,7 +132,13 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     kappa = eff.g_d * math.sqrt(eff.n_b)
     w_plus, v_plus = _eigvec(a, kappa, d, e_plus, (1.0, 0.0))
     w_minus, v_minus = _eigvec(a, kappa, d, e_minus, (0.0, 1.0))
-    overlap = abs(np.vdot(v_plus, v_minus))
+    # <v+|v->, rounded as numpy's vdot (OpenBLAS zdotc) rounded it
+    (a0, a1), (c0, c1) = v_plus, v_minus
+    overlap = abs(complex(
+        _fma(a1.real, c1.real, a0.real * c0.real)
+        + _fma(a1.imag, c1.imag, a0.imag * c0.imag),
+        _fma(a1.real, c1.imag, a0.real * c0.imag)
+        - _fma(a1.imag, c1.real, a0.imag * c0.real)))
 
     gq_ep = _ep_losses(eff)[0]
     phase = ("at-EP" if abs(eff.gamma_q - gq_ep) <= 1e-9 * eff.omega_m
@@ -151,24 +155,46 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
 
 
 def _eigvec(a: complex, kappa: float, d: complex, e: complex,
-            basis: tuple) -> tuple[tuple[float, float], np.ndarray]:
+            basis: tuple) -> tuple[tuple[float, float], tuple]:
     """Normalized eigenvector for eigenvalue e; stable at degeneracy.  Where
     M - e is zero (kappa = 0, a = d = e) it is the basis vector ``basis``."""
     # (M - e) v = 0 for a 2x2: use the better-conditioned row
     r1 = (kappa, e - a)
     r2 = (e - d, kappa)
-    v = np.array(r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1])
-                 else r2, dtype=complex)
-    with np.errstate(over="ignore"):  # overflow is raised just below
-        norm = np.linalg.norm(v)
+    x, y = (r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1])
+            else r2)
+    # np.linalg.norm's sqrt(ddot(re) + ddot(im)), whose OpenBLAS ddot
+    # fused the second product; an overflow gives inf, raised just below
+    norm = math.sqrt(_fma(y.real, y.real, x.real * x.real)
+                     + _fma(y.imag, y.imag, x.imag * x.imag))
     if not math.isfinite(norm):
         raise SingularParameterError(
             "an eigenvector's norm leaves the floating-point range")
     if norm == 0.0:
-        v = np.array(basis, dtype=complex)
-        norm = 1.0
-    v = v / norm
-    return (abs(v[0]) ** 2, abs(v[1]) ** 2), v
+        (x, y), norm = basis, 1.0
+    s = 1.0 / norm
+    x, y = x * s, y * s
+    return (abs(x) ** 2, abs(y) ** 2), (x, y)
+
+
+def _fma(x: float, y: float, z: float) -> float:
+    """x * y + z rounded once, as C's fma (``math.fma`` is Python 3.13+):
+    fsum adds z and the four exact products of Veltkamp's halves of x and y
+    (Dekker 1971), or a Fraction where those could overflow or underflow.
+    An inf or nan operand, or a sum past the largest double, goes unfused."""
+    p = x * y
+    if x == 0.0 or y == 0.0 or z == 0.0:  # exact x * y, or nothing to add
+        return p + z
+    try:
+        if not (1e-280 < abs(p) < 1e300 and abs(x) < 1e300 > abs(y)):
+            from fractions import Fraction  # rare: spare every run its import
+            return float(Fraction(x) * Fraction(y) + Fraction(z))
+        c, d = 134217729.0 * x, 134217729.0 * y  # 2**27 + 1
+        xh, yh = c - (c - x), d - (d - y)
+        xl, yl = x - xh, y - yh
+        return math.fsum((xh * yh, xh * yl, xl * yh, xl * yl, z))
+    except (OverflowError, ValueError):
+        return p + z
 
 
 def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchResult:

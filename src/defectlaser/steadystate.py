@@ -308,9 +308,12 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         raise InvalidParameterError("n_b0 must be >= 0 and finite")
     if max_iter < 1 or not 0.0 < tol < math.inf:
         raise InvalidParameterError("max_iter must be >= 1 and tol > 0 finite")
+    try:  # the report holds floats; an int past 1.8e308 has no double
+        n_b0, tol = float(n_b0), float(tol)
+    except OverflowError:
+        raise InvalidParameterError("n_b0 and tol must fit a double") from None
     c = coefficients(params)
-    if (type(n_b0) is type(tol) is float and type(max_iter) is int
-            and max_iter < 2 ** 63 and (lib := _kernel())):
+    if type(max_iter) is int and max_iter < 2 ** 63 and (lib := _kernel()):
         w = array("d", (c.alpha0, c.alpha_n, c.dg2, c.dg_im.real,
                         c.dg_im.imag, c.num_plus.real, c.num_plus.imag,
                         c.num_minus.real, c.num_minus.imag, c.g0, c.g0_pump,

@@ -1,6 +1,10 @@
+import cmath
 import dataclasses
+import hashlib
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from defectlaser import (EffectiveParams, InvalidParameterError,
                          SingularParameterError, SweepAxis, SweepSpec,
                          discriminant, eigenvalues, gain, gamma_q_ep_resonant,
                          locate_ep, preset, run_sweep, solve_nb_fixed_point,
-                         turning_point, with_value)
+                         spectrum, turning_point, with_value)
+from defectlaser.cli import main as cli_main
 
 from conftest import GAMMA, OMEGA_M, assert_matches_eig, make_params
 
@@ -140,13 +145,160 @@ class TestEigenvalues:
 
     def test_non_finite_eigenvector_norm_raises(self):
         # finite eigenvalues near 1e154 whose eigenvector's squared norm
-        # overflows in np.linalg.norm: the error, and no numpy warning
+        # overflows: the error, and no warning
         e = EffectiveParams(n_b=1.0, omega_m=WM, omega_q=0.9e154,
                             gamma_m_eff=0.0, gamma_q=0.9e154, g_d=6.5e153)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularParameterError, match="eigenvector"):
                 eigenvalues(e)
+
+
+def fraction_fma(x, y, z):
+    """x * y + z rounded once: the exact rational sum, then one rounding."""
+    exact = Fraction(x) * Fraction(y) + Fraction(z)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def same_float(a, b):
+    # zeros compare by value: the rational oracle carries no sign of zero
+    return a == b == 0.0 or a.hex() == b.hex()
+
+
+class TestFma:
+    """``spectrum._fma`` rounds x * y + z once, as C's fma does."""
+
+    def test_matches_the_rational_oracle(self):
+        rng = random.Random(29)
+
+        def draw(lo, hi):
+            return rng.choice((-1.0, 1.0)) * math.ldexp(
+                rng.uniform(1.0, 2.0), rng.randint(lo, hi))
+
+        ranges = (
+            ((-60, 60), (-60, 60), (-120, 120)),         # ordinary
+            ((-1074, 1023), (-1074, 1023), (-1074, 1023)),  # any exponent
+            ((-600, -400), (-600, -400), (-1074, -1000)),   # subnormal
+            ((-540, -530), (-540, -530), (-1074, -1060)),   # splits underflow
+            ((500, 520), (490, 520), (1000, 1023)))         # near overflow
+        for i in range(25_000):
+            if i % 6 == 5:  # z cancels x * y to within an ulp
+                x, y = draw(-100, 100), draw(-100, 100)
+                z = -x * y * rng.choice((1.0, 1 + 2.0 ** -52, 1 - 2.0 ** -53))
+            else:
+                x, y, z = (draw(*r) for r in ranges[i % 6])
+            assert same_float(spectrum._fma(x, y, z), fraction_fma(x, y, z)), \
+                (x, y, z)
+
+    @pytest.mark.parametrize("args, expected", [
+        ((1.2e154, 1.2e154, 1e308), math.inf),  # fsum would overflow
+        ((-1.2e154, 1.2e154, -1e308), -math.inf),
+        ((1e300, 10.0, -1e300),                 # inf unfused, finite fused
+         fraction_fma(1e300, 10.0, -1e300)),
+        ((math.inf, 1.0, 1.0), math.inf),
+        ((1.0, 1.0, -math.inf), -math.inf),
+        ((math.inf, 1.0, -math.inf), math.nan),  # fsum would raise
+        ((math.nan, 1.0, 1.0), math.nan),
+        ((0.0, math.inf, 1.0), math.nan)])
+    def test_non_finite_ends_without_raising(self, args, expected):
+        got = spectrum._fma(*args)
+        assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+def numpy_spectrum(e):
+    """Every field of ``eigenvalues(e)`` as its numpy code computed them,
+    transcribed: ``np.linalg.norm`` as sqrt(ddot(re) + ddot(im)) whose
+    OpenBLAS ddot fused its second product, ``v / norm`` as v * (1 / norm)
+    per component, and ``np.vdot`` as OpenBLAS's zdotc; each fused
+    multiply-add through ``fraction_fma``."""
+    zm = e.omega_m - 1j * e.gamma_m_eff
+    zq = e.omega_q - 1j * e.gamma_q
+    center = (e.n_b - 0.5) * zm + 0.5 * zq
+    root = cmath.sqrt(discriminant(e))
+    pair = (center + 0.5 * root, center - 0.5 * root)
+    a, d = e.n_b * zm, (e.n_b - 1.0) * zm + zq
+    kappa = complex(e.g_d * math.sqrt(e.n_b))
+    vectors = []
+    for ev, basis in zip(pair, ((1.0, 0.0), (0.0, 1.0))):
+        r1, r2 = (kappa, ev - a), (ev - d, kappa)
+        x, y = (r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1])
+                else r2)
+        norm = math.sqrt(fraction_fma(y.real, y.real, x.real * x.real)
+                         + fraction_fma(y.imag, y.imag, x.imag * x.imag))
+        if norm == 0.0:
+            (x, y), norm = map(complex, basis), 1.0
+        s = 1.0 / norm
+        vectors.append(tuple(complex(c.real * s, c.imag * s) for c in (x, y)))
+    (a0, a1), (c0, c1) = vectors
+    dot = complex(fraction_fma(a1.real, c1.real, a0.real * c0.real)
+                  + fraction_fma(a1.imag, c1.imag, a0.imag * c0.imag),
+                  fraction_fma(a1.real, c1.imag, a0.real * c0.imag)
+                  - fraction_fma(a1.imag, c1.real, a0.imag * c0.real))
+    weights = [(abs(x) ** 2, abs(y) ** 2) for x, y in vectors]
+    gq_ep = spectrum._ep_losses(e)[0]
+    return dict(
+        E_plus=pair[0], E_minus=pair[1], weights_plus=weights[0],
+        weights_minus=weights[1], gap=abs(pair[0] - pair[1]),
+        gamma_q_EP=gq_ep, gamma_q_min=turning_point(e),
+        phase=("at-EP" if abs(e.gamma_q - gq_ep) <= 1e-9 * e.omega_m
+               else "below-EP" if e.gamma_q < gq_ep else "above-EP"),
+        eigvec_overlap=abs(dot),
+        L=max(abs(w[0] - w[1]) for w in weights))
+
+
+def field_bits(value):
+    if isinstance(value, tuple):
+        return tuple(map(field_bits, value))
+    if isinstance(value, complex):
+        return field_bits((value.real, value.imag))
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_every_field_keeps_numpys_bits():
+    """20k seeded blocks, on and off resonance, n_b from 1 to 1e12, at and
+    around the EP, and uncoupled (kappa = 0, degenerate or not): every
+    field equals the numpy transcription's by float.hex."""
+    rng = random.Random(15)
+    checked = degenerate = 0
+    while checked < 20_000:
+        kind = checked % 10  # 0: kappa = 0 and a = d, 1: kappa = 0, 2: EP
+        n_b = 1.0 if kind == 0 else 10.0 ** rng.uniform(0.0, 12.0)
+        g_d = 0.0 if kind < 2 else 10.0 ** rng.uniform(3.0, 7.0)
+        gme = rng.uniform(-1.0, 2.0) * (2.0 * math.sqrt(n_b) * g_d + 1e6)
+        omega_q = WM if checked % 2 == 0 else WM * (1 + rng.uniform(-0.1, 0.1))
+        probe = eff(n_b=n_b, omega_q=omega_q, gamma_m_eff=gme, g_d=g_d)
+        gq_ep = spectrum._ep_losses(probe)[0]
+        gq = (gme if kind == 0 else gq_ep if kind == 2
+              else gq_ep * rng.uniform(0.0, 3.0))
+        if gq < 0.0:
+            continue
+        e = dataclasses.replace(probe, gamma_q=gq)
+        got = eigenvalues(e)
+        assert field_bits(vars(got)) == field_bits(numpy_spectrum(e)), e
+        checked += 1
+        degenerate += got.weights_minus == (0.0, 1.0) and kind == 0
+    assert degenerate == 2000  # the defect's basis vector, not the phonon's
+
+
+#: sha256 prefixes of ``spectrum-sweep --axis tls.tls_loss:1e6:2e6:2
+#: --mode fixed-nb:N`` as the numpy code wrote it: finite eigenvalues near
+#: 1e288 and 1e298, then the overflow of 1e300 as the row's error
+HUGE_NB_CSV_SHA256 = {"1e280": "64f6164e5a5e", "1e290": "bfb773efa5d0",
+                      "1e300": "a72c90218507"}
+
+
+@pytest.mark.parametrize("n_b", sorted(HUGE_NB_CSV_SHA256))
+def test_huge_phonon_numbers_write_the_same_rows(tmp_path, n_b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["spectrum-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                         "--mode", f"fixed-nb:{n_b}", "--out", str(tmp_path),
+                         "--format", "csv"]) == 0
+    data = (tmp_path / "spectrum-sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:12] == HUGE_NB_CSV_SHA256[n_b]
 
 
 class TestLocateEp:

@@ -527,12 +527,22 @@ class TestFixedPointKernel:
 
     def test_inputs_it_cannot_take_go_to_the_loop(self, kernel_returns,
                                                   fig2_params):
-        # beyond int64, an int n_b0 (history keeps the int): no kernel call
-        for kwargs in ({"max_iter": 2 ** 64 + 200}, {"n_b0": 0}):
-            r = solve_nb_fixed_point(fig2_params, **kwargs)
-            assert r.converged and type(r.history[0]) is type(
-                kwargs.get("n_b0", 0.0))
+        # a max_iter beyond int64: no kernel call
+        r = solve_nb_fixed_point(fig2_params, max_iter=2 ** 64 + 200)
+        assert r.converged and type(r.history[0]) is float
         assert kernel_returns == []
+        # an int n_b0 is made a float first: one kernel call, same bits
+        r = solve_nb_fixed_point(fig2_params, n_b0=0)
+        assert type(r.history[0]) is float and kernel_returns == [len(
+            r.history)]
+        assert report_bits(r) == report_bits(
+            solve_nb_fixed_point(fig2_params, n_b0=0.0))
+
+    @pytest.mark.parametrize("kwargs", [{"n_b0": 10 ** 400},
+                                        {"tol": 10 ** 400}])
+    def test_int_past_the_doubles_is_invalid(self, kwargs, fig2_params):
+        with pytest.raises(InvalidParameterError, match="fit a double"):
+            solve_nb_fixed_point(fig2_params, **kwargs)
 
     def test_fallback_warns_once_and_gives_the_same_bits(self, monkeypatch,
                                                           fig2_params):

@@ -1346,7 +1346,7 @@ tls_loss              = 6.43 MHz
         assert self.run(*argv, "--out", str(tmp_path), "--format", "csv") == 0
         assert built == [expected(cfg)]
 
-    def run_child(self, *argv):
+    def run_child(self, *argv, **env):
         import defectlaser
         # the child imports the package this process imported, installed
         # or run from a checkout
@@ -1355,7 +1355,26 @@ tls_loss              = 6.43 MHz
             filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run([sys.executable, *argv],
                               capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
+                              env=dict(os.environ, PYTHONPATH=path, **env))
+
+    def test_preset_pins_hold_on_another_blas_kernel(self):
+        """fig4's `L` column took its last bits from numpy's BLAS while
+        the spectrum normalized with numpy: OpenBLAS's Nehalem kernels
+        (which run on any x86_64) gave fig4 sha256 721bfa1057a8.  The
+        spectrum now rounds in scalar code, so the pins hold there too."""
+        proc = self.run_child(
+            "-c", "import hashlib, json\n"
+                  "from defectlaser import preset, run_sweep\n"
+                  "for name in ('fig4', 'fig5'):\n"
+                  "    t = run_sweep(preset(name))\n"
+                  "    print(name, *(hashlib.sha256(x.encode()).hexdigest()"
+                  "[:12] for x in (t.to_csv_text(), json.dumps("
+                  "t.provenance, sort_keys=True))))",
+            OPENBLAS_CORETYPE="Nehalem")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{name} {' '.join(PRESET_CSV_SHA256[name])}"
+            for name in ("fig4", "fig5")]
 
     def test_import_loads_no_scipy(self):
         proc = self.run_child(

@@ -76,7 +76,11 @@ def discriminant(eff: EffectiveParams, gamma_q: float | None = None) -> complex:
     """4 n_b g_d^2 + [omega_q - omega_m - i(gamma_q - gamma_m_eff)]^2."""
     gq = eff.gamma_q if gamma_q is None else gamma_q
     z = eff.omega_q - eff.omega_m - 1j * (gq - eff.gamma_m_eff)
-    return 4.0 * eff.n_b * eff.g_d ** 2 + z * z
+    try:  # g_d ** 2 raises past g_d ~ 1.3e154
+        return 4.0 * eff.n_b * eff.g_d ** 2 + z * z
+    except OverflowError:
+        raise SingularParameterError(f"the spectrum at n_b = {eff.n_b:.3g} "
+                                     "leaves the floating-point range") from None
 
 
 def gamma_q_ep_resonant(eff: EffectiveParams) -> float:

@@ -27,6 +27,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
+import struct
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -38,7 +41,8 @@ _EXP_MAX = 700.0  # exp overflow guard; beyond this N_b is reported as inf
 _RELAXATION = 0.5  # damping eta of the fixed-point iteration
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = 2.0 * _SQRT2
-_ROOM = array("d", bytes(8 * (5 + 2400)))  # the kernel's outputs, history
+_pack_17 = struct.Struct("17d").pack_into  # the fixed-point kernel's inputs
+_rooms = threading.local()  # its room, one per thread: ctypes frees the GIL
 _SINGULAR_SUPERMODES = ("alpha^2 + 4 Delta^2 gamma^2 vanished; supermode "
                         "elimination is singular (requires gamma = 0 and "
                         "alpha = 0)")
@@ -109,7 +113,6 @@ class GainCoefficients:
     """
 
     derived: DerivedQuantities
-    g_d: float          # defect coupling
     gamma_m: float      # mechanical loss
     eps_l: float        # pump amplitude
     eps2: float         # eps_l ** 2
@@ -126,6 +129,7 @@ class GainCoefficients:
     num_minus: complex
     g0: float           # G0 = g0 * (delta_n - g0_pump / denom_sq)
     g0_pump: float
+    g_d: float          # defect coupling, first of the five defect fields
     dq: float           # omega_q - omega_m
     tls_den0: float     # defect denominator tls_den0 + tls_den_n * n
     tls_den_n: float
@@ -183,17 +187,37 @@ class GainCoefficients:
 
 
 _OUT_OF_RANGE = "the gain's closed forms leave the floating-point range"
+# the optical and mechanical blocks of the last fresh build and its bundle;
+# strong references, so an ``is`` match is never a reused id
+_last: tuple = (None, None, None)
+_optics = operator.attrgetter(*GainCoefficients.__slots__[:17])  # to g0_pump
 
 
 def coefficients(params: SystemParams) -> GainCoefficients:
-    """Hoist every n_b-independent factor; cached in ``params.__dict__``."""
+    """Hoist every n_b-independent factor; cached in ``params.__dict__``.
+    A defect step (the last fresh build's very blocks) reuses its optics."""
     if "_coefficients" in params.__dict__:
         return params.__dict__["_coefficients"]
-    opt, tls = params.optical, params.tls
+    global _last
+    opt, mech, tls = params.optical, params.mechanical, params.tls
+    dq = tls.tls_freq - mech.mech_freq
+    last = _last  # read once: another thread may replace it
+    if last[0] is opt and last[1] is mech:
+        try:  # ** raises on overflow
+            g2, gq2 = tls.coupling ** 2, tls.tls_loss ** 2
+        except OverflowError:
+            raise SingularParameterError(_OUT_OF_RANGE) from None
+        c = GainCoefficients(*_optics(last[2]), tls.coupling, dq,
+                             gq2 + dq * dq, 2.0 * g2, -g2 * tls.tls_loss)
+        # the fields it reuses are finite; dq is by tls_den0, g_d by tls_den_n
+        if not math.isfinite(0.0 * c.tls_den0 + 0.0 * c.tls_den_n
+                             + 0.0 * c.gd_num):
+            raise SingularParameterError(_OUT_OF_RANGE)
+        params.__dict__["_coefficients"] = c
+        return c
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
-    dj = 2.0 * J - params.mechanical.mech_freq
+    dj = 2.0 * J - mech.mech_freq
     nj = dj * dj + 4.0 * gam * gam
-    dq = tls.tls_freq - params.mechanical.mech_freq
     try:  # ** raises on overflow, / on a zero divisor
         d = derive_quantities(params)
         kx = d.xi * d.x0
@@ -206,13 +230,13 @@ def coefficients(params: SystemParams) -> GainCoefficients:
     x_minus = 2j * d.omega_plus + 2.0 * gam
     b = 0j  # supermodes' numerators at b = 0, operation for operation
     c = GainCoefficients(  # positionally, in field order
-        d, tls.coupling, params.mechanical.mech_loss, d.eps_l, eps2, kx, dj, nj,
+        d, mech.mech_loss, d.eps_l, eps2, kx, dj, nj,
         J * J + gam * gam - delta * delta, 0.25 * kx * kx,  # alpha0, alpha_n
         4.0 * delta * delta * gam * gam, 2j * gam * delta,  # dg2, dg_im
         x_plus, x_minus, d.eps_l * (x_plus + 1j * kx * b),  # num_plus
         d.eps_l * (x_minus + 1j * kx * b.conjugate()),  # num_minus
         g0, delta * dj * eps2,  # g0, g0_pump
-        dq, gq2 + dq * dq, 2.0 * g2,  # dq, tls_den0, tls_den_n
+        tls.coupling, dq, gq2 + dq * dq, 2.0 * g2,  # g_d, dq, tls_den0, _n
         -g2 * tls.tls_loss)  # gd_num
     # 0.0 * x is nan unless x is finite.  The coefficients left out are
     # finite when these are: eps_l by eps2, kx by alpha_n, dj by nj, dq by
@@ -224,6 +248,7 @@ def coefficients(params: SystemParams) -> GainCoefficients:
                           + 0.0 * c.g0 + 0.0 * c.g0_pump + 0.0 * c.tls_den0
                           + 0.0 * c.tls_den_n + 0.0 * c.gd_num):
         raise SingularParameterError(_OUT_OF_RANGE)
+    _last = opt, mech, c
     params.__dict__["_coefficients"] = c
     return c
 
@@ -314,13 +339,14 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         raise InvalidParameterError("n_b0 and tol must fit a double") from None
     c = coefficients(params)
     if type(max_iter) is int and max_iter < 2 ** 63 and (lib := _kernel()):
-        w = array("d", (c.alpha0, c.alpha_n, c.dg2, c.dg_im.real,
-                        c.dg_im.imag, c.num_plus.real, c.num_plus.imag,
-                        c.num_minus.real, c.num_minus.imag, c.g0, c.g0_pump,
-                        c.g_d, c.tls_den0, c.tls_den_n, c.gd_num, c.gamma_m,
-                        _SQRT8)) + _ROOM
+        if (w := getattr(_rooms, "w", None)) is None:  # 17 in, 5 out, history
+            w = _rooms.w = array("d", bytes(8 * (17 + 5 + 2400)))
+        _pack_17(w, 0, c.alpha0, c.alpha_n, c.dg2, c.dg_im.real, c.dg_im.imag,
+                 c.num_plus.real, c.num_plus.imag, c.num_minus.real,
+                 c.num_minus.imag, c.g0, c.g0_pump, c.g_d, c.tls_den0,
+                 c.tls_den_n, c.gd_num, c.gamma_m, _SQRT8)
         if k := lib.fixed_point(w.buffer_info()[0], n_b0, tol, max_iter,
-                                len(_ROOM) - 5):
+                                len(w) - 22):
             return FixedPointReport(
                 w[17], int(w[19]), w[18], w[20] == 1.0, tuple(w[22:22 + k]),
                 "bisection" if w[21] else "damped")

@@ -143,6 +143,19 @@ class TestEigenvalues:
         with pytest.raises(SingularParameterError, match="spectrum at n_b"):
             eigenvalues(eff(n_b=1e300))
 
+    def test_overflowing_coupling_squared_raises(self):
+        # the discriminant's g_d ** 2 overflows past g_d ~ 1.3e154: the
+        # package error, not a bare OverflowError, from every caller
+        e = EffectiveParams(n_b=1, omega_m=1.47e8, omega_q=1.47e8,
+                            gamma_m_eff=0, gamma_q=1e6, g_d=1e160)
+        for call in (discriminant, eigenvalues):
+            with pytest.raises(SingularParameterError,
+                               match="spectrum at n_b = 1 leaves"):
+                call(e)
+        # a finite EP loss of 2e155, inside the bracket
+        with pytest.raises(SingularParameterError, match="spectrum at n_b"):
+            locate_ep(dataclasses.replace(e, g_d=1e155), (0.0, 1e156))
+
     def test_non_finite_eigenvector_norm_raises(self):
         # finite eigenvalues near 1e154 whose eigenvector's squared norm
         # overflows: the error, and no warning

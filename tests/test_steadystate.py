@@ -3,11 +3,17 @@ import ctypes
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import itertools
 import math
 import pickle
+import sys
+import threading
 import warnings
 from array import array
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +23,13 @@ from defectlaser import (EffectiveParams, GrowthRateFit, IntegratorSettings,
                          InvalidParameterError, MaterialParams,
                          MeanFieldState, ReducedState,
                          SingularParameterError, SweepAxis, SweepSpec,
-                         Trajectory, eigenvalues, gain, integrate_full,
-                         preset, solve_nb_fixed_point, steady_optics,
-                         with_value)
-from defectlaser import steadystate
-from defectlaser.config import params_to_config
+                         SystemParams, Trajectory, eigenvalues, gain,
+                         integrate_full, preset, solve_nb_fixed_point,
+                         steady_optics, with_value)
+from defectlaser import steadystate, sweep
+from defectlaser.config import params_from_config, params_to_config
 from defectlaser.constants import HBAR
-from defectlaser.params import derive_quantities
+from defectlaser.params import derive_quantities, setter
 from defectlaser.presets import FIGURE_PRESETS
 from defectlaser.steadystate import coefficients
 
@@ -518,8 +524,10 @@ class TestFixedPointKernel:
     def test_history_overflow_replays_the_same_report(self, monkeypatch,
                                                       kernel_returns,
                                                       fig2_params):
-        # room for 5 history entries, where the solve keeps 10
-        monkeypatch.setattr(steadystate, "_ROOM", array("d", bytes(80)))
+        # this thread's room: 17 inputs, 5 outputs and 5 history entries,
+        # where the solve keeps 10
+        monkeypatch.setattr(steadystate._rooms, "w",
+                            array("d", bytes(8 * (17 + 5 + 5))), raising=False)
         c = solve_nb_fixed_point(fig2_params)
         assert len(c.history) > 5 and kernel_returns == [0]
         assert report_bits(c) == report_bits(
@@ -544,6 +552,38 @@ class TestFixedPointKernel:
         with pytest.raises(InvalidParameterError, match="fit a double"):
             solve_nb_fixed_point(fig2_params, **kwargs)
 
+    def test_threads_each_solve_in_their_own_room(self, monkeypatch):
+        """4 threads solve the seed-0 ``sweep-selfconsistent`` rows at once;
+        ctypes releases the GIL inside the kernel, so a room shared between
+        threads would be overwritten mid-solve.  Each thread builds its own
+        rows, as the sweep does, and gets the serial reports."""
+        specs = perfbench_specs(monkeypatch, "sweep-selfconsistent", 0)
+        lib = steadystate._kernel()
+        entry, returns = lib.fixed_point, []
+
+        def counted(*args):
+            k = entry(*args)
+            returns.append(k)
+            return k
+
+        monkeypatch.setattr(lib, "fixed_point", counted)
+
+        def solve_rows(barrier=None):
+            if barrier is not None:
+                barrier.wait()
+            return [report_bits(solve_nb_fixed_point(p)) for spec in specs
+                    for _, p in sweep._grid_points(spec)]
+
+        serial = solve_rows()
+        barrier = threading.Barrier(4)
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(solve_rows, [barrier] * 4))
+        assert len(serial) == 2026
+        for reports in threaded:
+            assert reports == serial
+        # the kernel answered every solve, none was replayed
+        assert len(returns) == 5 * 2026 and min(returns) > 0
+
     def test_fallback_warns_once_and_gives_the_same_bits(self, monkeypatch,
                                                           fig2_params):
         p = with_value(fig2_params, "optical.pump_power", 20e-6)
@@ -562,6 +602,50 @@ class TestFixedPointKernel:
             warnings.simplefilter("error")
             again = solve_nb_fixed_point(p)  # no second warning
         assert report_bits(c) == report_bits(py) == report_bits(again)
+
+
+def perfbench_specs(monkeypatch, workload, seed):
+    """The sweep specs of one perfbench workload at ``seed``, built by
+    ``perfbench/workloads.py`` on its generated parameter file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    base = params_from_config(workloads.config_text(workload, seed))
+    return workloads.build(workload, seed, base).specs
+
+
+def bundle_bits(c):
+    """Every field of a ``GainCoefficients``, each float as float.hex."""
+    def bits(x):
+        if isinstance(x, complex):
+            return x.real.hex(), x.imag.hex()
+        if isinstance(x, float):
+            return x.hex()
+        return [bits(v) for v in vars(x).values()]  # DerivedQuantities
+    return [(f.name, bits(getattr(c, f.name))) for f in dataclasses.fields(c)]
+
+
+def fresh_bundle(monkeypatch, p):
+    """The bundle ``coefficients`` builds for a copy of ``p`` (no bundle
+    cached on it) with no earlier build to take the optics from."""
+    monkeypatch.setattr(steadystate, "_last", (None, None, None))
+    return coefficients(dataclasses.replace(p))
+
+
+@pytest.fixture
+def derive_calls(monkeypatch):
+    """The parameter sets ``coefficients`` derives the optics of."""
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return derive_quantities(params)
+
+    monkeypatch.setattr(steadystate, "derive_quantities", counted)
+    return calls
+
 
 
 class TestCoefficientCache:
@@ -630,14 +714,83 @@ class TestCoefficientCache:
                    if not cmath.isfinite(getattr(c, f.name))]
             assert not bad, (kw, bad)
 
-    def test_fixed_point_gain_and_optics_share_one_bundle(self, monkeypatch):
-        calls = []
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_a_reused_bundle_equals_a_fresh_one(self, monkeypatch, rng,
+                                                derive_calls):
+        """Steps along a defect path keep the optical and mechanical
+        blocks, so their bundles take the optics of the last build and
+        derive only the defect's fields: bit for bit the fresh bundle."""
+        draw = {"tls.tls_loss": lambda p: rng.uniform(1e5, 2e7),
+                "tls.coupling": lambda p: rng.uniform(0.0, 3e6),
+                "tls.tls_freq": lambda p: p.mechanical.mech_freq
+                * rng.uniform(0.8, 1.2),
+                "material.tls_loss": lambda p: rng.uniform(1e5, 2e7),
+                "material.deformation_potential": lambda p: rng.uniform(
+                    0.5, 2.0) * 1.6e-19}
+        reused = 0
+        for i in range(40):
+            p = random_params(rng)
+            if i % 2:  # the defect derived from material data
+                p = SystemParams(p.optical, p.mechanical, material=MaterialParams(
+                    1.6e-19, p.tls.tls_freq, 0.0, 72e9, 1e-19, p.tls.tls_loss))
+            coefficients(p)
+            for path in draw:
+                if path.startswith("material") and p.material is None:
+                    continue
+                build = setter(p, path)
+                for _ in range(3):
+                    q = build(draw[path](p))
+                    n = len(derive_calls)
+                    c = coefficients(q)
+                    assert len(derive_calls) == n, path  # no optics derived
+                    assert bundle_bits(c) == bundle_bits(
+                        fresh_bundle(monkeypatch, q)), (path, q)
+                    reused += 1
+        assert reused == 20 * 3 * 3 + 20 * 5 * 3
 
-        def counted(params):
-            calls.append(params)
-            return derive_quantities(params)
+    @pytest.mark.parametrize("path", ["optical.pump_power",
+                                      "optical.pump_detuning",
+                                      "mechanical.mech_loss",
+                                      "mechanical.mech_freq"])
+    def test_a_changed_block_rebuilds(self, monkeypatch, rng, derive_calls,
+                                      path):
+        for _ in range(10):
+            p = random_params(rng)
+            coefficients(p)
+            group, name = path.split(".")
+            q = with_value(p, path, getattr(getattr(p, group), name) * 1.25)
+            c = coefficients(q)
+            assert derive_calls[-1] is q
+            assert bundle_bits(c) == bundle_bits(fresh_bundle(monkeypatch, q))
+        # an equal block that is another object is a new block: ``is``
+        p, twin = make_params(), make_params()
+        coefficients(p)
+        n = len(derive_calls)
+        assert coefficients(twin) == coefficients(p)
+        assert derive_calls[n:] == [twin]
 
-        monkeypatch.setattr(steadystate, "derive_quantities", counted)
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("path, value", [("tls.coupling", 1e160),
+                                             ("tls.tls_loss", 1e160),
+                                             ("tls.tls_freq", 1.7e308)])
+    def test_out_of_range_defect_raises_as_a_fresh_build(
+            self, monkeypatch, derive_calls, path, value):
+        # g_d ** 2 and gamma_q ** 2 overflow; dq * dq makes tls_den0 inf
+        p = make_params()
+        coefficients(p)
+        q = with_value(p, path, value)
+        raised = []
+        for build in (coefficients, functools.partial(fresh_bundle,
+                                                      monkeypatch)):
+            with pytest.raises(SingularParameterError) as err:
+                build(q)
+            raised.append(str(err.value))
+        assert derive_calls == [p, mock.ANY]  # the first took the optics
+        assert raised[0] == raised[1] == steadystate._OUT_OF_RANGE
+        assert "_coefficients" not in vars(q)
+
+    def test_fixed_point_gain_and_optics_share_one_bundle(self, derive_calls):
+        calls = derive_calls
         p = make_params()
         n_b = solve_nb_fixed_point(p).n_b_star
         g = gain(p, n_b)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError, SingularParameterError
 from .params import SystemParams
 
+_OUT_OF_RANGE = "the spectrum at n_b = {:.3g} leaves the floating-point range"
+
 
 @dataclass(frozen=True)
 class EffectiveParams:
@@ -79,8 +81,7 @@ def discriminant(eff: EffectiveParams, gamma_q: float | None = None) -> complex:
     try:  # g_d ** 2 raises past g_d ~ 1.3e154
         return 4.0 * eff.n_b * eff.g_d ** 2 + z * z
     except OverflowError:
-        raise SingularParameterError(f"the spectrum at n_b = {eff.n_b:.3g} "
-                                     "leaves the floating-point range") from None
+        raise SingularParameterError(_OUT_OF_RANGE.format(eff.n_b)) from None
 
 
 def gamma_q_ep_resonant(eff: EffectiveParams) -> float:
@@ -127,9 +128,7 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     e_plus = center + 0.5 * root
     e_minus = center - 0.5 * root
     if not (cmath.isfinite(e_plus) and cmath.isfinite(e_minus)):
-        raise SingularParameterError(
-            f"the spectrum at n_b = {eff.n_b:.3g} leaves the floating-point "
-            "range")
+        raise SingularParameterError(_OUT_OF_RANGE.format(eff.n_b))
 
     # the block [[a, kappa], [kappa, d]] in the basis {|n_b,g>, |n_b-1,e>}
     a, d = eff.n_b * zm, (eff.n_b - 1.0) * zm + zq
@@ -214,8 +213,11 @@ def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchRes
     losses = _ep_losses(eff)
     for gq in losses:
         if lo <= gq <= hi:
-            return EpSearchResult(
-                gamma_q=gq, disc_abs=abs(discriminant(eff, gamma_q=gq)),
-                found=True)
+            try:  # abs raises past the largest double
+                disc_abs = abs(discriminant(eff, gamma_q=gq))
+            except OverflowError:
+                raise SingularParameterError(
+                    _OUT_OF_RANGE.format(eff.n_b)) from None
+            return EpSearchResult(gamma_q=gq, disc_abs=disc_abs, found=True)
     return EpSearchResult(gamma_q=losses[0], disc_abs=math.nan, found=False)
 

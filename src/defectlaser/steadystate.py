@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 import struct
 import threading
 from array import array
@@ -60,8 +59,8 @@ class SteadyOptics:
 
 @dataclass
 class GainResult:
-    """Gain, frequency pull, drive term, threshold and phonon numbers
-    for one parameter point, linearized about b = 0 at phonon number n_b.
+    """Gain, frequency pull, threshold and phonon numbers for one
+    parameter point, linearized about b = 0 at phonon number n_b.
 
     G - gamma_m is the slow-amplitude growth rate of |b| in the reduced
     p model (``integrate_reduced``) that the closed forms are eliminated
@@ -72,7 +71,6 @@ class GainResult:
     G0: float
     Gd: float
     omega_prime: float
-    C: complex
     alpha: float
     delta_n: float
     n_b: float
@@ -187,68 +185,67 @@ class GainCoefficients:
 
 
 _OUT_OF_RANGE = "the gain's closed forms leave the floating-point range"
-# the optical and mechanical blocks of the last fresh build and its bundle;
+# the optical and mechanical blocks of the last build and their 17 fields;
 # strong references, so an ``is`` match is never a reused id
 _last: tuple = (None, None, None)
-_optics = operator.attrgetter(*GainCoefficients.__slots__[:17])  # to g0_pump
 
 
-def coefficients(params: SystemParams) -> GainCoefficients:
-    """Hoist every n_b-independent factor; cached in ``params.__dict__``.
-    A defect step (the last fresh build's very blocks) reuses its optics."""
-    if "_coefficients" in params.__dict__:
-        return params.__dict__["_coefficients"]
-    global _last
-    opt, mech, tls = params.optical, params.mechanical, params.tls
-    dq = tls.tls_freq - mech.mech_freq
-    last = _last  # read once: another thread may replace it
-    if last[0] is opt and last[1] is mech:
-        try:  # ** raises on overflow
-            g2, gq2 = tls.coupling ** 2, tls.tls_loss ** 2
-        except OverflowError:
-            raise SingularParameterError(_OUT_OF_RANGE) from None
-        c = GainCoefficients(*_optics(last[2]), tls.coupling, dq,
-                             gq2 + dq * dq, 2.0 * g2, -g2 * tls.tls_loss)
-        # the fields it reuses are finite; dq is by tls_den0, g_d by tls_den_n
-        if not math.isfinite(0.0 * c.tls_den0 + 0.0 * c.tls_den_n
-                             + 0.0 * c.gd_num):
-            raise SingularParameterError(_OUT_OF_RANGE)
-        params.__dict__["_coefficients"] = c
-        return c
+def _optics(params: SystemParams) -> tuple:
+    """The 17 fields of a bundle up to g0_pump, derived and checked."""
+    opt, mech = params.optical, params.mechanical
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
     dj = 2.0 * J - mech.mech_freq
     nj = dj * dj + 4.0 * gam * gam
     try:  # ** raises on overflow, / on a zero divisor
         d = derive_quantities(params)
         kx = d.xi * d.x0
-        eps2, g2, gq2 = d.eps_l ** 2, tls.coupling ** 2, tls.tls_loss ** 2
+        eps2 = d.eps_l ** 2
         g0 = kx * kx * gam / (2.0 * nj)
     except (OverflowError, ZeroDivisionError):
         why = ": (2J - omega_m)^2 + 4 gamma^2 is 0" if nj == 0.0 else ""
         raise SingularParameterError(_OUT_OF_RANGE + why) from None
     x_plus = 2j * d.omega_minus + 2.0 * gam
     x_minus = 2j * d.omega_plus + 2.0 * gam
+    alpha0, alpha_n = J * J + gam * gam - delta * delta, 0.25 * kx * kx
+    dg2, g0_pump = 4.0 * delta * delta * gam * gam, delta * dj * eps2
     b = 0j  # supermodes' numerators at b = 0, operation for operation
-    c = GainCoefficients(  # positionally, in field order
-        d, mech.mech_loss, d.eps_l, eps2, kx, dj, nj,
-        J * J + gam * gam - delta * delta, 0.25 * kx * kx,  # alpha0, alpha_n
-        4.0 * delta * delta * gam * gam, 2j * gam * delta,  # dg2, dg_im
-        x_plus, x_minus, d.eps_l * (x_plus + 1j * kx * b),  # num_plus
-        d.eps_l * (x_minus + 1j * kx * b.conjugate()),  # num_minus
-        g0, delta * dj * eps2,  # g0, g0_pump
-        tls.coupling, dq, gq2 + dq * dq, 2.0 * g2,  # g_d, dq, tls_den0, _n
-        -g2 * tls.tls_loss)  # gd_num
-    # 0.0 * x is nan unless x is finite.  The coefficients left out are
-    # finite when these are: eps_l by eps2, kx by alpha_n, dj by nj, dq by
-    # tls_den0, g_d by tls_den_n, dg_im by dg2, x_plus and x_minus by alpha0.
-    # num_+- are not: eps_l ~ 1e154 times omega_-+ ~ 1e154 overflows
-    if not cmath.isfinite(0.0 * c.gamma_m + 0.0 * c.eps2 + 0.0 * c.nj
-                          + 0.0 * c.alpha0 + 0.0 * c.alpha_n + 0.0 * c.dg2
-                          + 0.0 * c.num_plus + 0.0 * c.num_minus
-                          + 0.0 * c.g0 + 0.0 * c.g0_pump + 0.0 * c.tls_den0
-                          + 0.0 * c.tls_den_n + 0.0 * c.gd_num):
+    num_plus = d.eps_l * (x_plus + 1j * kx * b)
+    num_minus = d.eps_l * (x_minus + 1j * kx * b.conjugate())
+    # 0.0 * x is nan unless x is finite.  The fields left out are finite
+    # when these are: eps_l by eps2, kx by alpha_n, dj by nj, dg_im by dg2,
+    # x_plus and x_minus by alpha0.  num_+- are not: eps_l ~ 1e154 times
+    # omega_-+ ~ 1e154 overflows
+    if not cmath.isfinite(0.0 * mech.mech_loss + 0.0 * eps2 + 0.0 * nj
+                          + 0.0 * alpha0 + 0.0 * alpha_n + 0.0 * dg2
+                          + 0.0 * num_plus + 0.0 * num_minus + 0.0 * g0
+                          + 0.0 * g0_pump):
         raise SingularParameterError(_OUT_OF_RANGE)
-    _last = opt, mech, c
+    return (d, mech.mech_loss, d.eps_l, eps2, kx, dj, nj, alpha0, alpha_n,
+            dg2, 2j * gam * delta, x_plus, x_minus, num_plus, num_minus, g0,
+            g0_pump)
+
+
+def coefficients(params: SystemParams) -> GainCoefficients:
+    """Hoist every n_b-independent factor; cached in ``params.__dict__``.
+    The optics of the last build's very blocks are reused (a defect step)."""
+    if "_coefficients" in params.__dict__:
+        return params.__dict__["_coefficients"]
+    global _last
+    opt, mech, tls = params.optical, params.mechanical, params.tls
+    last = _last  # read once: another thread may replace it
+    if last[0] is not opt or last[1] is not mech:
+        last = _last = opt, mech, _optics(params)
+    dq = tls.tls_freq - mech.mech_freq
+    try:  # ** raises on overflow
+        g2, gq2 = tls.coupling ** 2, tls.tls_loss ** 2
+    except OverflowError:
+        raise SingularParameterError(_OUT_OF_RANGE) from None
+    c = GainCoefficients(*last[2], tls.coupling, dq, gq2 + dq * dq, 2.0 * g2,
+                         -g2 * tls.tls_loss)
+    # dq is finite by tls_den0, g_d by tls_den_n
+    if not math.isfinite(0.0 * c.tls_den0 + 0.0 * c.tls_den_n
+                         + 0.0 * c.gd_num):
+        raise SingularParameterError(_OUT_OF_RANGE)
     params.__dict__["_coefficients"] = c
     return c
 
@@ -290,9 +287,6 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
                    - kx * kx * dj * delta_n / (4.0 * nj)
                    - kx * kx * gam * gam * delta * eps2 / (nj * denom_sq))
 
-    C = (1j * eps2 * kx / (2j * dj + 4.0 * gam)
-         * ((gam - 1j * J) * alpha + 2.0 * delta * delta * gam) / denom_sq)
-
     wcj = opt.cavity_freq + J
     kx2 = kx ** 2  # pow, not kx * kx: they can differ in the last bit
     if kx2 == 0.0:
@@ -304,7 +298,7 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
         2.0 * HBAR * c.g_d ** 2 * params.tls.tls_loss * wcj * nj
         / (kx2 * tls_den))
 
-    return GainResult(G, G0, Gd, omega_prime, C, alpha, delta_n, n_b, N_b,
+    return GainResult(G, G0, Gd, omega_prime, alpha, delta_n, n_b, N_b,
                       P_th0 + P_thd, P_th0, P_thd)
 
 

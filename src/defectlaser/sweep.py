@@ -26,14 +26,14 @@ from .params import SystemParams, setter, with_value
 from .spectrum import EffectiveParams, eigenvalues
 from .steadystate import gain, solve_nb_fixed_point
 
-GAIN_QUANTITIES = ("G", "G0", "Gd", "omega_prime", "C", "alpha", "delta_n",
-                   "N_b", "P_th", "P_th0", "P_thd", "n_b")
+GAIN_QUANTITIES = ("G", "G0", "Gd", "omega_prime", "alpha", "delta_n", "N_b",
+                   "P_th", "P_th0", "P_thd", "n_b")
 SPECTRUM_QUANTITIES = ("E_plus", "E_minus", "gap", "L", "phase",
                        "gamma_q_EP", "gamma_q_min")
 FP_QUANTITIES = ("n_b_star", "fp_iterations", "fp_converged")
 KNOWN_QUANTITIES = GAIN_QUANTITIES + SPECTRUM_QUANTITIES + FP_QUANTITIES
 
-_COMPLEX = {"C", "E_plus", "E_minus"}
+_COMPLEX = {"E_plus", "E_minus"}
 _TEXT = {"phase"}
 _EP_NOTED = {"gamma_q_EP", "phase"}  # noted as approximate off resonance
 

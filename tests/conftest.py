@@ -1,13 +1,15 @@
 import cmath
 import math
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from defectlaser import (MechanicalParams, OpticalParams, SystemParams,
-                         TlsParams, discriminant, eigenvalues)
+                         TlsParams, discriminant, dynamics, eigenvalues,
+                         integrate_reduced)
 
 OMEGA_M = 2.0 * math.pi * 23.4e6
 GAMMA = 6.43e6
@@ -85,6 +87,65 @@ def assert_matches_eig(eff) -> bool:
     assert mismatch <= 1e-12, (
         f"closed form and 2x2 diagonalization disagree: {mismatch:.3e}")
     return True
+
+
+class Elimination:
+    """p and sigma_- eliminated from ``integrate_reduced``'s own right-hand
+    side, independently of the closed forms in ``steadystate``.
+
+    At b = 0 and frozen delta_n the (p, b, sigma_-) system is affine up to
+    O(|b|^2), so central differences at h = 1 with one Richardson step
+    give its Jacobian J (smaller h loses digits to the constant drive).
+    With s = -i omega_m the self-energy of b is
+    Sigma = J_bp J_pb / (s - J_pp) + J_bs J_sb / (s - J_ss):
+    Re Sigma is the gain and Im Sigma the frequency pull.
+    """
+
+    def __init__(self, params: SystemParams):
+        def capture(_params, _settings, rhs, y0, *args, **kwargs):
+            self.rhs, self.delta_n = rhs, y0[4]  # frozen: b = 0 inversion
+
+        with mock.patch.object(dynamics, "_solve", capture):
+            integrate_reduced(params)
+        self.omega_m = params.mechanical.mech_freq
+
+    def sigma(self, delta_n=None, sigma_z=-1.0) -> tuple[complex, complex]:
+        """The optical (p) and defect (sigma_-) terms of Sigma at the
+        frozen inversions delta_n (default: its b = 0 value) and sigma_z."""
+        dn = self.delta_n if delta_n is None else delta_n
+
+        def central(h):
+            cols = []
+            for j in range(3):
+                up, down = [0j] * 3, [0j] * 3
+                up[j], down[j] = h, -h
+                f_up = self.rhs(*up, sigma_z, dn)
+                f_down = self.rhs(*down, sigma_z, dn)
+                cols.append([(f_up[i] - f_down[i]) / (2.0 * h)
+                             for i in range(3)])
+            return cols  # cols[j][i] = d f_i / d y_j
+
+        coarse, fine = central(1.0), central(0.5)
+        J = [[(4.0 * fine[j][i] - coarse[j][i]) / 3.0 for j in range(3)]
+             for i in range(3)]
+        s = -1j * self.omega_m
+        return (J[1][0] * J[0][1] / (s - J[0][0]),
+                J[1][2] * J[2][1] / (s - J[2][2]))
+
+    def saturated_sigma_z(self, n_b: float) -> float:
+        """sigma_z where the defect's two equations are steady under
+        b = sqrt(n_b) e^{-i omega_m t}, with sigma_- = A e^{-i omega_m t}:
+        both are affine in (A, sigma_z), so two evaluations each solve
+        them."""
+        b, dn = math.sqrt(n_b), self.delta_n
+
+        def steady_a(sz):  # rhs_sigma(A) + i omega_m A = 0
+            f0 = self.rhs(0j, b, 0j, sz, dn)[2]
+            f1 = self.rhs(0j, b, 1.0 + 0j, sz, dn)[2] + 1j * self.omega_m
+            return -f0 / (f1 - f0)
+
+        g0, g1 = (self.rhs(0j, b, steady_a(sz), sz, dn)[3] for sz in (0.0, 1.0))
+        return g0 / (g0 - g1)
 
 
 def fake_solve_ivp(monkeypatch, **result):

@@ -156,6 +156,16 @@ class TestEigenvalues:
         with pytest.raises(SingularParameterError, match="spectrum at n_b"):
             locate_ep(dataclasses.replace(e, g_d=1e155), (0.0, 1e156))
 
+    def test_overflowing_discriminant_modulus_raises(self):
+        # a finite discriminant whose abs() overflows: the package error
+        # with discriminant's own text, not a bare OverflowError
+        e = EffectiveParams(n_b=1.0, omega_m=1.0, omega_q=0.806e154,
+                            gamma_m_eff=0.0, gamma_q=1.0, g_d=0.5701e154)
+        with pytest.raises(SingularParameterError,
+                           match="^the spectrum at n_b = 1 leaves the "
+                                 "floating-point range$"):
+            locate_ep(e, (0.0, 1e155))
+
     def test_non_finite_eigenvector_norm_raises(self):
         # finite eigenvalues near 1e154 whose eigenvector's squared norm
         # overflows: the error, and no warning

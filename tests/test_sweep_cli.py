@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from defectlaser import (DivergenceError, SweepAxis, SweepSpec, SweepError,
-                         SweepTable, UnknownPresetError, compute_gd, dynamics,
+from defectlaser import (DivergenceError, GainResult, SpectrumResult,
+                         SweepAxis, SweepSpec, SweepError, SweepTable,
+                         UnknownPresetError, compute_gd, dynamics,
                          emit_outputs, gain, params, preset, run_sweep, sweep,
                          with_value)
 from defectlaser.cli import EXIT_CONFIG, SWEEP_QUANTITIES, main as cli_main
@@ -136,6 +137,16 @@ class TestSweepSpec:
     def test_rejects_unknown_quantity(self):
         with pytest.raises(SweepError, match="unknown"):
             small_spec(quantities=("G", "brightness"))
+
+    def test_quantities_are_result_fields(self):
+        # a row's cells come from vars() of its results: a quantity that
+        # names no field would write an all-NaN column and report nothing
+        assert set(sweep.GAIN_QUANTITIES) == {
+            f.name for f in dataclasses.fields(GainResult)}
+        assert set(sweep.SPECTRUM_QUANTITIES) <= {
+            f.name for f in dataclasses.fields(SpectrumResult)}
+        with pytest.raises(SweepError, match="unknown quantities"):
+            small_spec(quantities=("C",))  # no longer a gain result
 
     def test_rejects_three_axes(self):
         ax = SweepAxis("tls.tls_loss", 1e6, 2e6, 3)

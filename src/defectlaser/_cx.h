@@ -27,8 +27,8 @@ INLINE cx mul(cx a, cx b)
 INLINE cx conj_(cx a) { return C(a.re, -a.im); }
 
 /* _Py_c_quot without its zero-divisor branch, which no caller reaches.
-   Every divisor is (sqrt 2, 0) or sqrt 8 (alpha - 2i gamma Delta), and
-   the latter only after alpha^2 + 4 Delta^2 gamma^2 != 0 has passed: if
+   Every divisor is sqrt 8 (alpha - 2i gamma Delta) (_fixed_point.c),
+   reached only after alpha^2 + 4 Delta^2 gamma^2 != 0 has passed: if
    alpha != 0 its real part sqrt 8 alpha is nonzero (sqrt 8 > 1, so it
    cannot underflow); if alpha = 0 the check gives 4 Delta^2 gamma^2 != 0,
    so 2 gamma Delta and the imaginary part are nonzero.  A NaN divisor

@@ -6,7 +6,7 @@
    loop (the tests pin this against the loop on the running interpreter):
 
    - operations run left to right, one rounding each, with CPython's
-     complex arithmetic (_cx.h);
+     complex arithmetic (_cx.h), and the reduced closure's real forms;
    - every component steps as a complex number.  sigma_z and the reduced
      delta_n, floats in Python, enter as (x, +0.0) and rhs returns F(x'):
      with h > 0, mul(F(hh), k) = (hh x' - 0.0 0.0, hh 0.0 + 0.0 x') =
@@ -53,29 +53,27 @@ INLINE int rhs_full(const cx *c, const cx *y, cx *k)
     return 0;
 }
 
-/* the reduced model's rhs, with GainCoefficients.supermodes(|b|^2, b) as
-   the closure; c = (cpp, k, cb, cs, dg_im, x_plus, x_minus, kx, eps_l, gd,
-   gq, sqrt 2, alpha0, alpha_n, dg2, sqrt 8); flag = full closure */
+/* the reduced model's rhs, with integrate_reduced's closure: the drive and
+   delta_n as real closed forms over one division eps^2 / q (no quotient);
+   c = (cpp, k, cb, cs, alpha0, alpha_n, dg2, eps^2, gamma, J, 2 gamma
+   Delta^2, gamma Delta kx, 2 J Delta, J kx, gamma kx, gd, gq); flag = full
+   closure */
 INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
 {
     const cx p = y[0], b = y[1], sm = y[2];
-    const double kx = c[7].re, eps = c[8].re, gd = c[9].re, gq = c[10].re;
-    const double sz = y[3].re;
+    const double gd = c[15].re, gq = c[16].re, sz = y[3].re;
     double dn = y[4].re;
 
-    const double alpha = c[12].re + c[13].re * (b.re * b.re + b.im * b.im);
-    if (alpha * alpha + c[14].re == 0.0) /* SingularParameterError */
+    const double alpha = c[4].re + c[5].re * (b.re * b.re + b.im * b.im);
+    const double q = alpha * alpha + c[6].re;
+    if (q == 0.0) /* SingularParameterError */
         return 1;
-    const cx denom = mul(F(c[15].re), sub(F(alpha), c[4]));
-    const cx ap = quot(mul(F(eps), add(c[5], mul(mul(I, F(kx)), b))), denom);
-    const cx am = quot(mul(F(eps), add(c[6], mul(mul(I, F(kx)), conj_(b)))),
-                       denom);
+    const double s = c[7].re / q;
     if (flag)
-        dn = (ap.re * ap.re + ap.im * ap.im) - (am.re * am.re + am.im * am.im);
-    const cx drive = quot(add(mul(F(eps), ap), mul(F(eps), conj_(am))),
-                          F(c[11].re));
-    k[0] = add(sub(mul(c[0], p),
-                   mul(mul(mul(mul(I, F(0.5)), F(kx)), F(dn)), b)), drive);
+        dn = s * (c[12].re - c[13].re * b.re - c[14].re * b.im);
+    const cx drive = C(s * (c[8].re * alpha + c[10].re - c[11].re * b.re),
+                       -(s * (c[9].re * alpha + c[11].re * b.im)));
+    k[0] = add(sub(mul(c[0], p), mul(mul(c[1], F(dn)), b)), drive);
     k[1] = sub(add(mul(c[2], b), mul(c[1], p)), mul(mul(I, F(gd)), sm));
     k[2] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
     k[3] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);

@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidParameterError
+from .errors import (DivergenceError, InvalidParameterError,
+                     SingularParameterError)
 from .params import SystemParams
-from .steadystate import _SQRT2, _SQRT8, coefficients
+from .steadystate import _SINGULAR_SUPERMODES, _SQRT2, coefficients
 
 #: default seed phonon amplitude: smallest that still gives clean log fits
 DEFAULT_SEED = 1e-3
@@ -245,13 +246,14 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                       delta_n0: float | None = None) -> Trajectory:
     """Integrate the reduced model built on the supermode coherence p.
 
-    The p equation needs the individual supermode amplitudes for its drive
-    term; they are closed quasi-statically from the steady-state forms at
-    the current b.  ``delta_n_mode`` controls the population inversion:
+    The p equation's drive (eps a+ + eps a-*) / sqrt 2 takes a+- at their
+    steady values at the current b, as real closed forms over eps^2 / q
+    (README *Reproducibility*; a long run at an under-resolved step
+    amplifies their rounding).  ``delta_n_mode`` sets the inversion:
 
     * "frozen": held at its b = 0 steady value (``delta_n0`` overrides),
       the linear-gain configuration;
-    * "full-closure": recomputed from the closed a+-, a- at the current b.
+    * "full-closure": |a+|^2 - |a-|^2 of the closed a+- at the current b.
 
     The closed-form gain is p and sigma_- eliminated from this model, so
     its linear growth of |b| is what G - gamma_m predicts (a few percent
@@ -265,32 +267,33 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     if delta_n_mode == "full-closure" and delta_n0 is not None:
         raise InvalidParameterError("delta_n0 is for delta_n_mode 'frozen'; "
                                     "'full-closure' recomputes the inversion")
-    init = init or ReducedState()
-    c = coefficients(params)
-    kx, eps = c.kx, c.eps_l
+    init, opt, c = init or ReducedState(), params.optical, coefficients(params)
+    kx, eps2, alpha0, alpha_n, dg2 = c.kx, c.eps2, c.alpha0, c.alpha_n, c.dg2
+    gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
     k, gd, gq = 0.5j * kx, c.g_d, params.tls.tls_loss
     cb, cs = _poles(params)
-    cpp = -2j * params.optical.coupling - 2.0 * params.optical.cavity_loss
+    cpp = -2j * J - 2.0 * gam
+    gdd, gdk, jd, jk, gk = (2.0 * gam * delta * delta, gam * delta * kx,
+                            2.0 * J * delta, J * kx, gam * kx)
 
     frozen = delta_n_mode == "frozen"
     if frozen and delta_n0 is None:
         delta_n0 = c.terms(0.0)[4]  # gain(params, 0.0).delta_n
     dn0 = float(delta_n0) if frozen else None
 
-    supermodes = c.supermodes
-
-    def closure(b):
-        # steady a+, a- and delta_n at the current b (n_b = |b|^2)
-        _, _, ap, am = supermodes(b.real * b.real + b.imag * b.imag, b)
-        return ap, am, ((ap.real * ap.real + ap.imag * ap.imag)
-                        - (am.real * am.real + am.imag * am.imag))
-
     def rhs(p, b, sm, sz, dn):
-        ap, am, closed = closure(b)
-        if not frozen:
-            dn = closed
-        drive = (eps * ap + eps * am.conjugate()) / _SQRT2
-        return (cpp * p - 1j * 0.5 * kx * dn * b + drive,
+        # a+- share the divisor sqrt 8 (alpha - 2i gamma Delta), |.|^2 = 8 q
+        br, bi = b.real, b.imag
+        alpha = alpha0 + alpha_n * (br * br + bi * bi)
+        q = alpha * alpha + dg2
+        if q == 0.0:
+            raise SingularParameterError(_SINGULAR_SUPERMODES)
+        s = eps2 / q
+        if not frozen:  # |a+|^2 - |a-|^2
+            dn = s * (jd - jk * br - gk * bi)
+        drive = complex(s * (gam * alpha + gdd - gdk * br),  # (eps a+ +
+                        -(s * (J * alpha + gdk * bi)))       # eps a-*)/sqrt 2
+        return (cpp * p - k * dn * b + drive,
                 cb * b + k * p - 1j * gd * sm,
                 cs * sm + 1j * gd * b * sz,
                 -2.0 * gq * (sz + 1.0) + 4.0 * gd * (sm.conjugate() * b).imag,
@@ -298,14 +301,19 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
 
     def fill(states):
         # the inversion the step's closure gives at each stored b
-        for i in range(len(states)):
-            states[i, 4] = closure(complex(states[i, 1]))[2]
+        br, bi = states[:, 1].real, states[:, 1].imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = alpha0 + alpha_n * (br * br + bi * bi)
+            q = alpha * alpha + dg2
+            if not q.all():
+                raise SingularParameterError(_SINGULAR_SUPERMODES)
+            states[:, 4] = eps2 / q * (jd - jk * br - gk * bi)
 
     y0 = (complex(init.p), complex(init.b), complex(init.sigma_minus),
           float(init.sigma_z), dn0 if frozen else 0.0)
     native = (1 if frozen else 2,
-              (cpp, k, cb, cs, c.dg_im, c.x_plus, c.x_minus, kx, eps, gd, gq,
-               _SQRT2, c.alpha0, c.alpha_n, c.dg2, _SQRT8))
+              (cpp, k, cb, cs, alpha0, alpha_n, dg2, eps2, gam, J, gdd, gdk,
+               jd, jk, gk, gd, gq))
     return _solve(params, settings, rhs, y0, REDUCED_FIELDS, native,
                   None if frozen else fill, model="reduced",
                   delta_n_mode=delta_n_mode, delta_n0=dn0)

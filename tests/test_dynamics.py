@@ -305,15 +305,18 @@ class TestReducedModel:
     def test_diverged_full_closure_reports_the_closure_inversion(
             self, monkeypatch):
         """A diverged full-closure run's prefix stores, at each stored b,
-        the delta_n its step's closure computes (squared as x * x, not
-        abs(a) ** 2), bit for bit, on the kernel and the Python loop."""
+        the delta_n its step's closure computes (the closed form
+        eps^2 / q * (2 J Delta - J kx Re b - gamma kx Im b), q = alpha^2 +
+        4 Delta^2 gamma^2), bit for bit, on the kernel and the Python
+        loop."""
         p = make_params(pump_power=12e-6)
-        c = coefficients(p)
+        c, opt = coefficients(p), p.optical
+        gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
 
         def closure_dn(b):
-            _, _, ap, am = c.supermodes(b.real * b.real + b.imag * b.imag, b)
-            return ((ap.real * ap.real + ap.imag * ap.imag)
-                    - (am.real * am.real + am.imag * am.imag))
+            alpha = c.alpha0 + c.alpha_n * (b.real * b.real + b.imag * b.imag)
+            return c.eps2 / (alpha * alpha + c.dg2) * (
+                2.0 * J * delta - J * c.kx * b.real - gam * c.kx * b.imag)
 
         for run, rk4 in ((outcome, "c"),
                          (functools.partial(python_loop, monkeypatch),
@@ -327,6 +330,42 @@ class TestReducedModel:
             dn = part.column("delta_n").real
             assert dn.tobytes() == np.array(expected).tobytes()
             assert np.all(dn[:-2] > 1e7)  # all but the last two blow-ups
+
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    def test_closure_is_the_supermode_elimination(self, monkeypatch):
+        """The closure's closed forms against ``GainCoefficients.supermodes``
+        on seeded random points and amplitudes b, each within a band of
+        its term scale: the frozen rhs's drive (eps a+ + eps a-*) / sqrt 2
+        within 1e-14 of (|eps a+| + |eps a-|) / sqrt 2 (the drive itself
+        cancels near |b| ~ 5e5, where its own relative error reaches
+        6e-14), and the full closure's stored
+        delta_n = |a+|^2 - |a-|^2 within 1e-12 of |a+|^2 + |a-|^2."""
+        grabbed = []  # _solve's arguments (rhs, fill); the stub runs nothing
+        monkeypatch.setattr(dynamics, "_solve",
+                            lambda *args, **meta: grabbed.append(args))
+        rng, sqrt2 = np.random.default_rng(32), math.sqrt(2.0)
+        drive_err = dn_err = 0.0
+        for _ in range(300):
+            p = random_params(rng)
+            c = coefficients(p)
+            integrate_reduced(p, delta_n0=0.0)
+            integrate_reduced(p, delta_n_mode="full-closure")
+            rhs, fill = grabbed[-2][2], grabbed[-1][6]
+            bs = 10.0 ** rng.uniform(-3.0, 6.0, 10) * np.exp(
+                2j * np.pi * rng.uniform(size=10))
+            states = np.zeros((10, 5), dtype=complex)
+            states[:, 1] = bs
+            fill(states)
+            for b, dn in zip(map(complex, bs), states[:, 4].real):
+                _, _, ap, am = c.supermodes(abs(b) ** 2, b)
+                drive = (c.eps_l * ap + c.eps_l * am.conjugate()) / sqrt2
+                # p = 0 and a frozen delta_n of 0.0 leave the drive alone
+                got = rhs(0j, b, 0j, -1.0, 0.0)[0]
+                drive_err = max(drive_err, abs(got - drive) / (
+                    abs(c.eps_l * ap) + abs(c.eps_l * am)) * sqrt2)
+                dn_err = max(dn_err, abs(dn - (abs(ap) ** 2 - abs(am) ** 2))
+                             / (abs(ap) ** 2 + abs(am) ** 2))
+        assert drive_err < 1e-14 and dn_err < 1e-12
 
     def test_frozen_inversion_growth_rate(self):
         """With the drive off and the inversion frozen positive, b grows at

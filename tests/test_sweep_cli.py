@@ -100,7 +100,7 @@ PRESET_CSV_SHA256 = {
 
 #: sha256 prefixes of ``defectlaser integrate --model M --t-final 1e-6``'s
 #: trajectory CSV (148 rows, no divergence) for each model
-TRAJECTORY_CSV_SHA256 = {"full": "d741bc945d88", "reduced": "8dc82b14063b"}
+TRAJECTORY_CSV_SHA256 = {"full": "d741bc945d88", "reduced": "336ead48f8c6"}
 
 
 #: the base point's parameter file, and its [optical] and [tls] sections
@@ -1410,6 +1410,22 @@ tls_loss              = 6.43 MHz
                   "print(before, loaded())")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "(0, 0) (1, 0)"
+
+    def test_cached_kernel_load_imports_no_sysconfig(self):
+        """A built kernel is found by its source, flags and interpreter, so
+        a process that loads both from ``__pycache__`` imports neither
+        ``sysconfig`` (the compiler's name) nor ``subprocess``."""
+        from defectlaser import steadystate
+        if not (dynamics._kernel() and steadystate._kernel()):
+            pytest.skip("no C kernel could be built here")
+        proc = self.run_child(
+            "-c", "import sys\n"
+                  "from defectlaser import dynamics, steadystate\n"
+                  "assert dynamics._kernel() and steadystate._kernel()\n"
+                  "print(sorted({'sysconfig', 'subprocess'}"
+                  " & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_benchmark_self_tests_pass(self):
         """The benchmark's own checks run here too: they pin one ``gain``

@@ -1,11 +1,12 @@
 /* CPython 3.11's complex arithmetic, shared by the package's C kernels
    (_rk4.c and _fixed_point.c).
 
-   A float operand of a complex operation is promoted to (x, 0.0), and the
-   operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or _Py_c_quot,
-   one rounding per operation, left to right (the kernels are built with
-   -ffp-contract=off, so no multiply-add is fused).  Every helper is
-   forced inline. */
+   An operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or
+   _Py_c_quot, one rounding per operation, left to right (the kernels are
+   built with -ffp-contract=off, so no multiply-add is fused).  F promotes
+   a float operand to (x, 0.0) as CPython 3.11 does, for _fixed_point.c;
+   _rk4.c scales by a real factor without it and uses F only to hold its
+   real components.  Every helper is forced inline. */
 
 #ifndef DEFECTLASER_CX_H
 #define DEFECTLASER_CX_H
@@ -17,7 +18,7 @@
 typedef struct { double re, im; } cx;
 
 INLINE cx C(double re, double im) { cx r; r.re = re; r.im = im; return r; }
-INLINE cx F(double x) { return C(x, 0.0); } /* float operand, promoted */
+INLINE cx F(double x) { return C(x, 0.0); } /* a float as a complex */
 INLINE cx add(cx a, cx b) { return C(a.re + b.re, a.im + b.im); }
 INLINE cx sub(cx a, cx b) { return C(a.re - b.re, a.im - b.im); }
 INLINE cx mul(cx a, cx b)

@@ -1,18 +1,29 @@
 /* Fixed-step classical RK4 for the two mean-field models of dynamics.py.
 
    Each model's right-hand side transcribes its Python ``rhs`` closure, and
-   the stepper transcribes ``_run_rk4``, operation for operation as CPython
-   3.11 evaluates them, so every trajectory is bit-identical to the Python
-   loop (the tests pin this against the loop on the running interpreter):
+   the stepper transcribes ``_run_rk4``, so every trajectory is
+   bit-identical to the Python loop (TestCompiledKernel pins this against
+   the loop on the running interpreter):
 
    - operations run left to right, one rounding each, with CPython's
      complex arithmetic (_cx.h), and the reduced closure's real forms;
+   - a real factor x scales both parts of a (scal, iscal) and a real addend
+     shifts .re only (addr).  CPython 3.11 promotes x to (x, 0.0) and adds
+     the terms -0.0 a.im and 0.0 a.re (or 0.0 to a.im).  For finite a they
+     change no nonzero value, so every nonzero value is the loop's and only
+     the sign of an exact zero can differ; where a part of a is not finite,
+     the kernel's result has a part that is not finite too, so the step
+     fails mag2 < 1e250 in both loops.  No division reads a zero's sign:
+     q is built from squares;
+   - no such sign reaches a state: y + t rounds to -0.0 only when y and t
+     are both -0.0, so from a start with no -0.0 part no state or stage
+     has one, and adding a signed zero to a part that is not -0.0 gives the
+     same bits.  A start with a -0.0 part returns 0 (the loop runs): there
+     an exact zero's sign can differ from the second step on;
    - every component steps as a complex number.  sigma_z and the reduced
      delta_n, floats in Python, enter as (x, +0.0) and rhs returns F(x'):
-     with h > 0, mul(F(hh), k) = (hh x' - 0.0 0.0, hh 0.0 + 0.0 x') =
-     (hh x', +0.0) and sums keep +0.0, so .re is the Python float.  .im
-     turns NaN (0.0 inf) only once a .re is infinite, which fails
-     mag2 < 1e250 in both loops; rhs reads only .re of these components.
+     scal(hh, F(x')) = (hh x', +0.0) and sums keep +0.0, so .re is the
+     Python float; rhs reads only .re of these components.
 
    Every helper is forced inline, so each model's branch of the one entry,
    ``integrate``, compiles to its own stepper with the model's right-hand
@@ -30,25 +41,30 @@
    Returns n when the run finished, and -i when the squared norm of the
    state after step i was not < 1e250 (that state is not stored; rows 0 to
    (i - 1) / stride are).  Returns 0 where CPython raises instead (a
-   singular supermode elimination): the caller then replays the Python
-   loop, which raises the same exception. */
+   singular supermode elimination) and for a start with a -0.0 part; the
+   caller then replays the Python loop, which raises where CPython does. */
 
 #include <stdint.h>
 
 #include "_cx.h"
 
-static const cx I = {0.0, 1.0};
+/* x a, i x a and a + x for a real x, without CPython's 0.0 terms */
+INLINE cx scal(double x, cx a) { return C(x * a.re, x * a.im); }
+INLINE cx iscal(double x, cx a) { return C(-(x * a.im), x * a.re); }
+INLINE cx addr(cx a, double x) { return C(a.re + x, a.im); }
+
+INLINE int negzero(double x) { return x == 0.0 && 1.0 / x < 0.0; }
 
 /* the full model's rhs; c = (cp, cm, cb, cs, k, drv, gd, gq) */
 INLINE int rhs_full(const cx *c, const cx *y, cx *k)
 {
     const cx ap = y[0], am = y[1], b = y[2], sm = y[3];
     const double sz = y[4].re, drv = c[5].re, gd = c[6].re, gq = c[7].re;
-    k[0] = add(add(mul(c[0], ap), mul(mul(c[4], am), b)), F(drv));
-    k[1] = add(add(mul(c[1], am), mul(mul(c[4], ap), conj_(b))), F(drv));
+    k[0] = addr(add(mul(c[0], ap), mul(mul(c[4], am), b)), drv);
+    k[1] = addr(add(mul(c[1], am), mul(mul(c[4], ap), conj_(b))), drv);
     k[2] = sub(add(mul(c[2], b), mul(mul(c[4], conj_(am)), ap)),
-               mul(mul(I, F(gd)), sm));
-    k[3] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
+               iscal(gd, sm));
+    k[3] = add(mul(c[3], sm), scal(sz, iscal(gd, b)));
     k[4] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
     return 0;
 }
@@ -73,9 +89,9 @@ INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
         dn = s * (c[12].re - c[13].re * b.re - c[14].re * b.im);
     const cx drive = C(s * (c[8].re * alpha + c[10].re - c[11].re * b.re),
                        -(s * (c[9].re * alpha + c[11].re * b.im)));
-    k[0] = add(sub(mul(c[0], p), mul(mul(c[1], F(dn)), b)), drive);
-    k[1] = sub(add(mul(c[2], b), mul(c[1], p)), mul(mul(I, F(gd)), sm));
-    k[2] = add(mul(c[3], sm), mul(mul(mul(I, F(gd)), b), F(sz)));
+    k[0] = add(sub(mul(c[0], p), mul(scal(dn, c[1]), b)), drive);
+    k[1] = sub(add(mul(c[2], b), mul(c[1], p)), iscal(gd, sm));
+    k[2] = add(mul(c[3], sm), scal(sz, iscal(gd, b)));
     k[3] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
     k[4] = F(0.0);
     return 0;
@@ -91,16 +107,20 @@ INLINE int rhs(int reduced, const cx *c, int flag, const cx *y, cx *k)
 INLINE void stage(const cx *y, double hh, const cx *k, cx *s)
 {
     for (int j = 0; j < 5; j++)
-        s[j] = add(y[j], mul(F(hh), k[j]));
+        s[j] = add(y[j], scal(hh, k[j]));
 }
 
-INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
-                   double h, int64_t n, int64_t stride, cx *states)
+INLINE int64_t rk4(int reduced, const cx *restrict c, int flag,
+                   const cx *restrict y0, double h, int64_t n, int64_t stride,
+                   cx *restrict states)
 {
     const double h2 = 0.5 * h, h6 = h / 6.0;
     cx y[5], s[5], k1[5], k2[5], k3[5], k4[5];
     int64_t i, r = 1;
 
+    for (int j = 0; j < 5; j++)
+        if (negzero(y0[j].re) || negzero(y0[j].im))
+            return 0;
     for (int j = 0; j < 5; j++)
         y[j] = states[j] = y0[j];
     for (i = 1; i <= n; i++) {
@@ -116,7 +136,7 @@ INLINE int64_t rk4(int reduced, const cx *c, int flag, const cx *y0,
         if (rhs(reduced, c, flag, s, k4))
             return 0;
         for (int j = 0; j < 5; j++)
-            y[j] = add(y[j], mul(F(h6), add(add(k1[j], mul(F(2.0),
+            y[j] = add(y[j], scal(h6, add(add(k1[j], scal(2.0,
                        add(k2[j], k3[j]))), k4[j])));
         double mag2 = y[0].re * y[0].re + y[0].im * y[0].im;
         for (int j = 1; j < 5; j++)

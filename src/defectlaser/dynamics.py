@@ -183,11 +183,11 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
     if settings.method == "dop853":
         states[:] = _run_adaptive(rhs, y0, times)
     else:
-        meta["rk4"] = "c" if (lib := _kernel()) else "python"
-        steps = 0 if lib is None else lib.integrate(
+        steps = 0 if (lib := _kernel()) is None else lib.integrate(
             native[0], np.array(native[1], dtype=complex),
             np.array(y0, dtype=complex), h, n_steps, stride, states)
-        if steps == 0:  # no kernel, or a singular elimination: replay
+        meta["rk4"] = "c" if steps else "python"
+        if steps == 0:  # no kernel, a -0.0 start or a singular elimination
             steps = _run_rk4(rhs, y0, h, n_steps, stride, states)
         meta["steps"] = abs(steps)
         if steps < 0:  # the state after step -steps is not finite
@@ -401,18 +401,18 @@ def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
     samples inside it.
     """
     t0, t1 = window
-    if t0 >= t1:
+    if not t0 < t1:  # a nan end too
         raise ValueError("window must satisfy t0 < t1")
     t = traj.times
     if t0 < t[0] or t1 > t[-1]:
         raise ValueError("window lies outside the trajectory")
-    mask = (t >= t0) & (t <= t1)
-    if mask.sum() < 3:
+    lo, hi = np.searchsorted(t, t0), np.searchsorted(t, t1, "right")
+    if hi - lo < 3:
         raise ValueError("window contains fewer than 3 samples")
-    amp = traj.abs_b[mask]
+    amp = np.abs(traj.column("b")[lo:hi])
     if np.any(amp <= 0.0):
         raise ValueError("|b| touches zero inside the window")
-    x, y = t[mask], np.log(amp)
+    x, y = t[lo:hi], np.log(amp)
     x, y = x - x.mean(), y - y.mean()  # the centred least-squares line
     var_t = x @ x
     rate = float(x @ y / var_t)

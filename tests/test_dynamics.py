@@ -507,6 +507,41 @@ class TestGrowthRateFit:
         with pytest.raises(ValueError, match="fewer than 3 samples"):
             growth_rate(traj, (0.0, 1.5e-8))
 
+    def test_window_slice_matches_the_mask(self):
+        """The window is found by bisection on the sorted times; the fit
+        keeps the bits of the boolean-mask form on random windows, ends on
+        a sample time included."""
+        rng = np.random.default_rng(7)
+        t = np.cumsum(rng.uniform(0.5e-9, 1.5e-9, 3000))
+        b = np.exp(2e5 * t + 1e-2 * rng.normal(size=t.size)
+                   - 1j * OMEGA_M * t)
+        traj = Trajectory(times=t, states=b.reshape(-1, 1), fields=("b",))
+        for k in range(300):
+            ends = (np.sort(rng.uniform(t[0], t[-1], 2)) if k % 3 else
+                    t[np.sort(rng.choice(t.size, 2, replace=False))])
+            if k % 5 == 0:
+                ends[1] = ends[0] + rng.uniform(0.0, 6e-9)
+            t0, t1 = map(float, ends)
+            mask = (t >= t0) & (t <= t1)
+            if mask.sum() < 3:
+                with pytest.raises(ValueError, match="fewer than 3 samples"):
+                    growth_rate(traj, (t0, t1))
+                continue
+            x, y = t[mask], np.log(np.abs(b[mask]))
+            x, y = x - x.mean(), y - y.mean()
+            rate = float(x @ y / (x @ x))
+            stderr = math.sqrt(float(np.sum((y - rate * x) ** 2))
+                               / (len(x) - 2) / (x @ x))
+            fit = growth_rate(traj, (t0, t1))
+            assert (fit.rate.hex(), fit.stderr.hex()) == (rate.hex(),
+                                                          stderr.hex())
+
+    def test_nan_window_end_rejected(self):
+        traj = self.synthetic(1e5)
+        for window in ((0.0, math.nan), (math.nan, 1e-6)):
+            with pytest.raises(ValueError, match="t0 < t1"):
+                growth_rate(traj, window)
+
     def test_crossing_time_of_a_level_never_reached(self):
         with pytest.raises(ValueError, match="level 3 never reached"):
             crossing_time(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 3.0)
@@ -674,6 +709,67 @@ class TestCompiledKernel:
         assert runs[integrate_full][1] is not None
         assert runs[integrate_reduced][1] is None
         assert runs[integrate_reduced][0].meta["steps"] == 4643
+
+    def test_signed_zero_starts_bit_identical(self, monkeypatch):
+        """Starts built from +-0 parts, where the kernel's real factors
+        (no 0.0 * terms) could change the sign of a zero: the kernel steps
+        those with no -0.0 part and hands the others to the loop, and
+        both give the loop's bits.  About a fifth of the parts are 1,
+        5e-324 or -3e-160, so that zeros also come from underflow."""
+        rng = np.random.default_rng(33)
+        points = [make_params(pump_power=pw, g_d=gd)
+                  for pw in (0.0, 10e-6) for gd in (0.0, 1e6)]
+        negative = declined = 0
+        for i in range(600):
+            v = rng.choice((0.0, -0.0), size=9)
+            if i % 2:
+                v = np.abs(v)  # no -0.0 part: the kernel steps it
+            odd = rng.random(9) < 0.2
+            v[odd] = rng.choice((1.0, 5e-324, -3e-160), size=odd.sum())
+            v = [float(x) for x in v]
+            z = [complex(*v[j:j + 2]) for j in (0, 2, 4, 6)]
+            mode = ("full", "frozen", "full-closure")[i % 3]
+            p, n = points[i // 3 % 4], 1 + i // 12 % 3
+            s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=n * 0.1 / OMEGA_M,
+                                   stride=1)
+            if mode == "full":
+                integrate, kwargs, used = integrate_full, {}, v
+                init = MeanFieldState(a_plus=z[0], a_minus=z[1], b=z[2],
+                                      sigma_minus=z[3], sigma_z=v[8])
+            else:
+                integrate, used = integrate_reduced, v[:6] + v[8:]
+                kwargs = {"delta_n_mode": mode}
+                if mode == "frozen":
+                    kwargs["delta_n0"] = v[7]
+                    used.append(v[7])
+                init = ReducedState(p=z[0], b=z[1], sigma_minus=z[2],
+                                    sigma_z=v[8])
+            negative += any(math.copysign(1.0, x) < 0 for x in used if x == 0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                c = outcome(integrate, p, init, s, **kwargs)
+                py = python_loop(monkeypatch, integrate, p, init, s, **kwargs)
+            declined += c[0].meta["rk4"] == "python"
+            assert_same_bits(c, py)
+        assert declined == negative and 200 < negative < 400
+
+    def test_undriven_long_run_bit_identical(self, monkeypatch):
+        """A dynamics-long-shaped run, the inputs of the kernel's speed
+        figure: lossless, undriven, dt = 0.005/omega_m, stride 200.  a+-
+        stay +0.0 throughout, so every update of theirs adds zeros."""
+        p = make_params(pump_power=0.0, gamma_q=0.0)
+        sm = 0.36 * complex(math.cos(0.6), math.sin(0.6))
+        init = MeanFieldState(b=1.0, sigma_minus=sm,
+                              sigma_z=-math.sqrt(1.0 - 4.0 * abs(sm) ** 2))
+        s = IntegratorSettings(dt=0.005 / OMEGA_M,
+                               t_final=3 * 2.0 * math.pi / OMEGA_M, stride=200)
+        c = outcome(integrate_full, p, init, s)
+        py = python_loop(monkeypatch, integrate_full, p, init, s)
+        assert (c[0].meta["rk4"], py[0].meta["rk4"]) == ("c", "python")
+        assert_same_bits(c, py)
+        assert c[1] is None and c[0].meta["steps"] == 3770
+        a = c[0].states[:, :2]
+        assert a.tobytes() == bytes(a.nbytes)  # every part +0.0
 
     def test_steps_in_meta(self, fig2_params):
         s = settings_for(1e-6, stride=7)

@@ -24,6 +24,7 @@ seed); growth windows should sit a safe factor above that floor.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import numbers
@@ -107,7 +108,7 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise InvalidParameterError("times and states lengths differ")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
+        if len(t := self.times) > 1 and not (t[1:] > t[:-1]).all():
             raise InvalidParameterError("times must be strictly increasing")
 
     def column(self, name: str) -> np.ndarray:
@@ -157,7 +158,8 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
     """Run ``settings.method`` (default ``_default_settings``) from y0 on
     the rows ``IntegratorSettings`` lays out; warn when dt under-resolves.
     "rk4" runs the kernel's ``integrate`` on ``native`` = (model,
-    coefficients), or ``_run_rk4`` where that returns 0.
+    coefficients), on raw addresses of arrays made here and held for the
+    call, or ``_run_rk4`` where that returns 0.
     ``fill(states)`` fills in place the columns the steps leave out."""
     settings = settings or _default_settings(params)
     rate = _fastest_rate(params)
@@ -169,23 +171,29 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
         warnings.warn(notes[-1], UserWarning, stacklevel=3)
     meta.update(settings=settings, warnings=notes)
     h, stride = settings.dt, settings.stride
-    where = (f"t_final / dt = {settings.t_final / h:.3g} steps at stride "
-             f"{stride:.3g}")
+
+    def where():  # the lead of an error text, formatted only for one
+        return (f"t_final / dt = {settings.t_final / h:.3g} steps at stride "
+                f"{stride:.3g}")
     try:
         n_steps = max(1, round(settings.t_final / h))
         states = np.empty((1 + -(-n_steps // stride), 5), dtype=complex)
     except (OverflowError, ValueError, MemoryError) as err:
         raise InvalidParameterError(
-            f"{where}: cannot allocate the stored rows ({err})") from err
+            f"{where()}: cannot allocate the stored rows ({err})") from err
     if max(n_steps, stride) >= 2 ** 63:  # the kernel counts in int64_t
-        raise InvalidParameterError(f"{where}: more than int64 counts")
+        raise InvalidParameterError(f"{where()}: more than int64 counts")
     times = np.append(np.arange(0, n_steps, stride), n_steps) * h
     if settings.method == "dop853":
         states[:] = _run_adaptive(rhs, y0, times)
     else:
-        steps = 0 if (lib := _kernel()) is None else lib.integrate(
-            native[0], np.array(native[1], dtype=complex),
-            np.array(y0, dtype=complex), h, n_steps, stride, states)
+        steps = 0
+        if lib := _kernel():
+            cy = np.array((*native[1], *y0), dtype=complex)  # c, then y0
+            at = ctypes.addressof(ctypes.c_char.from_buffer(cy))
+            steps = lib.integrate(
+                native[0], at, at + cy.itemsize * len(native[1]), h, n_steps,
+                stride, ctypes.addressof(ctypes.c_char.from_buffer(states)))
         meta["rk4"] = "c" if steps else "python"
         if steps == 0:  # no kernel, a -0.0 start or a singular elimination
             steps = _run_rk4(rhs, y0, h, n_steps, stride, states)
@@ -361,12 +369,11 @@ def _run_rk4(rhs, y0, h, n_steps, stride, states) -> int:
 @functools.cache
 def _kernel():
     """``_rk4.c`` (``_kernels.load_kernel``), or None and a warning."""
-    import ctypes
     from ._kernels import load_kernel
-    cx = np.ctypeslib.ndpointer(complex, flags="C")
     return load_kernel("_rk4.c", "integrate", (
-        ctypes.c_int64, ctypes.c_int, cx, cx, ctypes.c_double, ctypes.c_int64,
-        ctypes.c_int64, cx), "RK4 runs in Python", 4)
+        ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p),
+        "RK4 runs in Python", 4)
 
 
 def _run_adaptive(rhs, y0, times) -> np.ndarray:
@@ -397,7 +404,7 @@ class GrowthRateFit:
 def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
     """Least-squares slope of log|b(t)| over ``window`` (t0, t1).
 
-    Requires |b| strictly positive on the window and at least three
+    Requires |b| positive and finite on the window and at least three
     samples inside it.
     """
     t0, t1 = window
@@ -406,27 +413,30 @@ def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
     t = traj.times
     if t0 < t[0] or t1 > t[-1]:
         raise ValueError("window lies outside the trajectory")
-    lo, hi = np.searchsorted(t, t0), np.searchsorted(t, t1, "right")
-    if hi - lo < 3:
+    lo, hi = t.searchsorted(t0), t.searchsorted(t1, "right")
+    if (n := hi - lo) < 3:
         raise ValueError("window contains fewer than 3 samples")
-    amp = np.abs(traj.column("b")[lo:hi])
-    if np.any(amp <= 0.0):
-        raise ValueError("|b| touches zero inside the window")
-    x, y = t[lo:hi], np.log(amp)
-    x, y = x - x.mean(), y - y.mean()  # the centred least-squares line
+    amp = np.abs(traj.states[lo:hi, traj.fields.index("b")])
+    if not ((amp > 0.0).all()  # a zero or a nan |b| fails here,
+            and (ym := (y := np.log(amp)).sum() / n) < math.inf):  # inf here
+        i = int(((amp > 0.0) & (amp < math.inf)).argmin())
+        raise ValueError("|b| touches zero inside the window" if amp[i] == 0
+                         else f"|b| is {amp[i]} at t = {t[lo + i]:.6g} s")
+    x = t[lo:hi]
+    x, y = x - x.sum() / n, y - ym  # the centred least-squares line
     var_t = x @ x
     rate = float(x @ y / var_t)
-    ss = float(np.sum((y - rate * x) ** 2))
-    stderr = math.sqrt(ss / (len(x) - 2) / var_t) if var_t > 0 else math.inf
+    ss = float(((y - rate * x) ** 2).sum())
+    stderr = math.sqrt(ss / (n - 2) / var_t) if var_t > 0 else math.inf
     return GrowthRateFit(rate=rate, stderr=stderr)
 
 
 def crossing_time(times: np.ndarray, values: np.ndarray, level: float) -> float:
     """First time ``values`` rises to ``level`` (linear interpolation)."""
-    above = np.nonzero(values >= level)[0]
-    if len(above) == 0:
-        raise ValueError(f"level {level:g} never reached")
-    i = int(above[0])
+    i = int((values < level).argmin())  # the first sample not below level
+    if not values[i] >= level:  # all below (or a nan level), or a nan
+        raise ValueError(f"level {level:g} never reached" if values[i] ==
+                         values[i] else f"values[{i}] is nan")
     if i == 0:
         return float(times[0])
     t0, t1 = times[i - 1], times[i]

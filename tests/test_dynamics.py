@@ -550,6 +550,78 @@ class TestGrowthRateFit:
         times, values = np.array([0.5, 1.0]), np.array([4.0, 5.0])
         assert crossing_time(times, values, 3.0) == 0.5
 
+    def test_non_finite_amplitude_is_named(self):
+        """A nan or infinite |b| inside the window raises and names its
+        time (a nan gave rate = stderr = nan); outside it, it is not read.
+        A zero before it is named first."""
+        t = np.linspace(0.0, 1e-6, 101)
+        for bad in (math.nan, complex(0.0, math.nan), math.inf,
+                    complex(-math.inf, math.nan)):
+            b = np.exp((2e5 - 1j * OMEGA_M) * t)
+            b[37] = bad
+            traj = Trajectory(times=t, states=b.reshape(-1, 1), fields=("b",))
+            with pytest.raises(ValueError, match=(
+                    rf"^\|b\| is {abs(bad)} at t = {t[37]:.6g} s$")):
+                growth_rate(traj, (0.0, 1e-6))
+            fit = growth_rate(traj, (t[38], 1e-6))
+            assert fit.rate == pytest.approx(2e5, rel=1e-9)
+            b[20] = 0.0
+            with pytest.raises(ValueError, match="touches zero"):
+                growth_rate(traj, (0.0, 1e-6))
+
+    def test_crossing_time_stops_at_a_nan(self):
+        times = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^values\[1\] is nan$"):
+            crossing_time(times, np.array([1.0, math.nan, 5.0]), 3.0)
+        # a nan after the crossing is not read
+        assert crossing_time(times, np.array([1.0, 5.0, math.nan]), 3.0) \
+            == 0.5
+        with pytest.raises(ValueError, match="level nan never reached"):
+            crossing_time(times, np.array([1.0, 5.0, 6.0]), math.nan)
+
+    def test_crossing_time_matches_the_nonzero_form(self):
+        """The first sample not below the level (argmin of the mask) gives
+        the bits of the np.nonzero form on random arrays: levels reached
+        at sample 0 or never, ties with the level, plateaus, signed zeros."""
+        def oracle(times, values, level):
+            above = np.nonzero(values >= level)[0]
+            if len(above) == 0:
+                raise ValueError(f"level {level:g} never reached")
+            i = int(above[0])
+            if i == 0:
+                return float(times[0])
+            t0, t1 = times[i - 1], times[i]
+            v0, v1 = values[i - 1], values[i]
+            frac = (level - v0) / (v1 - v0) if v1 != v0 else 1.0
+            return float(t0 + frac * (t1 - t0))
+
+        def result(f, *args):
+            try:
+                return f(*args).hex()
+            except ValueError as err:
+                return str(err)
+
+        rng = np.random.default_rng(34)
+        seen = dict.fromkeys(("first", "never", "tie", "plateau"), 0)
+        for k in range(3000):
+            n = int(rng.integers(1, 30))
+            times = np.cumsum(rng.uniform(1e-9, 2e-9, n))
+            steps = rng.integers(-2, 4, n) * 0.1  # a sixth are 0: plateaus
+            values = np.round(rng.normal(0.0, 0.3) + steps.cumsum(), 1)
+            level = float((values[rng.integers(n)], rng.normal(0.0, 1.0),
+                           values.min() - 0.1, values.max() + 0.1,
+                           0.0)[k % 5])
+            want = result(oracle, times, values, level)
+            assert result(crossing_time, times, values, level) == want
+            above = np.nonzero(values >= level)[0]
+            i = above[0] if len(above) else None
+            seen["first"] += i == 0
+            seen["never"] += i is None
+            seen["tie"] += i is not None and values[i] == level
+            seen["plateau"] += i is not None and i >= 2 \
+                and values[i - 1] == values[i - 2]
+        assert min(seen.values()) > 100, seen
+
 
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: IntegratorSettings(dt=1e-9, t_final=1e-6,
@@ -770,6 +842,50 @@ class TestCompiledKernel:
         assert c[1] is None and c[0].meta["steps"] == 3770
         a = c[0].states[:, :2]
         assert a.tobytes() == bytes(a.nbytes)  # every part +0.0
+
+    def test_kernel_writes_only_the_laid_out_rows(self, monkeypatch,
+                                                  fig2_params):
+        """The kernel gets raw addresses, so a row written past the states
+        would corrupt memory instead of raising.  With sentinel rows laid
+        after the states: a finished run writes every row, a diverged one
+        the rows before its blow-up, and neither touches a row after."""
+        sentinel = np.frombuffer(b"\xa5" * 16, complex)[0]
+        buffers = []
+
+        class Numpy:  # numpy, whose empty() lays 3 sentinel rows after
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, dtype):
+                buffers.append(np.full((shape[0] + 3, shape[1]), sentinel,
+                                       dtype))
+                return buffers[-1][:shape[0]]
+
+        runs = [(integrate_full, {}), (integrate_reduced, {}),
+                (integrate_reduced, {"delta_n_mode": "full-closure"})]
+        dt = 0.1 / OMEGA_M
+        diverged = 0
+        for integrate, kwargs in runs:
+            # n_steps < stride; a multiple of it; neither; a blow-up
+            for n_steps, stride in ((3, 5), (1, 1), (20, 5), (20, 20),
+                                    (23, 5), (round(8e-6 / dt), 7)):
+                s = IntegratorSettings(dt=dt, t_final=n_steps * dt,
+                                       stride=stride)
+                with monkeypatch.context() as m:
+                    m.setattr(dynamics, "np", Numpy())
+                    traj, at = outcome(integrate, fig2_params, None, s,
+                                       **kwargs)
+                assert traj.meta["rk4"] == "c"
+                buf, written = buffers[-1], len(traj.states)
+                assert (buf[written:] == sentinel).all()
+                assert (buf[:written] != sentinel).all()
+                rows = len(buf) - 3
+                assert rows == 1 + -(-n_steps // stride)
+                assert written == rows if at is None else written < rows
+                diverged += at is not None
+                assert_same_bits((traj, at), outcome(integrate, fig2_params,
+                                                     None, s, **kwargs))
+        assert diverged == 3
 
     def test_steps_in_meta(self, fig2_params):
         s = settings_for(1e-6, stride=7)

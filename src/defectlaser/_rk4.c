@@ -15,6 +15,14 @@
      the kernel's result has a part that is not finite too, so the step
      fails mag2 < 1e250 in both loops.  No division reads a zero's sign:
      q is built from squares;
+   - the coupling k = i kx / 2 (c[4] of the full model, c[1] of the
+     reduced one) has a zero real part, so k x is iscal(k.im, x) and
+     k dn x is iscal(dn k.im, x).  CPython forms (+-0 x.re - k.im x.im,
+     +-0 x.im + k.im x.re): the dropped terms, like the promotion's, can
+     change only the sign of an exact zero.  integrate checks the premise
+     once a call: a k whose real part is not == 0.0 (NaN from an
+     overflowing kx) returns 0.  TestCompiledKernel pins both, with
+     starts whose parts underflow next to k and with hand-made k;
    - no such sign reaches a state: y + t rounds to -0.0 only when y and t
      are both -0.0, so from a start with no -0.0 part no state or stage
      has one, and adding a signed zero to a part that is not -0.0 gives the
@@ -41,8 +49,9 @@
    Returns n when the run finished, and -i when the squared norm of the
    state after step i was not < 1e250 (that state is not stored; rows 0 to
    (i - 1) / stride are).  Returns 0 where CPython raises instead (a
-   singular supermode elimination) and for a start with a -0.0 part; the
-   caller then replays the Python loop, which raises where CPython does. */
+   singular supermode elimination), for a start with a -0.0 part and for
+   a coupling whose real part is not 0; the caller then replays the
+   Python loop, which raises where CPython does. */
 
 #include <stdint.h>
 
@@ -59,10 +68,11 @@ INLINE int negzero(double x) { return x == 0.0 && 1.0 / x < 0.0; }
 INLINE int rhs_full(const cx *c, const cx *y, cx *k)
 {
     const cx ap = y[0], am = y[1], b = y[2], sm = y[3];
-    const double sz = y[4].re, drv = c[5].re, gd = c[6].re, gq = c[7].re;
-    k[0] = addr(add(mul(c[0], ap), mul(mul(c[4], am), b)), drv);
-    k[1] = addr(add(mul(c[1], am), mul(mul(c[4], ap), conj_(b))), drv);
-    k[2] = sub(add(mul(c[2], b), mul(mul(c[4], conj_(am)), ap)),
+    const double sz = y[4].re, ki = c[4].im, drv = c[5].re, gd = c[6].re,
+                 gq = c[7].re;
+    k[0] = addr(add(mul(c[0], ap), mul(iscal(ki, am), b)), drv);
+    k[1] = addr(add(mul(c[1], am), mul(iscal(ki, ap), conj_(b))), drv);
+    k[2] = sub(add(mul(c[2], b), mul(iscal(ki, conj_(am)), ap)),
                iscal(gd, sm));
     k[3] = add(mul(c[3], sm), scal(sz, iscal(gd, b)));
     k[4] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
@@ -77,7 +87,7 @@ INLINE int rhs_full(const cx *c, const cx *y, cx *k)
 INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
 {
     const cx p = y[0], b = y[1], sm = y[2];
-    const double gd = c[15].re, gq = c[16].re, sz = y[3].re;
+    const double ki = c[1].im, gd = c[15].re, gq = c[16].re, sz = y[3].re;
     double dn = y[4].re;
 
     const double alpha = c[4].re + c[5].re * (b.re * b.re + b.im * b.im);
@@ -89,8 +99,8 @@ INLINE int rhs_reduced(const cx *c, int flag, const cx *y, cx *k)
         dn = s * (c[12].re - c[13].re * b.re - c[14].re * b.im);
     const cx drive = C(s * (c[8].re * alpha + c[10].re - c[11].re * b.re),
                        -(s * (c[9].re * alpha + c[11].re * b.im)));
-    k[0] = add(sub(mul(c[0], p), mul(scal(dn, c[1]), b)), drive);
-    k[1] = sub(add(mul(c[2], b), mul(c[1], p)), iscal(gd, sm));
+    k[0] = add(sub(mul(c[0], p), iscal(dn * ki, b)), drive);
+    k[1] = sub(add(mul(c[2], b), iscal(ki, p)), iscal(gd, sm));
     k[2] = add(mul(c[3], sm), scal(sz, iscal(gd, b)));
     k[3] = F(-2.0 * gq * (sz + 1.0) + 4.0 * gd * mul(conj_(sm), b).im);
     k[4] = F(0.0);
@@ -155,6 +165,8 @@ INLINE int64_t rk4(int reduced, const cx *restrict c, int flag,
 int64_t integrate(int model, const cx *c, const cx *y0, double h, int64_t n,
                   int64_t stride, cx *states)
 {
+    if (!(c[model == 0 ? 4 : 1].re == 0.0)) /* k = i kx / 2, or the loop */
+        return 0;
     if (model == 0)
         return rk4(0, c, 0, y0, h, n, stride, states);
     return rk4(1, c, model == 2, y0, h, n, stride, states);

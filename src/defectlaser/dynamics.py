@@ -432,13 +432,17 @@ def growth_rate(traj: Trajectory, window: tuple[float, float]) -> GrowthRateFit:
 
 
 def crossing_time(times: np.ndarray, values: np.ndarray, level: float) -> float:
-    """First time ``values`` rises to ``level`` (linear interpolation)."""
+    """First time ``values`` rises to ``level`` (linear interpolation);
+    ValueError where it never does, or at a nan or infinite sample read."""
     i = int((values < level).argmin())  # the first sample not below level
     if not values[i] >= level:  # all below (or a nan level), or a nan
         raise ValueError(f"level {level:g} never reached" if values[i] ==
                          values[i] else f"values[{i}] is nan")
     if i == 0:
         return float(times[0])
+    for j in (i - 1, i):  # an infinite end leaves no crossing to interpolate
+        if abs(values[j]) == math.inf:
+            raise ValueError(f"values[{j}] is {values[j]}")
     t0, t1 = times[i - 1], times[i]
     v0, v1 = values[i - 1], values[i]
     frac = (level - v0) / (v1 - v0) if v1 != v0 else 1.0

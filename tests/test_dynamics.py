@@ -579,6 +579,19 @@ class TestGrowthRateFit:
         with pytest.raises(ValueError, match="level nan never reached"):
             crossing_time(times, np.array([1.0, 5.0, 6.0]), math.nan)
 
+    def test_crossing_time_stops_at_an_infinite_sample(self):
+        """An infinite end of the pair it would interpolate across is
+        named: -inf gave nan and a RuntimeWarning, inf the earlier
+        sample's time; a finite pair interpolates as before."""
+        times = np.array([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values, name in (((-math.inf, 5.0), r"values\[0\] is -inf"),
+                                 ((1.0, math.inf), r"values\[1\] is inf")):
+                with pytest.raises(ValueError, match=rf"^{name}$"):
+                    crossing_time(times, np.array(values), 3.0)
+            assert crossing_time(times, np.array([1.0, 5.0]), 3.0) == 0.5
+
     def test_crossing_time_matches_the_nonzero_form(self):
         """The first sample not below the level (argmin of the mask) gives
         the bits of the np.nonzero form on random arrays: levels reached
@@ -824,6 +837,90 @@ class TestCompiledKernel:
             declined += c[0].meta["rk4"] == "python"
             assert_same_bits(c, py)
         assert declined == negative and 200 < negative < 400
+
+    def test_coupling_zero_signs_bit_identical(self, monkeypatch):
+        """The kernel forms k x as (-(k.im x.im), k.im x.re), the loop as
+        (0 x.re - k.im x.im, 0 x.im + k.im x.re) with k = i kx / 2.  Starts
+        whose a+-, b, p and sigma_- parts mix +-1e-160, 5e-324 and 0.0 (no
+        -0.0 part) make those products and their partners underflow, at
+        kx ~ 3e3 and, with a 1 mg resonator, at kx ~ 0.7, where k.im
+        5e-324 is 0: there the dropped 0 x.re terms decide a zero's sign.
+        The kernel steps every start and gives the loop's bits."""
+        rng = np.random.default_rng(35)
+        points = [make_params(pump_power=pw, g_d=gd, mass=m)
+                  for m in (50e-12, 1e-3) for pw in (0.0, 10e-6)
+                  for gd in (0.0, 1e6)]
+        def signs(w):
+            return math.copysign(1.0, w.real), math.copysign(1.0, w.imag)
+
+        decided = 0
+        for i in range(480):
+            v = [float(x) for x in rng.choice((1e-160, -1e-160, 5e-324, 0.0),
+                                              size=8)]
+            z = [complex(*v[j:j + 2]) for j in (0, 2, 4, 6)]
+            mode = ("full", "frozen", "full-closure")[i % 3]
+            p, n = points[i // 3 % 8], 1 + i // 24 % 3
+            s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=n * 0.1 / OMEGA_M,
+                                   stride=1)
+            k = 0.5j * coefficients(p).kx
+            if mode == "full":
+                integrate, kwargs = integrate_full, {}
+                init = MeanFieldState(a_plus=z[0], a_minus=z[1], b=z[2],
+                                      sigma_minus=z[3], sigma_z=-1.0)
+                factors = (z[0], z[1], z[1].conjugate())
+            else:
+                integrate, kwargs = integrate_reduced, {"delta_n_mode": mode}
+                init = ReducedState(p=z[0], b=z[1], sigma_minus=z[2],
+                                    sigma_z=-1.0)
+                factors = (z[0],)
+            # the loop's k x against the kernel's, at the start
+            decided += any(signs(k * x) != signs(
+                complex(-(k.imag * x.imag), k.imag * x.real)) for x in factors)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                c = outcome(integrate, p, init, s, **kwargs)
+                py = python_loop(monkeypatch, integrate, p, init, s, **kwargs)
+            assert (c[0].meta["rk4"], py[0].meta["rk4"]) == ("c", "python")
+            assert_same_bits(c, py)
+        assert decided > 100
+
+    @pytest.mark.parametrize("model", [0, 1, 2])
+    def test_coupling_with_a_real_part_goes_to_the_loop(self, monkeypatch,
+                                                        fig2_params, model):
+        """The kernel's k x holds for k's zero real part only: a coupling
+        with a nonzero or a nan real part returns 0, so the run replays
+        the loop, which gives its own bits; a -0.0 real part (kx < 0) is
+        stepped."""
+        at = 4 if model == 0 else 1  # k's place among the coefficients
+        n, lib = 10, dynamics._kernel()
+        for k, stepped in ((0.5j, True), (complex(-0.0, 0.5), True),
+                           (0.1 + 0.5j, False), (complex(math.nan, 0.5), False)):
+            c = np.full(8 if model == 0 else 17, 0.1 + 0.0j)
+            c[at] = k
+            y0, states = np.full(5, 0.1 + 0.0j), np.empty((n + 1, 5), complex)
+            assert lib.integrate(model, c.ctypes.data, y0.ctypes.data, 1e-3,
+                                 n, 1, states.ctypes.data) == (n if stepped
+                                                               else 0)
+
+        integrate = integrate_full if model == 0 else integrate_reduced
+        kwargs = {} if model < 2 else {"delta_n_mode": "full-closure"}
+        s = settings_for(1e-7, stride=3)
+        want = python_loop(monkeypatch, integrate, fig2_params, None, s,
+                           **kwargs)
+        solve = dynamics._solve
+        for re, ran in ((-0.0, "c"), (0.1, "python"), (math.nan, "python")):
+            def skewed(params, settings, rhs, y0, fields, native, *args,
+                       **kw):
+                coeffs = list(native[1])
+                coeffs[at] = complex(re, coeffs[at].imag)
+                return solve(params, settings, rhs, y0, fields,
+                             (native[0], coeffs), *args, **kw)
+
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_solve", skewed)
+                got = outcome(integrate, fig2_params, None, s, **kwargs)
+            assert got[0].meta["rk4"] == ran
+            assert_same_bits(got, want)
 
     def test_undriven_long_run_bit_identical(self, monkeypatch):
         """A dynamics-long-shaped run, the inputs of the kernel's speed

@@ -123,7 +123,7 @@ class GainCoefficients:
     dg_im: complex      # 2i gamma Delta
     x_plus: complex     # 2i omega_-+ + 2 gamma
     x_minus: complex
-    num_plus: complex   # numerators of a+- at b = 0 (see supermodes)
+    num_plus: complex   # eps_l x+-: numerators of a+- at b = 0
     num_minus: complex
     g0: float           # G0 = g0 * (delta_n - g0_pump / denom_sq)
     g0_pump: float
@@ -132,20 +132,6 @@ class GainCoefficients:
     tls_den0: float     # defect denominator tls_den0 + tls_den_n * n
     tls_den_n: float
     gd_num: float       # Gd = gd_num / defect denominator
-
-    def supermodes(self, n: float, b: complex
-                   ) -> tuple[float, float, complex, complex]:
-        """alpha, alpha^2 + 4 Delta^2 gamma^2, a+ and a- at phonon number n
-        and mechanical amplitude b."""
-        alpha = self.alpha0 + self.alpha_n * n
-        denom_sq = alpha * alpha + self.dg2
-        if denom_sq == 0.0:
-            raise SingularParameterError(_SINGULAR_SUPERMODES)
-        denom = _SQRT8 * (alpha - self.dg_im)
-        return (alpha, denom_sq,
-                self.eps_l * (self.x_plus + 1j * self.kx * b) / denom,
-                self.eps_l * (self.x_minus + 1j * self.kx * b.conjugate())
-                / denom)
 
     def defect_den(self, n: float) -> float | None:
         """gamma_q^2 + (omega_q - omega_m)^2 + 2 g_d^2 n; None when g_d = 0."""
@@ -208,9 +194,9 @@ def _optics(params: SystemParams) -> tuple:
     x_minus = 2j * d.omega_plus + 2.0 * gam
     alpha0, alpha_n = J * J + gam * gam - delta * delta, 0.25 * kx * kx
     dg2, g0_pump = 4.0 * delta * delta * gam * gam, delta * dj * eps2
-    b = 0j  # supermodes' numerators at b = 0, operation for operation
-    num_plus = d.eps_l * (x_plus + 1j * kx * b)
-    num_minus = d.eps_l * (x_minus + 1j * kx * b.conjugate())
+    # steady_optics' numerators at b = 0, bit for bit (README): x+- has no
+    # -0.0 part, and 1j * kx * 0j is zero for finite kx (alpha_n checks it)
+    num_plus, num_minus = d.eps_l * x_plus, d.eps_l * x_minus
     # 0.0 * x is nan unless x is finite.  The fields left out are finite
     # when these are: eps_l by eps2, kx by alpha_n, dj by nj, dg_im by dg2,
     # x_plus and x_minus by alpha0.  num_+- are not: eps_l ~ 1e154 times
@@ -260,8 +246,13 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     """
     if not 0.0 <= n_b < math.inf:
         raise InvalidParameterError("n_b must be >= 0 and finite")
-    c = coefficients(params)
-    alpha, _, a_plus, a_minus = c.supermodes(n_b, complex(b))
+    c, b = coefficients(params), complex(b)
+    alpha = c.alpha0 + c.alpha_n * n_b
+    if alpha * alpha + c.dg2 == 0.0:
+        raise SingularParameterError(_SINGULAR_SUPERMODES)
+    divisor = _SQRT8 * (alpha - c.dg_im)
+    a_plus = c.eps_l * (c.x_plus + 1j * c.kx * b) / divisor
+    a_minus = c.eps_l * (c.x_minus + 1j * c.kx * b.conjugate()) / divisor
     return SteadyOptics(a_plus, a_minus, alpha,
                         abs(a_plus) ** 2 - abs(a_minus) ** 2)
 

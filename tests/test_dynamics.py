@@ -333,7 +333,7 @@ class TestReducedModel:
 
     @pytest.mark.filterwarnings("ignore:defect coupling")
     def test_closure_is_the_supermode_elimination(self, monkeypatch):
-        """The closure's closed forms against ``GainCoefficients.supermodes``
+        """The closure's closed forms against ``steady_optics(p, b, |b|^2)``
         on seeded random points and amplitudes b, each within a band of
         its term scale: the frozen rhs's drive (eps a+ + eps a-*) / sqrt 2
         within 1e-14 of (|eps a+| + |eps a-|) / sqrt 2 (the drive itself
@@ -357,7 +357,8 @@ class TestReducedModel:
             states[:, 1] = bs
             fill(states)
             for b, dn in zip(map(complex, bs), states[:, 4].real):
-                _, _, ap, am = c.supermodes(abs(b) ** 2, b)
+                so = steady_optics(p, b, abs(b) ** 2)
+                ap, am = so.a_plus, so.a_minus
                 drive = (c.eps_l * ap + c.eps_l * am.conjugate()) / sqrt2
                 # p = 0 and a frozen delta_n of 0.0 leave the drive alone
                 got = rhs(0j, b, 0j, -1.0, 0.0)[0]

@@ -40,6 +40,10 @@ from conftest import (GAMMA, GAMMA_M, OMEGA_M, Elimination, make_params,
 #: ``TestFixedPoint.test_every_self_consistent_preset_row_is_pinned``)
 FIXED_POINT_PIN = ("28009a720334f15accd95ad41973bfe8"
                    "675a8e3b8acba8e568dd6a930e8c3401")
+#: sha256 of ``steady_optics`` off b = 0 (see
+#: ``TestSteadyOptics.test_every_bit_is_pinned_off_b0``)
+STEADY_OPTICS_PIN = ("b6b4d0639e3ad2211b18fe69e0cb0687"
+                     "977fc45b4cde83222a839f854a97dc68")
 
 
 class TestSteadyOptics:
@@ -95,17 +99,47 @@ class TestSteadyOptics:
     def test_undamped_resonant_defect_leaves_the_optics_alone(self):
         """At gamma_q = 0, omega_q = omega_m and n_b = 0 the defect's
         elimination is singular, so ``gain`` raises; ``steady_optics``
-        reads no defect term and returns the supermode closure, bit for
-        bit."""
+        reads no defect term and returns the supermode closure of the same
+        point with the defect off (``terms``' a+-), bit for bit."""
         p = make_params(gamma_q=0.0, omega_q=OMEGA_M)
         with pytest.raises(SingularParameterError, match="undamped"):
             gain(p, 0.0)
         so = steady_optics(p, 0j, 0.0)
-        alpha, _, a_plus, a_minus = coefficients(p).supermodes(0.0, 0j)
+        off = coefficients(with_value(p, "tls.coupling", 0.0))
+        alpha, _, a_plus, a_minus = off.terms(0.0)[:4]
         got = np.array([so.a_plus, so.a_minus, so.alpha, so.delta_n])
         want = np.array([a_plus, a_minus, alpha,
                          abs(a_plus) ** 2 - abs(a_minus) ** 2])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:defect coupling")
+    def test_every_bit_is_pinned_off_b0(self):
+        """One sha256 over a+-, alpha and delta_n (as float.hex), or the
+        error raised, on 400 seeded points and one whose elimination is
+        singular at n_b = 0, each at eight amplitudes b (signed zeros, a
+        subnormal part, 1e150 parts, a -1e160 one whose |a|^2 overflows)
+        and four phonon numbers.  The closure test allows 1e-14 off b = 0;
+        this holds every bit there."""
+        bs = (0j, complex(-0.0, -0.0), complex(0.0, -0.0), 0.3 + 0.1j,
+              complex(-2e5, 5e-324), complex(5e-324, -7e4),
+              complex(1e150, 1e150), complex(-1e160, -0.0))
+        points = [random_params(np.random.default_rng(seed))
+                  for seed in range(400)]
+        points.append(make_params(gamma=1e-90, pump_detuning=1e-90,
+                                  coupling_j=0.0))
+        digest, errors = hashlib.sha256(), 0
+        for p, b, n_b in itertools.product(points, bs, (0.0, 1e-3, 1e4, 1e12)):
+            try:
+                so = steady_optics(p, b, n_b)
+            except (SingularParameterError, OverflowError) as err:
+                errors += 1
+                digest.update(f"{type(err).__name__} {err}\n".encode())
+                continue
+            digest.update(" ".join(x.hex() for x in (
+                so.a_plus.real, so.a_plus.imag, so.a_minus.real,
+                so.a_minus.imag, so.alpha, so.delta_n)).encode() + b"\n")
+        assert errors == 1604  # 8 singular at n_b = 0, the rest overflow
+        assert digest.hexdigest() == STEADY_OPTICS_PIN
 
 
 class TestGain:
@@ -409,10 +443,11 @@ class TestGainKernel:
 
     @pytest.mark.filterwarnings("ignore:defect coupling")
     def test_terms_is_the_b0_form(self):
-        """``terms`` evaluates a+- from the hoisted b = 0 numerators; every
-        entry it shares with ``supermodes(n, 0j)``, ``steady_optics``'
-        ``abs(a) ** 2`` inversion and ``defect_den`` has their bits,
-        signed zeros and nan included.
+        """``terms`` evaluates a+- from the hoisted b = 0 numerators
+        eps_l x+-; every entry it shares with ``steady_optics(p, 0j, n)``
+        (its alpha, alpha^2 + 4 Delta^2 gamma^2, a+-, ``abs(a) ** 2``
+        inversion) and ``defect_den`` has their bits, signed zeros and nan
+        included.
         300 draws: |a|**2 and |a|*|a| differ on 7 of their 3600 a+-."""
         def bits(z):
             return None if z is None else (float(z.real).hex(),
@@ -420,12 +455,13 @@ class TestGainKernel:
 
         for seed in range(300):
             g_d = 0.0 if seed % 4 == 0 else None
-            c = coefficients(random_params(np.random.default_rng(seed), g_d))
+            p = random_params(np.random.default_rng(seed), g_d)
+            c = coefficients(p)
             for n in (0.0, 1e-12, 1.0, 1e3, 1e8, 1e300):
-                alpha, denom_sq, a_plus, a_minus = c.supermodes(n, 0j)
-                slow = (alpha, denom_sq, a_plus, a_minus,
-                        abs(a_plus) ** 2 - abs(a_minus) ** 2,
-                        c.defect_den(n))
+                so = steady_optics(p, 0j, n)
+                denom_sq = so.alpha * so.alpha + c.dg2
+                slow = (so.alpha, denom_sq, so.a_plus, so.a_minus,
+                        so.delta_n, c.defect_den(n))
                 assert (list(map(bits, c.terms(n)[:6]))
                         == list(map(bits, slow))), (seed, n)
 
@@ -456,7 +492,7 @@ class TestGainKernel:
     def test_singular_supermodes_raise_the_same_error(self):
         # alpha = 0 exactly, and 4 Delta^2 gamma^2 underflows to 0
         p = make_params(gamma=1e-90, pump_detuning=1e-90, coupling_j=0.0)
-        raised = self.raised(p, lambda c: c.supermodes(0.0, 0j))
+        raised = self.raised(p, lambda c: steady_optics(p, 0j, 0.0))
         assert len(set(raised)) == 1 and "vanished" in raised[0]
 
     @pytest.mark.parametrize("pump_power", [10e-6, 20e-6])

@@ -18,16 +18,15 @@
    through a union, not a call, so no other function is called.
 
    Arguments: w, the 17 coefficients (their order is set in
-   steadystate.py) followed by room for the five outputs and cap history
-   entries; n_b0, tol and max_iter as the Python solver takes them.  On
-   return w[17..21] hold n_b_star, residual, iterations, converged and
-   whether the bisection ran, and w[22..] the history.
+   steadystate.py) followed by room for the five outputs; n_b0, tol and
+   max_iter as the Python solver takes them.  On return w[17..21] hold
+   n_b_star, residual, iterations, converged and whether the bisection
+   ran.
 
-   Returns the length of the history, or 0 where CPython raises instead (a
-   singular elimination, a zero defect denominator, an abs or a square
-   that overflows) or where the history or the cycle test would outgrow
-   its buffer: the caller then replays the Python loop, which raises or
-   answers the same. */
+   Returns 1, or 0 where CPython raises instead (a singular elimination,
+   a zero defect denominator, an abs or a square that overflows) or where
+   the cycle test would outgrow its table: the caller then replays the
+   Python loop, which raises or answers the same. */
 
 #include <errno.h>
 #include <float.h>
@@ -117,8 +116,8 @@ INLINE double nb_map(const double *c, double n, int *fault)
 }
 
 /* the report of solve_nb_fixed_point's ``report(n, fn, method)`` */
-INLINE int64_t report(double *out, double tol, int64_t evaluations,
-                      double n, double fn, int bisection, int64_t k)
+INLINE int report(double *out, double tol, int64_t evaluations,
+                  double n, double fn, int bisection)
 {
     const double residual = fabs_(fn - n);
     out[0] = n;
@@ -126,21 +125,17 @@ INLINE int64_t report(double *out, double tol, int64_t evaluations,
     out[2] = (double)(evaluations - 1);
     out[3] = residual <= tol * max1(n);
     out[4] = bisection;
-    return k;
+    return 1;
 }
 
-int64_t fixed_point(double *w, double n_b0, double tol, int64_t max_iter,
-                    int64_t cap)
+int fixed_point(double *w, double n_b0, double tol, int64_t max_iter)
 {
     const double *c = w;
-    double *out = w + NCOEF, *history = out + 5, starts[STARTS];
-    double n = n_b0, fn, lo, hi, mid;
-    int64_t it, k = 0, n_starts = 0, evaluations = 0;
+    double *out = w + NCOEF, window[3], starts[STARTS];
+    double n = n_b0, peak = n_b0, fn, lo, hi, mid;
+    int64_t it, n_starts = 0, evaluations = 0;
     int fault = 0;
 
-    if (cap < 1)
-        return 0;
-    history[k++] = n;
     for (it = 0; it <= max_iter; it++) {
         if (it % 3 == 0) { /* `n in starts`: the loop would repeat */
             for (int64_t i = 0; i < n_starts; i++)
@@ -155,28 +150,24 @@ int64_t fixed_point(double *w, double n_b0, double tol, int64_t max_iter,
             return 0;
         evaluations++;
         if (fabs_(fn - n) <= tol * max1(n))
-            return report(out, tol, evaluations, n, fn, 0, k);
+            return report(out, tol, evaluations, n, fn, 0);
         if (it == max_iter)
             break;
         if (!isfinite_(fn))
             n = fn > 0.0 ? (1e300 < fn ? 1e300 : fn) : 0.0;
         else
             n = (1.0 - RELAXATION) * n + RELAXATION * fn;
-        if (k == cap)
-            return 0;
-        history[k++] = n;
+        peak = peak < n ? n : peak; /* max(peak, n) */
+        window[it % 3] = n;
         if (it % 3 == 2) {
-            const double x0 = history[k - 3], x1 = history[k - 2];
-            const double x2 = history[k - 1];
+            const double x0 = window[0], x1 = window[1], x2 = window[2];
             const double d1 = x1 - x0, d2 = x2 - x1;
             const double dd = d2 - d1;
             if (dd != 0.0 && isfinite_(dd)) {
                 const double cand = x2 - d2 * d2 / dd;
                 if (isfinite_(cand) && cand >= 0.0) {
                     n = cand;
-                    if (k == cap)
-                        return 0;
-                    history[k++] = n;
+                    peak = peak < n ? n : peak;
                 }
             }
         }
@@ -184,11 +175,7 @@ int64_t fixed_point(double *w, double n_b0, double tol, int64_t max_iter,
 
 bisect:
     lo = 0.0;
-    hi = history[0];
-    for (int64_t i = 1; i < k; i++) /* max(history) */
-        if (history[i] > hi)
-            hi = history[i];
-    hi = max1(2.0 * hi);
+    hi = max1(2.0 * peak);
     for (;;) {
         fn = nb_map(c, hi, &fault);
         if (fault)
@@ -197,7 +184,7 @@ bisect:
             break;
         evaluations++;
         if ((hi = 8.0 * hi) > 1e300)
-            return report(out, tol, evaluations, hi, HUGE_VAL, 1, k);
+            return report(out, tol, evaluations, hi, HUGE_VAL, 1);
     }
     evaluations++;
     while (lo < (mid = 0.5 * (lo + hi)) && mid < hi) {
@@ -209,13 +196,10 @@ bisect:
             lo = mid;
         else
             hi = mid;
-        if (k == cap)
-            return 0;
-        history[k++] = mid;
     }
     evaluations++;
     fn = nb_map(c, mid, &fault);
     if (fault)
         return 0;
-    return report(out, tol, evaluations, mid, fn, 1, k);
+    return report(out, tol, evaluations, mid, fn, 1);
 }

@@ -24,7 +24,8 @@ def load_kernel(source: str, entry: str, signature: tuple, fallback: str,
     try:
         key = zlib.crc32((here / source).read_bytes()
                          + (here / "_cx.h").read_bytes()
-                         + str((_FLAGS, sys.executable, sys.version)).encode())
+                         + str((_FLAGS, os.path.realpath(sys.executable or ""),
+                                sys.version)).encode())
         path = here / "__pycache__" / f"{Path(source).stem}.{key:08x}.so"
         if not path.exists():
             import subprocess

@@ -193,10 +193,7 @@ def cmd_fixed_point(args) -> int:
     params = _load_params(args)
     report = solve_nb_fixed_point(params, **_given(
         n_b0=args.nb0, tol=args.tol, max_iter=args.max_iter))
-    out = asdict(report)
-    if not args.history:
-        del out["history"]
-    _print_json(out)
+    _print_json(asdict(report))
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
@@ -247,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nb0", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--history", action="store_true")
     p.set_defaults(func=cmd_fixed_point)
 
     p = sub.add_parser("preset", help="run a figure-reproduction preset")

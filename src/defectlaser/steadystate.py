@@ -28,7 +28,6 @@ import cmath
 import functools
 import math
 import struct
-import threading
 from array import array
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ _RELAXATION = 0.5  # damping eta of the fixed-point iteration
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = 2.0 * _SQRT2
 _pack_17 = struct.Struct("17d").pack_into  # the fixed-point kernel's inputs
-_rooms = threading.local()  # its room, one per thread: ctypes frees the GIL
+_ROOM = bytes(8 * 22)  # 17 in, 5 out; one per solve, as ctypes frees the GIL
 _SINGULAR_SUPERMODES = ("alpha^2 + 4 Delta^2 gamma^2 vanished; supermode "
                         "elimination is singular (requires gamma = 0 and "
                         "alpha = 0)")
@@ -87,14 +86,13 @@ class FixedPointReport:
     ``iterations`` counts the evaluations of the map N_b(G(n)) after the
     first at n_b0, including the bisection fallback and the final
     residual check, whichever ``method`` ran.  An exact cycle ends the
-    damped loop early, which shortens ``iterations`` and ``history`` only.
+    damped loop early, which shortens ``iterations`` only.
     """
 
     n_b_star: float
     iterations: int
     residual: float
     converged: bool
-    history: tuple[float, ...]
     method: str = "damped"
 
 
@@ -324,32 +322,27 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         raise InvalidParameterError("n_b0 and tol must fit a double") from None
     c = coefficients(params)
     if type(max_iter) is int and max_iter < 2 ** 63 and (lib := _kernel()):
-        if (w := getattr(_rooms, "w", None)) is None:  # 17 in, 5 out, history
-            w = _rooms.w = array("d", bytes(8 * (17 + 5 + 2400)))
+        w = array("d", _ROOM)
         _pack_17(w, 0, c.alpha0, c.alpha_n, c.dg2, c.dg_im.real, c.dg_im.imag,
                  c.num_plus.real, c.num_plus.imag, c.num_minus.real,
                  c.num_minus.imag, c.g0, c.g0_pump, c.g_d, c.tls_den0,
                  c.tls_den_n, c.gd_num, c.gamma_m, _SQRT8)
-        if k := lib.fixed_point(w.buffer_info()[0], n_b0, tol, max_iter,
-                                len(w) - 22):
-            return FixedPointReport(
-                w[17], int(w[19]), w[18], w[20] == 1.0, tuple(w[22:22 + k]),
-                "bisection" if w[21] else "damped")
+        if lib.fixed_point(w.buffer_info()[0], n_b0, tol, max_iter):
+            return FixedPointReport(w[17], int(w[19]), w[18], w[20] == 1.0,
+                                    "bisection" if w[21] else "damped")
     terms = c.terms
     evaluations = 0
-    history = [n_b0]
 
     def report(n, fn, method):
         residual = abs(fn - n)
         return FixedPointReport(
             n_b_star=n, iterations=evaluations - 1, residual=residual,
-            converged=residual <= tol * max(1.0, n), history=tuple(history),
-            method=method)
+            converged=residual <= tol * max(1.0, n), method=method)
 
     # n stays finite and >= 0 (an infinite map value is capped at 1e300);
-    # at a triple's start it is the whole state (each triple rebuilds the
-    # Aitken window), so once it repeats only history recurs: bisect
-    n = n_b0
+    # once a triple start repeats, so does the path, and peak stays: bisect
+    n = peak = n_b0
+    window = [0.0, 0.0, 0.0]
     starts = set()
     for it in range(max_iter + 1):
         if it % 3 == 0:
@@ -366,19 +359,20 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
             n = min(fn, 1e300) if fn > 0 else 0.0
         else:
             n = (1.0 - _RELAXATION) * n + _RELAXATION * fn
-        history.append(n)
+        peak = max(peak, n)
+        window[it % 3] = n
         if it % 3 == 2:
-            x0, x1, x2 = history[-3], history[-2], history[-1]
+            x0, x1, x2 = window
             d1, d2 = x1 - x0, x2 - x1
             dd = d2 - d1
             if dd != 0.0 and math.isfinite(dd):
                 cand = x2 - d2 * d2 / dd
                 if math.isfinite(cand) and cand >= 0.0:
                     n = cand
-                    history.append(n)
+                    peak = max(peak, n)
 
     # f(0) = N_b > 0, so lo = 0 lies below the root
-    lo, hi = 0.0, max(1.0, 2.0 * max(history))
+    lo, hi = 0.0, max(1.0, 2.0 * peak)
     while not terms(hi)[-1] < hi:
         evaluations += 1
         if (hi := 8.0 * hi) > 1e300:
@@ -390,7 +384,6 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
             lo = mid
         else:
             hi = mid
-        history.append(mid)
     evaluations += 1
     return report(mid, terms(mid)[-1], "bisection")
 
@@ -401,5 +394,5 @@ def _kernel():
     import ctypes
     from ._kernels import load_kernel
     return load_kernel("_fixed_point.c", "fixed_point", (
-        ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-        ctypes.c_int64, ctypes.c_int64), "the fixed point runs in Python", 3)
+        ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64), "the fixed point runs in Python", 3)

@@ -62,8 +62,6 @@ class SweepAxis:
             raise SweepError("log axis endpoints must be > 0")
 
     def values(self) -> np.ndarray:
-        if self.num == 1:
-            return np.asarray([self.start], dtype=float)
         space = np.geomspace if self.scale == "log" else np.linspace
         try:
             return space(self.start, self.stop, self.num)

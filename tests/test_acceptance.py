@@ -126,6 +126,32 @@ class TestAcceptance:
                 ok = False
         verdict("C4 turning point below EP", ok, f"{tested} samples")
 
+    def test_c4_landmark_order_follows_the_criterion(self, rng):
+        """On C4's resonant draw, gamma_q_EP < gamma_q_min exactly when
+        (2 - sqrt 2) sqrt(n_b) g_d < -gamma_m_eff: the form of C4's claim
+        that can fail.  About 5% of draws put the EP first; near-ties are
+        skipped, and the draws go on until each side has 100 samples."""
+        sides, wrong = [0, 0], []  # [minimum first, EP first]
+        for _ in range(20_000):
+            n_b = rng.uniform(1.0, 100.0)
+            g_d = rng.uniform(1e4, 3e6)
+            gpm = rng.uniform(-2e6, 2e6)
+            margin = (2.0 - math.sqrt(2.0)) * math.sqrt(n_b) * g_d + gpm
+            if abs(margin) <= 1e-9 * (abs(gpm) + math.sqrt(n_b) * g_d):
+                continue  # a near-tie: rounding picks the order
+            spec = eigenvalues(EffectiveParams(
+                n_b=n_b, omega_m=OMEGA_M, omega_q=OMEGA_M, gamma_m_eff=gpm,
+                gamma_q=1e6, g_d=g_d))
+            ep_first = margin < 0.0
+            sides[ep_first] += 1
+            if (spec.gamma_q_EP < spec.gamma_q_min) != ep_first:
+                wrong.append((n_b, g_d, gpm))
+            if min(sides) >= 100:
+                break
+        verdict("C4 landmark order", not wrong and min(sides) >= 100,
+                f"{sides[1]} EP first, {sides[0]} minimum first, "
+                f"{len(wrong)} against the criterion")
+
     def test_c5_dynamics_vs_eliminated_gain(self, rng):
         """Windowed |b| growth of the reduced model vs G - gamma_m from
         the eliminated gain at the window-consistent phonon number,

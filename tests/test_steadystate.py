@@ -7,10 +7,10 @@ import importlib.util
 import itertools
 import math
 import pickle
+import subprocess
 import sys
 import threading
 import warnings
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -267,28 +267,32 @@ class TestFixedPoint:
 
     def test_history_and_report_fields(self, fig2_params):
         r = solve_nb_fixed_point(fig2_params, n_b0=0.0)
-        assert r.history[0] == 0.0
-        assert len(r.history) >= r.iterations
+        assert [f.name for f in dataclasses.fields(r)] == [
+            "n_b_star", "iterations", "residual", "converged", "method"]
         assert r.method in ("damped", "bisection")
 
-    def test_infinite_map_at_zero_converges(self, fig2_params):
+    def test_infinite_map_at_zero_converges(self, fig2_params, monkeypatch):
         """At 1 mW, N_b(G(0)) overflows, so the iteration jumps to the
         1e300 cap and the bisection has to descend from there."""
         p = with_value(fig2_params, "optical.pump_power", 1e-3)
-        r = solve_nb_fixed_point(p)
-        assert 1e300 in r.history
+        r, calls = recorded_python_loop(monkeypatch, p)
+        assert 1e300 in calls
         assert r.converged and r.method == "bisection"
         residual = abs(gain(p, r.n_b_star).N_b - r.n_b_star)
         assert residual == r.residual <= 1e-10 * max(1.0, r.n_b_star)
+        assert report_bits(solve_nb_fixed_point(p)) == report_bits(r)
 
-    def test_bisection_bracket_expands(self, fig2_params):
+    def test_bisection_bracket_expands(self, fig2_params, monkeypatch):
         """After one damped step the bracket is [0, 1], and N_b(G(n)) > n at
         both of its ends (two of the three roots lie between), so its top
         grows eightfold, past the third root."""
         p = with_value(fig2_params, "tls.tls_loss", 3.2e5)
-        r = solve_nb_fixed_point(p, max_iter=1)
-        assert r.history[2] == 0.5 * 8.0 ** 8  # first midpoint
+        r, calls = recorded_python_loop(monkeypatch, p, max_iter=1)
+        # n_b0 and the damped step, the bracket tops, the first midpoint
+        assert calls[2:12] == [8.0 ** k for k in range(9)] + [0.5 * 8.0 ** 8]
         assert r.converged and r.method == "bisection"
+        assert report_bits(solve_nb_fixed_point(p, max_iter=1)) == \
+            report_bits(r)
         residual = abs(gain(p, r.n_b_star).N_b - r.n_b_star)
         assert residual == r.residual <= 1e-10 * max(1.0, r.n_b_star)
         # the default solve returns the lowest of the three roots
@@ -498,27 +502,33 @@ class TestGainKernel:
     @pytest.mark.parametrize("pump_power", [10e-6, 20e-6])
     def test_evaluations_count_every_map_call(self, fig2_params, monkeypatch,
                                               pump_power):
-        calls = []
-        terms = steadystate.GainCoefficients.terms
-
-        def counted(self, n):
-            calls.append(n)
-            return terms(self, n)
-
-        # the kernel never calls terms: count the Python loop's calls
-        monkeypatch.setattr(steadystate, "_kernel", lambda: None)
-        monkeypatch.setattr(steadystate.GainCoefficients, "terms", counted)
         p = with_value(fig2_params, "optical.pump_power", pump_power)
-        r = solve_nb_fixed_point(p)
+        r, calls = recorded_python_loop(monkeypatch, p)
         assert r.converged
         assert r.method == ("damped" if pump_power == 10e-6 else "bisection")
         assert r.iterations == len(calls) - 1 >= 0
 
 
+def recorded_python_loop(monkeypatch, p, **kwargs):
+    """The Python loop's report and every n it evaluates the map at (the
+    kernel never calls ``terms``)."""
+    calls = []
+    terms = steadystate.GainCoefficients.terms
+
+    def recorded(self, n):
+        calls.append(n)
+        return terms(self, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(steadystate, "_kernel", lambda: None)
+        m.setattr(steadystate.GainCoefficients, "terms", recorded)
+        return solve_nb_fixed_point(p, **kwargs), calls
+
+
 def report_bits(r):
     """Every field of a ``FixedPointReport``, each float as float.hex."""
     return (r.n_b_star.hex(), r.iterations, r.residual.hex(), r.converged,
-            r.method, [x.hex() for x in r.history])
+            r.method)
 
 
 @pytest.fixture
@@ -604,28 +614,15 @@ class TestFixedPointKernel:
         assert raised[0] == raised[1] and kernel_returns == [0]
         assert (raised[0][0] is OverflowError) == (case != "singular")
 
-    def test_history_overflow_replays_the_same_report(self, monkeypatch,
-                                                      kernel_returns,
-                                                      fig2_params):
-        # this thread's room: 17 inputs, 5 outputs and 5 history entries,
-        # where the solve keeps 10
-        monkeypatch.setattr(steadystate._rooms, "w",
-                            array("d", bytes(8 * (17 + 5 + 5))), raising=False)
-        c = solve_nb_fixed_point(fig2_params)
-        assert len(c.history) > 5 and kernel_returns == [0]
-        assert report_bits(c) == report_bits(
-            python_loop(monkeypatch, fig2_params))
-
     def test_inputs_it_cannot_take_go_to_the_loop(self, kernel_returns,
                                                   fig2_params):
         # a max_iter beyond int64: no kernel call
         r = solve_nb_fixed_point(fig2_params, max_iter=2 ** 64 + 200)
-        assert r.converged and type(r.history[0]) is float
+        assert r.converged and type(r.n_b_star) is float
         assert kernel_returns == []
         # an int n_b0 is made a float first: one kernel call, same bits
         r = solve_nb_fixed_point(fig2_params, n_b0=0)
-        assert type(r.history[0]) is float and kernel_returns == [len(
-            r.history)]
+        assert type(r.n_b_star) is float and kernel_returns == [1]
         assert report_bits(r) == report_bits(
             solve_nb_fixed_point(fig2_params, n_b0=0.0))
 
@@ -685,6 +682,23 @@ class TestFixedPointKernel:
             warnings.simplefilter("error")
             again = solve_nb_fixed_point(p)  # no second warning
         assert report_bits(c) == report_bits(py) == report_bits(again)
+
+    def test_one_build_per_interpreter_not_per_path(self, monkeypatch,
+                                                    tmp_path):
+        """The build is keyed by the interpreter's resolved path, so another
+        name for it (python3 beside python3.11) loads the same build."""
+        assert steadystate._kernel.__wrapped__() is not None  # built once
+        link = tmp_path / "python"
+        link.symlink_to(sys.executable)
+        monkeypatch.setattr(sys, "executable", str(link))
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"the compiler ran: {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert steadystate._kernel.__wrapped__() is not None
 
 
 def perfbench_specs(monkeypatch, workload, seed):

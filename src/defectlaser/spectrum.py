@@ -135,13 +135,8 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     kappa = eff.g_d * math.sqrt(eff.n_b)
     w_plus, v_plus = _eigvec(a, kappa, d, e_plus, (1.0, 0.0))
     w_minus, v_minus = _eigvec(a, kappa, d, e_minus, (0.0, 1.0))
-    # <v+|v->, rounded as numpy's vdot (OpenBLAS zdotc) rounded it
     (a0, a1), (c0, c1) = v_plus, v_minus
-    overlap = abs(complex(
-        _fma(a1.real, c1.real, a0.real * c0.real)
-        + _fma(a1.imag, c1.imag, a0.imag * c0.imag),
-        _fma(a1.real, c1.imag, a0.real * c0.imag)
-        - _fma(a1.imag, c1.real, a0.imag * c0.real)))
+    overlap = abs(a0.conjugate() * c0 + a1.conjugate() * c1)
 
     gq_ep = _ep_losses(eff)[0]
     phase = ("at-EP" if abs(eff.gamma_q - gq_ep) <= 1e-9 * eff.omega_m

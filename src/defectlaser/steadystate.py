@@ -119,10 +119,8 @@ class GainCoefficients:
     alpha_n: float
     dg2: float          # alpha^2 + dg2 = |alpha - dg_im|^2
     dg_im: complex      # 2i gamma Delta
-    x_plus: complex     # 2i omega_-+ + 2 gamma
-    x_minus: complex
-    num_plus: complex   # eps_l x+-: numerators of a+- at b = 0
-    num_minus: complex
+    num_plus: complex   # eps_l x+-, x+- = 2i omega_-+ + 2 gamma: the
+    num_minus: complex  # numerators of a+- at b = 0
     g0: float           # G0 = g0 * (delta_n - g0_pump / denom_sq)
     g0_pump: float
     g_d: float          # defect coupling, first of the five defect fields
@@ -169,13 +167,13 @@ class GainCoefficients:
 
 
 _OUT_OF_RANGE = "the gain's closed forms leave the floating-point range"
-# the optical and mechanical blocks of the last build and their 17 fields;
+# the optical and mechanical blocks of the last build and their 15 fields;
 # strong references, so an ``is`` match is never a reused id
 _last: tuple = (None, None, None)
 
 
 def _optics(params: SystemParams) -> tuple:
-    """The 17 fields of a bundle up to g0_pump, derived and checked."""
+    """The 15 fields of a bundle up to g0_pump, derived and checked."""
     opt, mech = params.optical, params.mechanical
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
     dj = 2.0 * J - mech.mech_freq
@@ -188,25 +186,23 @@ def _optics(params: SystemParams) -> tuple:
     except (OverflowError, ZeroDivisionError):
         why = ": (2J - omega_m)^2 + 4 gamma^2 is 0" if nj == 0.0 else ""
         raise SingularParameterError(_OUT_OF_RANGE + why) from None
-    x_plus = 2j * d.omega_minus + 2.0 * gam
-    x_minus = 2j * d.omega_plus + 2.0 * gam
     alpha0, alpha_n = J * J + gam * gam - delta * delta, 0.25 * kx * kx
     dg2, g0_pump = 4.0 * delta * delta * gam * gam, delta * dj * eps2
     # steady_optics' numerators at b = 0, bit for bit (README): x+- has no
     # -0.0 part, and 1j * kx * 0j is zero for finite kx (alpha_n checks it)
-    num_plus, num_minus = d.eps_l * x_plus, d.eps_l * x_minus
+    num_plus = d.eps_l * (2j * d.omega_minus + 2.0 * gam)
+    num_minus = d.eps_l * (2j * d.omega_plus + 2.0 * gam)
     # 0.0 * x is nan unless x is finite.  The fields left out are finite
     # when these are: eps_l by eps2, kx by alpha_n, dj by nj, dg_im by dg2,
-    # x_plus and x_minus by alpha0.  num_+- are not: eps_l ~ 1e154 times
-    # omega_-+ ~ 1e154 overflows
+    # and steady_optics' x+- by num_+-.  num_+- are not: eps_l ~ 1e154
+    # times omega_-+ ~ 1e154 overflows
     if not cmath.isfinite(0.0 * mech.mech_loss + 0.0 * eps2 + 0.0 * nj
                           + 0.0 * alpha0 + 0.0 * alpha_n + 0.0 * dg2
                           + 0.0 * num_plus + 0.0 * num_minus + 0.0 * g0
                           + 0.0 * g0_pump):
         raise SingularParameterError(_OUT_OF_RANGE)
     return (d, mech.mech_loss, d.eps_l, eps2, kx, dj, nj, alpha0, alpha_n,
-            dg2, 2j * gam * delta, x_plus, x_minus, num_plus, num_minus, g0,
-            g0_pump)
+            dg2, 2j * gam * delta, num_plus, num_minus, g0, g0_pump)
 
 
 def coefficients(params: SystemParams) -> GainCoefficients:
@@ -249,8 +245,11 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     if alpha * alpha + c.dg2 == 0.0:
         raise SingularParameterError(_SINGULAR_SUPERMODES)
     divisor = _SQRT8 * (alpha - c.dg_im)
-    a_plus = c.eps_l * (c.x_plus + 1j * c.kx * b) / divisor
-    a_minus = c.eps_l * (c.x_minus + 1j * c.kx * b.conjugate()) / divisor
+    gam = params.optical.cavity_loss  # x+- as _optics forms them
+    x_plus = 2j * c.derived.omega_minus + 2.0 * gam
+    x_minus = 2j * c.derived.omega_plus + 2.0 * gam
+    a_plus = c.eps_l * (x_plus + 1j * c.kx * b) / divisor
+    a_minus = c.eps_l * (x_minus + 1j * c.kx * b.conjugate()) / divisor
     return SteadyOptics(a_plus, a_minus, alpha,
                         abs(a_plus) ** 2 - abs(a_minus) ** 2)
 

@@ -60,11 +60,13 @@ class SweepAxis:
             raise SweepError("axis scale must be 'linear' or 'log'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise SweepError("log axis endpoints must be > 0")
+        if self.scale == "linear" and math.isinf(self.stop - self.start):
+            raise SweepError(f"axis {self.path}: stop - start overflows")
 
-    def values(self) -> np.ndarray:
+    def values(self) -> tuple[float, ...]:
         space = np.geomspace if self.scale == "log" else np.linspace
         try:
-            return space(self.start, self.stop, self.num)
+            return tuple(space(self.start, self.stop, self.num).tolist())
         except (ValueError, IndexError, MemoryError) as err:
             raise SweepError(f"axis {self.path}: numpy cannot allocate "
                              f"{self.num} points") from err
@@ -88,8 +90,7 @@ class SweepSpec:
     n_b_fixed: float | None = None
     name: str = "sweep"
     defaulted: tuple[str, ...] = ()
-    grids: tuple[np.ndarray, ...] = field(init=False, repr=False,
-                                          compare=False)
+    grids: tuple = field(init=False, repr=False, compare=False)
     kinds: tuple = field(init=False, repr=False, compare=False)
     spectrum: bool = field(init=False, repr=False, compare=False)
     ep_noted: bool = field(init=False, repr=False, compare=False)
@@ -139,8 +140,11 @@ class SweepSpec:
 
     def point_params(self, idx: int) -> tuple[list[float], SystemParams]:
         """Axis values and the parameter set at flat row-major index."""
-        coords = np.unravel_index(idx, self.grid_shape())
-        vals = [float(grid[c]) for grid, c in zip(self.grids, coords)]
+        shape = self.grid_shape()
+        if not 0 <= idx < math.prod(shape):
+            raise ValueError(f"index {idx} is off the {shape} grid")
+        coords = divmod(idx, shape[1]) if len(shape) == 2 else (idx,)
+        vals = [grid[c] for grid, c in zip(self.grids, coords)]
         p = self.base
         for ax, v in zip(self.axes, vals):
             p = with_value(p, ax.path, v)
@@ -165,14 +169,14 @@ def _grid_points(spec: SweepSpec):
     return points
 
 
-def _along(points, path: str, grid: np.ndarray):
+def _along(points, path: str, grid: tuple[float, ...]):
     """Each point of ``points`` extended by every value of one axis; the
     path is resolved once per point, not per value."""
     for vals, p in points:
         # setter cannot raise: run_sweep resolves the path on the base, and
         # SweepSpec refuses tls.* beside material.*, which could unset a group
         build = p if isinstance(p, DefectLaserError) else setter(p, path)
-        for v in grid.tolist():
+        for v in grid:
             try:
                 q = build if isinstance(build, DefectLaserError) else build(v)
             except DefectLaserError as err:
@@ -302,7 +306,7 @@ def _provenance(spec: SweepSpec) -> dict:
         "mode": spec.mode,
         "n_b_fixed": spec.n_b_fixed,
         "defaulted": list(spec.defaulted),
-        "rows": int(np.prod(spec.grid_shape())),
+        "rows": math.prod(spec.grid_shape()),
     }
 
 

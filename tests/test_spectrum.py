@@ -234,9 +234,10 @@ class TestFma:
 def numpy_spectrum(e):
     """Every field of ``eigenvalues(e)`` as its numpy code computed them,
     transcribed: ``np.linalg.norm`` as sqrt(ddot(re) + ddot(im)) whose
-    OpenBLAS ddot fused its second product, ``v / norm`` as v * (1 / norm)
-    per component, and ``np.vdot`` as OpenBLAS's zdotc; each fused
-    multiply-add through ``fraction_fma``."""
+    OpenBLAS ddot fused its second product and ``v / norm`` as
+    v * (1 / norm) per component, each fused multiply-add through
+    ``fraction_fma``; but the overlap as the plain |<v+|v->|.  Second,
+    that overlap as ``np.vdot`` rounded it, through OpenBLAS's zdotc."""
     zm = e.omega_m - 1j * e.gamma_m_eff
     zq = e.omega_q - 1j * e.gamma_q
     center = (e.n_b - 0.5) * zm + 0.5 * zq
@@ -256,7 +257,7 @@ def numpy_spectrum(e):
         s = 1.0 / norm
         vectors.append(tuple(complex(c.real * s, c.imag * s) for c in (x, y)))
     (a0, a1), (c0, c1) = vectors
-    dot = complex(fraction_fma(a1.real, c1.real, a0.real * c0.real)
+    zdotc = complex(fraction_fma(a1.real, c1.real, a0.real * c0.real)
                   + fraction_fma(a1.imag, c1.imag, a0.imag * c0.imag),
                   fraction_fma(a1.real, c1.imag, a0.real * c0.imag)
                   - fraction_fma(a1.imag, c1.real, a0.imag * c0.real))
@@ -268,8 +269,8 @@ def numpy_spectrum(e):
         gamma_q_EP=gq_ep, gamma_q_min=turning_point(e),
         phase=("at-EP" if abs(e.gamma_q - gq_ep) <= 1e-9 * e.omega_m
                else "below-EP" if e.gamma_q < gq_ep else "above-EP"),
-        eigvec_overlap=abs(dot),
-        L=max(abs(w[0] - w[1]) for w in weights))
+        eigvec_overlap=abs(a0.conjugate() * c0 + a1.conjugate() * c1),
+        L=max(abs(w[0] - w[1]) for w in weights)), abs(zdotc)
 
 
 def field_bits(value):
@@ -283,7 +284,8 @@ def field_bits(value):
 def test_every_field_keeps_numpys_bits():
     """20k seeded blocks, on and off resonance, n_b from 1 to 1e12, at and
     around the EP, and uncoupled (kappa = 0, degenerate or not): every
-    field equals the numpy transcription's by float.hex."""
+    field equals the numpy transcription's by float.hex, and the overlap
+    is within 1 ulp of numpy's vdot."""
     rng = random.Random(15)
     checked = degenerate = 0
     while checked < 20_000:
@@ -300,7 +302,9 @@ def test_every_field_keeps_numpys_bits():
             continue
         e = dataclasses.replace(probe, gamma_q=gq)
         got = eigenvalues(e)
-        assert field_bits(vars(got)) == field_bits(numpy_spectrum(e)), e
+        fields, zdotc = numpy_spectrum(e)
+        assert field_bits(vars(got)) == field_bits(fields), e
+        assert abs(got.eigvec_overlap - zdotc) <= math.ulp(zdotc), e
         checked += 1
         degenerate += got.weights_minus == (0.0, 1.0) and kind == 0
     assert degenerate == 2000  # the defect's basis vector, not the phonon's

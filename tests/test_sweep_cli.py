@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ class TestSweepSpec:
         with pytest.raises(SweepError, match="finite"):
             SweepAxis("tls.tls_loss", start, stop, 3)
 
+    def test_rejects_a_linear_axis_whose_span_overflows(self):
+        # numpy's linspace forms stop - start first: -1e308..1e308 gave
+        # nan, inf, 1e308 and an overflow warning
+        with pytest.raises(SweepError, match="axis optical.pump_detuning: "
+                                             "stop - start overflows"):
+            SweepAxis("optical.pump_detuning", -1e308, 1e308, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = SweepAxis("optical.pump_detuning", -8e307, 8e307, 3)
+            assert wide.values() == (-8e307, 0.0, 8e307)
+            assert SweepAxis("tls.tls_loss", 1e-308, 1e308, 3,
+                             "log").values() == (1e-308, 1.0, 1e308)
+
     def test_rejects_fixed_mode_without_value(self):
         with pytest.raises(SweepError, match="n_b_fixed"):
             small_spec(mode="fixed-nb", n_b_fixed=None)
@@ -271,8 +285,8 @@ class TestRunSweep:
         for start, stop in [(3e6, 7e6), (7e6, 3e6), (1e-300, 1e300),
                             (1e300, 1e-300), (2.5, 3.0)]:
             values = SweepAxis("tls.tls_loss", start, stop, 1, scale).values()
-            assert values.dtype == np.float64
-            assert [v.hex() for v in values.tolist()] == [start.hex()]
+            assert type(values) is tuple and type(values[0]) is float
+            assert [v.hex() for v in values] == [start.hex()]
 
     def test_row_major_order_and_count(self):
         spec = small_spec(axes=(
@@ -374,7 +388,7 @@ class TestRunSweep:
                 failed += 1
                 assert cells["error"] == f"point construction failed: {err}"
                 coords = np.unravel_index(i, spec.grid_shape())
-                assert list(row[:2]) == [float(g[c]) for g, c
+                assert list(row[:2]) == [g[c] for g, c
                                          in zip(spec.grids, coords)]
                 assert all(math.isnan(v) for v in row[2:-1])
                 continue
@@ -401,6 +415,36 @@ class TestRunSweep:
         assert len(points) == int(np.prod(spec.grid_shape()))
         for i, (vals, p) in enumerate(points):
             assert (vals, p) == spec.point_params(i), i
+
+    @pytest.mark.parametrize("axes", [
+        (SweepAxis("tls.tls_loss", 1e5, 1e7, 5, "log"),),
+        (SweepAxis("optical.pump_detuning", -OMEGA_M, OMEGA_M, 3),
+         SweepAxis("tls.tls_loss", 1e5, 1e7, 5, "log"))], ids=["1", "2"])
+    def test_point_params_refuses_an_index_off_the_grid(self, axes):
+        spec = small_spec(axes=axes)
+        rows = math.prod(spec.grid_shape())
+        assert spec.point_params(rows - 1)[0] == [ax.stop for ax in axes]
+        for idx in (-1, rows):
+            with pytest.raises(ValueError, match=f"index {idx} "):
+                spec.point_params(idx)
+
+    def test_rows_run_without_numpy(self, tmp_path, monkeypatch):
+        """numpy builds a spec's axis grids, and nothing after: a fixed-n_b
+        and a self-consistent preset run, emit and index their rows."""
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"the sweep called numpy.{name}")
+
+        specs = preset("fig3a"), preset("fig4")
+        monkeypatch.setattr(sweep, "np", NoNumpy())
+        for spec in specs:
+            table = run_sweep(spec)
+            assert table.provenance["rows"] == len(table.rows) \
+                == math.prod(spec.grid_shape())
+            emit_outputs(table, tmp_path)
+            for i in (0, len(table.rows) - 1):
+                vals = spec.point_params(i)[0]
+                assert vals == list(table.rows[i][:len(spec.axes)])
 
     @pytest.mark.parametrize("shape", [(2, 10**6), (10**3, 10**3)])
     def test_grid_points_are_built_lazily(self, shape, monkeypatch):
@@ -754,6 +798,13 @@ class TestCli:
                       f"tls.tls_loss:1e5:1e7:{2 ** 63}:log"),
                      f"axis tls.tls_loss: numpy cannot allocate {2 ** 63} "
                      "points", id="axis-beyond-int64"),
+        # each endpoint is valid (the pump frequency omega_c + Delta stays
+        # > 0), but numpy's linspace overflowed their difference
+        pytest.param(("gain-sweep", "--set",
+                      "optical.cavity_freq=1.5e308 rad/s", "--axis",
+                      "optical.pump_detuning:-1e308:1e308:3"),
+                     "axis optical.pump_detuning: stop - start overflows",
+                     id="axis-span-overflows"),
         pytest.param(("gain-sweep", "--axis", "tls.tls_loss:1:2:3:cubic"),
                      "axis scale must be 'linear' or 'log'",
                      id="axis-unknown-scale"),

@@ -258,9 +258,9 @@ def numpy_spectrum(e):
         vectors.append(tuple(complex(c.real * s, c.imag * s) for c in (x, y)))
     (a0, a1), (c0, c1) = vectors
     zdotc = complex(fraction_fma(a1.real, c1.real, a0.real * c0.real)
-                  + fraction_fma(a1.imag, c1.imag, a0.imag * c0.imag),
-                  fraction_fma(a1.real, c1.imag, a0.real * c0.imag)
-                  - fraction_fma(a1.imag, c1.real, a0.imag * c0.real))
+                    + fraction_fma(a1.imag, c1.imag, a0.imag * c0.imag),
+                    fraction_fma(a1.real, c1.imag, a0.real * c0.imag)
+                    - fraction_fma(a1.imag, c1.real, a0.imag * c0.real))
     weights = [(abs(x) ** 2, abs(y) ** 2) for x, y in vectors]
     gq_ep = spectrum._ep_losses(e)[0]
     return dict(

@@ -102,7 +102,7 @@ INLINE double nb_map(const double *c, double n, int *fault)
                                    fault);
     const double delta_n = sq(abs_plus, fault) - sq(abs_minus, fault);
     double Gd = 0.0;
-    if (c[G_D] != 0.0) { /* defect_den is None at g_d = 0 */
+    if (c[G_D] != 0.0) { /* terms' tls_den is None at g_d = 0 */
         const double den = c[TLS_DEN0] + c[TLS_DEN_N] * n;
         if (den == 0.0) { /* SingularParameterError */
             *fault = 1;

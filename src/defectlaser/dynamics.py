@@ -37,6 +37,7 @@ from .errors import (DivergenceError, InvalidParameterError,
                      SingularParameterError)
 from .params import SystemParams
 from .steadystate import _SINGULAR_SUPERMODES, _SQRT2, coefficients
+from .sweep import SweepTable
 
 #: default seed phonon amplitude: smallest that still gives clean log fits
 DEFAULT_SEED = 1e-3
@@ -62,6 +63,8 @@ class IntegratorSettings:
             raise InvalidParameterError("dt must be > 0 and finite")
         if not 0 < self.t_final < math.inf:
             raise InvalidParameterError("t_final must be > 0 and finite")
+        if not self.t_final / self.dt > 0.5:
+            raise InvalidParameterError("t_final / dt rounds to 0 steps")
         if not isinstance(self.stride, numbers.Integral):
             raise InvalidParameterError(
                 f"stride must be an integer, not {self.stride!r}")
@@ -96,9 +99,9 @@ FULL_FIELDS = ("a_plus", "a_minus", "b", "sigma_minus", "sigma_z")
 REDUCED_FIELDS = ("p", "b", "sigma_minus", "sigma_z", "delta_n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Times, states and the settings that produced them."""
+    """Times, states and settings; compared and hashed by identity."""
 
     times: np.ndarray            # (n,) seconds, strictly increasing
     states: np.ndarray           # (n, k) complex
@@ -132,10 +135,9 @@ class Trajectory:
                 parts += [col.real, col.imag]
         cols.append("abs_b")
         parts.append(self.abs_b)
-        data = np.column_stack(parts)
+        rows = tuple(zip(*(part.tolist() for part in parts)))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",",
-                       header=",".join(cols), comments="")
+            fh.write(SweepTable(tuple(cols), rows).to_csv_text())
 
 
 def _fastest_rate(params: SystemParams) -> float:
@@ -176,7 +178,7 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
         return (f"t_final / dt = {settings.t_final / h:.3g} steps at stride "
                 f"{stride:.3g}")
     try:
-        n_steps = max(1, round(settings.t_final / h))
+        n_steps = round(settings.t_final / h)
         states = np.empty((1 + -(-n_steps // stride), 5), dtype=complex)
     except (OverflowError, ValueError, MemoryError) as err:
         raise InvalidParameterError(
@@ -231,7 +233,7 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
     cp = -1j * d.omega_plus - gam
     cm = -1j * d.omega_minus - gam
     cb, cs = _poles(params)
-    k, drv = 0.5j * c.kx, c.eps_l / _SQRT2
+    k, drv = 0.5j * c.kx, d.eps_l / _SQRT2
     gd, gq = c.g_d, params.tls.tls_loss
 
     def rhs(ap, am, b, sm, sz):

@@ -110,8 +110,7 @@ class GainCoefficients:
 
     derived: DerivedQuantities
     gamma_m: float      # mechanical loss
-    eps_l: float        # pump amplitude
-    eps2: float         # eps_l ** 2
+    eps2: float         # derived.eps_l ** 2
     kx: float           # xi * x0
     dj: float           # 2 J - omega_m
     nj: float           # dj^2 + 4 gamma^2
@@ -129,21 +128,10 @@ class GainCoefficients:
     tls_den_n: float
     gd_num: float       # Gd = gd_num / defect denominator
 
-    def defect_den(self, n: float) -> float | None:
-        """gamma_q^2 + (omega_q - omega_m)^2 + 2 g_d^2 n; None when g_d = 0."""
-        if self.g_d == 0.0:
-            return None
-        den = self.tls_den0 + self.tls_den_n * n
-        if den == 0.0:
-            raise SingularParameterError(
-                "undamped resonant defect at n_b = 0: two-level elimination "
-                "is singular")
-        return den
-
     def terms(self, n: float) -> tuple:
-        """(alpha, denom_sq, a_plus, a_minus, delta_n, defect denominator,
-        G0, Gd, G, N_b) at b = 0 and phonon number n; the fixed point
-        iterates the last entry.
+        """(alpha, denom_sq, a_plus, a_minus, delta_n, defect denominator
+        or None at g_d = 0, G0, Gd, G, N_b) at b = 0 and phonon number n;
+        the fixed point iterates the last entry.
 
         The b = 0 form of ``steady_optics``, written out in one straight
         line on the hoisted numerators; it gives its bits, signed zeros
@@ -157,8 +145,15 @@ class GainCoefficients:
         a_plus, a_minus = self.num_plus / denom, self.num_minus / denom
         delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
         G0 = self.g0 * (delta_n - self.g0_pump / denom_sq)
-        tls_den = self.defect_den(n)
-        Gd = 0.0 if tls_den is None else self.gd_num / tls_den
+        if self.g_d == 0.0:
+            tls_den, Gd = None, 0.0
+        else:
+            tls_den = self.tls_den0 + self.tls_den_n * n
+            if tls_den == 0.0:
+                raise SingularParameterError(
+                    "undamped resonant defect at n_b = 0: two-level "
+                    "elimination is singular")
+            Gd = self.gd_num / tls_den
         G = G0 + Gd
         exponent = 2.0 * (G - self.gamma_m) / self.gamma_m
         N_b = math.inf if exponent > _EXP_MAX else math.exp(exponent)
@@ -167,13 +162,13 @@ class GainCoefficients:
 
 
 _OUT_OF_RANGE = "the gain's closed forms leave the floating-point range"
-# the optical and mechanical blocks of the last build and their 15 fields;
+# the optical and mechanical blocks of the last build and their 14 fields;
 # strong references, so an ``is`` match is never a reused id
 _last: tuple = (None, None, None)
 
 
 def _optics(params: SystemParams) -> tuple:
-    """The 15 fields of a bundle up to g0_pump, derived and checked."""
+    """The 14 fields of a bundle up to g0_pump, derived and checked."""
     opt, mech = params.optical, params.mechanical
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
     dj = 2.0 * J - mech.mech_freq
@@ -192,8 +187,8 @@ def _optics(params: SystemParams) -> tuple:
     # -0.0 part, and 1j * kx * 0j is zero for finite kx (alpha_n checks it)
     num_plus = d.eps_l * (2j * d.omega_minus + 2.0 * gam)
     num_minus = d.eps_l * (2j * d.omega_plus + 2.0 * gam)
-    # 0.0 * x is nan unless x is finite.  The fields left out are finite
-    # when these are: eps_l by eps2, kx by alpha_n, dj by nj, dg_im by dg2,
+    # 0.0 * x is nan unless x is finite.  The values left out are finite
+    # when these are: d.eps_l by eps2, kx by alpha_n, dj by nj, dg_im by dg2,
     # and steady_optics' x+- by num_+-.  num_+- are not: eps_l ~ 1e154
     # times omega_-+ ~ 1e154 overflows
     if not cmath.isfinite(0.0 * mech.mech_loss + 0.0 * eps2 + 0.0 * nj
@@ -201,8 +196,8 @@ def _optics(params: SystemParams) -> tuple:
                           + 0.0 * num_plus + 0.0 * num_minus + 0.0 * g0
                           + 0.0 * g0_pump):
         raise SingularParameterError(_OUT_OF_RANGE)
-    return (d, mech.mech_loss, d.eps_l, eps2, kx, dj, nj, alpha0, alpha_n,
-            dg2, 2j * gam * delta, num_plus, num_minus, g0, g0_pump)
+    return (d, mech.mech_loss, eps2, kx, dj, nj, alpha0, alpha_n, dg2,
+            2j * gam * delta, num_plus, num_minus, g0, g0_pump)
 
 
 def coefficients(params: SystemParams) -> GainCoefficients:
@@ -245,11 +240,11 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     if alpha * alpha + c.dg2 == 0.0:
         raise SingularParameterError(_SINGULAR_SUPERMODES)
     divisor = _SQRT8 * (alpha - c.dg_im)
-    gam = params.optical.cavity_loss  # x+- as _optics forms them
-    x_plus = 2j * c.derived.omega_minus + 2.0 * gam
-    x_minus = 2j * c.derived.omega_plus + 2.0 * gam
-    a_plus = c.eps_l * (x_plus + 1j * c.kx * b) / divisor
-    a_minus = c.eps_l * (x_minus + 1j * c.kx * b.conjugate()) / divisor
+    d, gam = c.derived, params.optical.cavity_loss
+    x_plus = 2j * d.omega_minus + 2.0 * gam  # x+- as _optics forms them
+    x_minus = 2j * d.omega_plus + 2.0 * gam
+    a_plus = d.eps_l * (x_plus + 1j * c.kx * b) / divisor
+    a_minus = d.eps_l * (x_minus + 1j * c.kx * b.conjugate()) / divisor
     return SteadyOptics(a_plus, a_minus, alpha,
                         abs(a_plus) ** 2 - abs(a_minus) ** 2)
 

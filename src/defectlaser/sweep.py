@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ class SweepAxis:
         if not isinstance(self.num, numbers.Integral):
             raise SweepError(
                 f"axis point count must be an integer, not {self.num!r}")
+        object.__setattr__(self, "num", operator.index(self.num))
         if self.num < 1:
             raise SweepError("axis point count must be >= 1")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -330,20 +332,20 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
     """
     check_formats(formats)
     name = table.provenance.get("name", "sweep")
+    sidecar = {**table.provenance, "written_at_unix": int(time.time())}
+    # every text is rendered before a file is opened, so one that fails
+    # to render writes nothing
+    texts = {"csv": (f"{name}.csv", table.to_csv_text()),
+             "provenance": (f"{name}.provenance.json", json.dumps(
+                 sidecar, indent=2, sort_keys=True) + "\n")}
+    if "plot" in formats:
+        texts["plot"] = f"{name}.plot.py", _plot_script(table, name)
     os.makedirs(out_dir, exist_ok=True)
     manifest: dict[str, str] = {}
-
-    def write(kind, filename, text):
+    for kind, (filename, text) in texts.items():
         path = manifest[kind] = os.path.join(out_dir, filename)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-    write("csv", f"{name}.csv", table.to_csv_text())
-    sidecar = {**table.provenance, "written_at_unix": int(time.time())}
-    write("provenance", f"{name}.provenance.json",
-          json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    if "plot" in formats:
-        write("plot", f"{name}.plot.py", _plot_script(table, name))
     return manifest
 
 

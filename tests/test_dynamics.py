@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import io
 import math
 import warnings
 from dataclasses import replace
@@ -347,7 +348,7 @@ class TestReducedModel:
         drive_err = dn_err = 0.0
         for _ in range(300):
             p = random_params(rng)
-            c = coefficients(p)
+            eps = coefficients(p).derived.eps_l
             integrate_reduced(p, delta_n0=0.0)
             integrate_reduced(p, delta_n_mode="full-closure")
             rhs, fill = grabbed[-2][2], grabbed[-1][6]
@@ -359,11 +360,11 @@ class TestReducedModel:
             for b, dn in zip(map(complex, bs), states[:, 4].real):
                 so = steady_optics(p, b, abs(b) ** 2)
                 ap, am = so.a_plus, so.a_minus
-                drive = (c.eps_l * ap + c.eps_l * am.conjugate()) / sqrt2
+                drive = (eps * ap + eps * am.conjugate()) / sqrt2
                 # p = 0 and a frozen delta_n of 0.0 leave the drive alone
                 got = rhs(0j, b, 0j, -1.0, 0.0)[0]
                 drive_err = max(drive_err, abs(got - drive) / (
-                    abs(c.eps_l * ap) + abs(c.eps_l * am)) * sqrt2)
+                    abs(eps * ap) + abs(eps * am)) * sqrt2)
                 dn_err = max(dn_err, abs(dn - (abs(ap) ** 2 - abs(am) ** 2))
                              / (abs(ap) ** 2 + abs(am) ** 2))
         assert drive_err < 1e-14 and dn_err < 1e-12
@@ -647,6 +648,13 @@ class TestGrowthRateFit:
     pytest.param(lambda: IntegratorSettings(dt=1e-9, t_final=1e-6,
                                             stride=3.0),
                  "stride must be an integer, not 3.0", id="stride-float"),
+    # one step stored t = 1e-6 past a 1e-9 t_final; round(0.5) is 0 too
+    pytest.param(lambda: IntegratorSettings(dt=1e-6, t_final=1e-9),
+                 "t_final / dt rounds to 0 steps", id="zero-steps"),
+    pytest.param(lambda: IntegratorSettings(dt=2.0, t_final=1.0),
+                 "t_final / dt rounds to 0 steps", id="half-a-step"),
+    pytest.param(lambda: IntegratorSettings(dt=1e300, t_final=1e-300),
+                 "t_final / dt rounds to 0 steps", id="ratio-underflows"),
     pytest.param(lambda: Trajectory(times=np.zeros(2),
                                     states=np.zeros((3, 1), complex),
                                     fields=("b",)),
@@ -688,6 +696,40 @@ class TestTrajectoryIO:
         assert data.shape[0] == len(traj.times)
         np.testing.assert_allclose(data[:, 0], traj.times, rtol=1e-16)
         np.testing.assert_allclose(data[:, -1], traj.abs_b, rtol=1e-15)
+
+    @staticmethod
+    def savetxt_text(traj):
+        """The CSV as ``np.savetxt`` wrote it before the sweep table's
+        writer took over: the same columns, stacked."""
+        cols, parts = ["t"], [traj.times]
+        for name in traj.fields:
+            col = traj.column(name)
+            if name in ("sigma_z", "delta_n"):
+                cols.append(name)
+                parts.append(col.real)
+            else:
+                cols += [f"re_{name}", f"im_{name}"]
+                parts += [col.real, col.imag]
+        cols.append("abs_b")
+        parts.append(traj.abs_b)
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack(parts), fmt="%.17g", delimiter=",",
+                   header=",".join(cols), comments="")
+        return buf.getvalue()
+
+    def test_csv_bytes_are_savetxts(self, tmp_path, fig2_params):
+        s = settings_for(1e-6, stride=1)
+        full = integrate_full(fig2_params, None, s)
+        reduced = integrate_reduced(fig2_params, None, s,
+                                    delta_n_mode="full-closure")
+        with pytest.raises(DivergenceError) as exc:  # at 1.79 us
+            integrate_full(fig2_params, None, settings_for(8e-6))
+        for i, traj in enumerate((full, reduced, exc.value.partial)):
+            path = tmp_path / f"{i}.csv"
+            traj.to_csv(path)
+            want = self.savetxt_text(traj)
+            assert len(want.splitlines()) == 1 + len(traj.times) > 100
+            assert path.read_bytes() == want.encode()
 
     def test_reduced_csv_fields(self, tmp_path, fig2_params):
         s = settings_for(2e-7, stride=10)

@@ -450,8 +450,8 @@ class TestGainKernel:
         """``terms`` evaluates a+- from the hoisted b = 0 numerators
         eps_l x+-; every entry it shares with ``steady_optics(p, 0j, n)``
         (its alpha, alpha^2 + 4 Delta^2 gamma^2, a+-, ``abs(a) ** 2``
-        inversion) and ``defect_den`` has their bits, signed zeros and nan
-        included.
+        inversion) and the defect denominator written out has their bits,
+        signed zeros and nan included.
         300 draws: |a|**2 and |a|*|a| differ on 7 of their 3600 a+-."""
         def bits(z):
             return None if z is None else (float(z.real).hex(),
@@ -464,8 +464,10 @@ class TestGainKernel:
             for n in (0.0, 1e-12, 1.0, 1e3, 1e8, 1e300):
                 so = steady_optics(p, 0j, n)
                 denom_sq = so.alpha * so.alpha + c.dg2
+                tls_den = (None if c.g_d == 0.0
+                           else c.tls_den0 + c.tls_den_n * n)
                 slow = (so.alpha, denom_sq, so.a_plus, so.a_minus,
-                        so.delta_n, c.defect_den(n))
+                        so.delta_n, tls_den)
                 assert (list(map(bits, c.terms(n)[:6]))
                         == list(map(bits, slow))), (seed, n)
 
@@ -490,7 +492,7 @@ class TestGainKernel:
 
     def test_singular_defect_raises_the_same_error(self):
         raised = self.raised(make_params(gamma_q=0.0),
-                             lambda c: c.defect_den(0.0))
+                             lambda c: c.terms(0.0))
         assert len(set(raised)) == 1
 
     def test_singular_supermodes_raise_the_same_error(self):
@@ -769,8 +771,8 @@ class TestCoefficientCache:
                            4.0 * fig2_params.optical.pump_power)
         assert "_coefficients" not in vars(child)
         assert coefficients(child) is not parent
-        assert coefficients(child).eps_l == pytest.approx(2.0 * parent.eps_l,
-                                                          rel=1e-15)
+        assert coefficients(child).derived.eps_l == pytest.approx(
+            2.0 * parent.derived.eps_l, rel=1e-15)
         assert coefficients(fig2_params) is parent
 
     def test_out_of_range_bundle_is_not_cached(self):
@@ -934,6 +936,14 @@ class TestInputsFrozenRecordsPlain:
         traj = Trajectory(np.zeros(1), np.zeros((1, 1), complex), ("b",))
         with pytest.raises(dataclasses.FrozenInstanceError):
             traj.meta = {}
+
+    def test_trajectory_compares_and_hashes_by_identity(self):
+        # by value, == raised numpy's ambiguous-truth ValueError and hash
+        # a TypeError (arrays and a dict)
+        a, b = (Trajectory(np.arange(2.0), np.zeros((2, 1), complex), ("b",))
+                for _ in range(2))
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     @staticmethod
     def records():

@@ -161,9 +161,25 @@ class TestSweepSpec:
                            match="axis point count must be an integer"):
             SweepAxis("tls.tls_loss", 1e6, 2e6, num)
 
-    def test_accepts_a_numpy_integer_point_count(self):
+    def test_accepts_a_numpy_integer_point_count(self, tmp_path):
         ax = SweepAxis("tls.tls_loss", 1e6, 2e6, np.int64(3))
+        assert type(ax.num) is int
         assert small_spec(axes=(ax,)).grid_shape() == (3,)
+        # the sidecar's axes[].num and rows were a numpy int64, which
+        # json.dumps refused after the CSV was written
+        out = emit_outputs(run_sweep(small_spec(axes=(ax,))), tmp_path)
+        assert set(out) == {"csv", "provenance", "plot"}
+        assert all(os.path.getsize(path) for path in out.values())
+        prov = json.load(open(out["provenance"]))
+        assert prov["axes"][0]["num"] == 3 and prov["rows"] == 3
+
+    def test_a_text_that_fails_to_render_writes_nothing(self, tmp_path):
+        table = run_sweep(small_spec())
+        bad = dataclasses.replace(
+            table, provenance={**table.provenance, "note": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_outputs(bad, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_log_axis_through_zero(self):
         with pytest.raises(SweepError, match="log"):
@@ -771,6 +787,11 @@ class TestCli:
                       repr((2 ** 64 + 4096) * 2.0 ** -32), "--stride",
                       str(2 ** 64 + 1)), "more than int64 counts",
                      id="integrate-steps-beyond-int64"),
+        # t_final / dt rounds to 0 steps: one step stored t = dt, 1000x
+        # past t_final
+        pytest.param(("integrate", "--dt", "1e-6", "--t-final", "1e-9"),
+                     "t_final / dt rounds to 0 steps",
+                     id="integrate-zero-steps"),
         # t_final / dt overflows to inf: no step count, on either method
         pytest.param(("integrate", "--dt", "1e-320", "--method", "rk4"),
                      "inf steps at stride 10: cannot allocate",

@@ -44,7 +44,9 @@ SCHEMA: dict[str, dict[str, str]] = {
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, float]]:
-    """Parse config text into {section: {key: SI value}} with line errors."""
+    """Parse config text into {section: {key: SI value}} with line errors;
+    one leading byte order mark is dropped (``str.strip`` keeps it)."""
+    text = text.removeprefix("\ufeff")
     sections: dict[str, dict[str, float]] = {}
     seen: dict = {}  # section, or (section, key) -> the line that gave it
     current: str | None = None

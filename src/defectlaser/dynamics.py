@@ -252,8 +252,7 @@ def integrate_full(params: SystemParams, init: MeanFieldState | None = None,
 
 def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                       settings: IntegratorSettings | None = None,
-                      delta_n_mode: str = "frozen",
-                      delta_n0: float | None = None) -> Trajectory:
+                      delta_n_mode: str = "frozen") -> Trajectory:
     """Integrate the reduced model built on the supermode coherence p.
 
     The p equation's drive (eps a+ + eps a-*) / sqrt 2 takes a+- at their
@@ -261,7 +260,7 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     (README *Reproducibility*; a long run at an under-resolved step
     amplifies their rounding).  ``delta_n_mode`` sets the inversion:
 
-    * "frozen": held at its b = 0 steady value (``delta_n0`` overrides),
+    * "frozen": held at its b = 0 steady value gain(params, 0).delta_n,
       the linear-gain configuration;
     * "full-closure": |a+|^2 - |a-|^2 of the closed a+- at the current b.
 
@@ -274,9 +273,6 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
     if delta_n_mode not in ("frozen", "full-closure"):
         raise InvalidParameterError(
             "delta_n_mode must be 'frozen' or 'full-closure'")
-    if delta_n_mode == "full-closure" and delta_n0 is not None:
-        raise InvalidParameterError("delta_n0 is for delta_n_mode 'frozen'; "
-                                    "'full-closure' recomputes the inversion")
     init, opt, c = init or ReducedState(), params.optical, coefficients(params)
     kx, eps2, alpha0, alpha_n, dg2 = c.kx, c.eps2, c.alpha0, c.alpha_n, c.dg2
     gam, J, delta = opt.cavity_loss, opt.coupling, opt.pump_detuning
@@ -287,9 +283,7 @@ def integrate_reduced(params: SystemParams, init: ReducedState | None = None,
                             2.0 * J * delta, J * kx, gam * kx)
 
     frozen = delta_n_mode == "frozen"
-    if frozen and delta_n0 is None:
-        delta_n0 = c.terms(0.0)[4]  # gain(params, 0.0).delta_n
-    dn0 = float(delta_n0) if frozen else None
+    dn0 = c.terms(0.0)[4] if frozen else None  # gain(params, 0.0).delta_n
 
     def rhs(p, b, sm, sz, dn):
         # a+- share the divisor sqrt 8 (alpha - 2i gamma Delta), |.|^2 = 8 q

@@ -313,8 +313,9 @@ def _provenance(spec: SweepSpec) -> dict:
 
 
 def check_formats(formats) -> tuple[str, ...]:
-    """``formats`` as a tuple; SweepError names the first one not in
-    {csv, plot}.  The CLI checks before the sweep runs a row."""
+    """``formats`` (one name or a sequence) as a tuple; SweepError names
+    the first not in {csv, plot}.  The CLI checks before a row runs."""
+    formats = (formats,) if isinstance(formats, str) else formats
     for fmt in formats:
         if fmt not in ("csv", "plot"):
             raise SweepError(f"unknown output format {fmt!r}")
@@ -325,12 +326,12 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
                  ) -> dict[str, str]:
     """Write CSV (bit-stable), provenance sidecar, optional plot script.
 
-    The CSV and the sidecar are always written; ``formats`` decides only
-    whether the plot script is.  Returns a manifest {kind: path}.  The
-    run timestamp lives only in the provenance sidecar so identical
-    inputs give identical CSV bytes.
+    The CSV and the sidecar are always written; ``formats`` (one name or
+    a sequence) decides only whether the plot script is.  Returns a
+    manifest {kind: path}.  The run timestamp lives only in the
+    provenance sidecar so identical inputs give identical CSV bytes.
     """
-    check_formats(formats)
+    formats = check_formats(formats)
     name = table.provenance.get("name", "sweep")
     sidecar = {**table.provenance, "written_at_unix": int(time.time())}
     # every text is rendered before a file is opened, so one that fails

@@ -276,23 +276,15 @@ class TestReducedModel:
             assert (float.hex(traj.meta["delta_n0"])
                     == float.hex(gain(p, 0.0).delta_n))
 
-    @pytest.mark.parametrize("delta_n0", [None, 0.37])
-    def test_frozen_inversion_is_held_by_dop853(self, fig2_params, delta_n0):
+    def test_frozen_inversion_is_held_by_dop853(self, fig2_params):
         """delta_n has derivative 0.0, so the adaptive integrator keeps the
         frozen inversion bit for bit, as RK4 does."""
         s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=0.5e-6,
                                method="dop853", stride=5)
-        traj = integrate_reduced(fig2_params, None, s, delta_n0=delta_n0)
+        traj = integrate_reduced(fig2_params, None, s)
         dn = traj.column("delta_n")
         want = np.full(len(dn), complex(traj.meta["delta_n0"]))
         assert len(dn) > 2 and dn.tobytes() == want.tobytes()
-
-    def test_full_closure_rejects_a_frozen_inversion(self, fig2_params):
-        s = IntegratorSettings(dt=0.1 / OMEGA_M, t_final=1e-8)
-        with pytest.raises(InvalidParameterError,
-                           match="delta_n0.*delta_n_mode"):
-            integrate_reduced(fig2_params, None, s,
-                              delta_n_mode="full-closure", delta_n0=5.0)
 
     def test_diverged_run_carries_the_run_meta(self, fig2_params):
         with pytest.raises(DivergenceError) as exc:
@@ -349,7 +341,7 @@ class TestReducedModel:
         for _ in range(300):
             p = random_params(rng)
             eps = coefficients(p).derived.eps_l
-            integrate_reduced(p, delta_n0=0.0)
+            integrate_reduced(p)
             integrate_reduced(p, delta_n_mode="full-closure")
             rhs, fill = grabbed[-2][2], grabbed[-1][6]
             bs = 10.0 ** rng.uniform(-3.0, 6.0, 10) * np.exp(
@@ -361,7 +353,8 @@ class TestReducedModel:
                 so = steady_optics(p, b, abs(b) ** 2)
                 ap, am = so.a_plus, so.a_minus
                 drive = (eps * ap + eps * am.conjugate()) / sqrt2
-                # p = 0 and a frozen delta_n of 0.0 leave the drive alone
+                # p = 0 and a delta_n of 0.0 (the fifth state) leave the
+                # drive alone
                 got = rhs(0j, b, 0j, -1.0, 0.0)[0]
                 drive_err = max(drive_err, abs(got - drive) / (
                     abs(eps * ap) + abs(eps * am)) * sqrt2)
@@ -369,18 +362,28 @@ class TestReducedModel:
                              / (abs(ap) ** 2 + abs(am) ** 2))
         assert drive_err < 1e-14 and dn_err < 1e-12
 
-    def test_frozen_inversion_growth_rate(self):
+    def test_frozen_inversion_growth_rate(self, monkeypatch):
         """With the drive off and the inversion frozen positive, b grows at
-        the first gain term minus the mechanical loss."""
+        the first gain term minus the mechanical loss.  The frozen rhs
+        reads delta_n as its fifth state, so RK4 steps it from 3e6."""
         p = make_params(pump_power=0.0, g_d=0.0)
         d = derive_quantities(p)
         delta_n = 3e6
         kx = d.xi * d.x0
         g0_first = kx * kx * GAMMA * delta_n \
             / (2.0 * (2 * p.optical.coupling - OMEGA_M) ** 2 + 8 * GAMMA ** 2)
+        grabbed = []  # _solve's arguments; the stub runs nothing
+        monkeypatch.setattr(dynamics, "_solve",
+                            lambda *args, **meta: grabbed.append(args))
         s = settings_for(40e-6)
-        traj = integrate_reduced(p, ReducedState(b=1e-3), s,
-                                 delta_n_mode="frozen", delta_n0=delta_n)
+        integrate_reduced(p, None, s, delta_n_mode="frozen")
+        rhs, n = grabbed[0][2], round(s.t_final / s.dt)
+        states = np.empty((1 + -(-n // s.stride), 5), dtype=complex)
+        y0 = (0j, 1e-3, 0j, -1.0, delta_n)
+        assert dynamics._run_rk4(rhs, y0, s.dt, n, s.stride, states) == n
+        times = np.append(np.arange(0, n, s.stride), n) * s.dt
+        traj = Trajectory(times, states, dynamics.REDUCED_FIELDS)
+        assert np.all(traj.column("delta_n") == delta_n)
         fit = growth_rate(traj, (10e-6, 35e-6))
         assert fit.rate == pytest.approx(g0_first - GAMMA_M, rel=0.10)
 
@@ -867,9 +870,6 @@ class TestCompiledKernel:
             else:
                 integrate, used = integrate_reduced, v[:6] + v[8:]
                 kwargs = {"delta_n_mode": mode}
-                if mode == "frozen":
-                    kwargs["delta_n0"] = v[7]
-                    used.append(v[7])
                 init = ReducedState(p=z[0], b=z[1], sigma_minus=z[2],
                                     sigma_z=v[8])
             negative += any(math.copysign(1.0, x) < 0 for x in used if x == 0)

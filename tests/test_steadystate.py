@@ -24,9 +24,9 @@ from defectlaser import (EffectiveParams, GrowthRateFit, IntegratorSettings,
                          MeanFieldState, ReducedState,
                          SingularParameterError, SweepAxis, SweepSpec,
                          SystemParams, Trajectory, eigenvalues, gain,
-                         integrate_full, preset, solve_nb_fixed_point,
-                         steady_optics, with_value)
-from defectlaser import steadystate, sweep
+                         integrate_full, integrate_reduced, preset,
+                         solve_nb_fixed_point, steady_optics, with_value)
+from defectlaser import dynamics, steadystate, sweep
 from defectlaser.config import params_from_config, params_to_config
 from defectlaser.constants import HBAR
 from defectlaser.params import derive_quantities, setter
@@ -495,10 +495,18 @@ class TestGainKernel:
                              lambda c: c.terms(0.0))
         assert len(set(raised)) == 1
 
-    def test_singular_supermodes_raise_the_same_error(self):
+    def test_singular_supermodes_raise_the_same_error(self, monkeypatch):
         # alpha = 0 exactly, and 4 Delta^2 gamma^2 underflows to 0
         p = make_params(gamma=1e-90, pump_detuning=1e-90, coupling_j=0.0)
         raised = self.raised(p, lambda c: steady_optics(p, 0j, 0.0))
+        # and the reduced model's full-closure fill, on stored rows at b = 0
+        grabbed = []  # _solve's arguments (fill last); the stub runs nothing
+        monkeypatch.setattr(dynamics, "_solve",
+                            lambda *args, **meta: grabbed.append(args))
+        integrate_reduced(p, delta_n_mode="full-closure")
+        with pytest.raises(SingularParameterError) as err:
+            grabbed[0][6](np.zeros((3, 5), dtype=complex))
+        raised.append(str(err.value))
         assert len(set(raised)) == 1 and "vanished" in raised[0]
 
     @pytest.mark.parametrize("pump_power", [10e-6, 20e-6])

@@ -654,6 +654,18 @@ class TestEmit:
             emit_outputs(table, target, formats=("pdf",))
         assert not target.exists()
 
+    def test_a_bare_string_is_one_format_name(self, tmp_path):
+        table = run_sweep(small_spec())
+        out = emit_outputs(table, tmp_path / "csv", "csv")
+        assert set(out) == {"csv", "provenance"}
+        assert sorted(os.listdir(tmp_path / "csv")) == [
+            "sweep.csv", "sweep.provenance.json"]
+        target = tmp_path / "nothing"
+        with pytest.raises(SweepError, match="unknown output format "
+                           "'csv,plot'$"):
+            emit_outputs(table, target, "csv,plot")
+        assert not target.exists()
+
 
 class TestPresets:
     def test_all_presets_resolve(self):
@@ -1084,6 +1096,32 @@ class TestCli:
         # a Latin-1 comment on line 3, after CRLF line ends
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"# base\r\n\r\n# caf\xe9\n" + BASE_CONFIG.encode())
+        assert self.run("validate-config", "--config", str(bad)) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: line 3: not UTF-8 text (byte 0xe9)\n"
+
+    @pytest.mark.parametrize("text", [
+        BASE_CONFIG, BASE_CONFIG.replace(TLS, MATERIAL)],
+        ids=["tls", "material"])
+    def test_config_file_with_a_bom_loads_as_the_plain_one(self, text,
+                                                          tmp_path, capsys):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_config(bom) == load_config(plain)
+        assert params_from_config("\ufeff" + text) == load_config(plain)
+        outs = []
+        for path in (plain, bom):
+            assert self.run("validate-config", "--config", str(path)) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and ("[material]" in outs[0]) == (
+            "[material]" in text)
+
+    def test_bom_config_file_names_a_later_bad_byte(self, tmp_path, capsys):
+        # the line and byte count from the file's first byte, BOM included
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xef\xbb\xbf# base\r\n\r\n# caf\xe9\n"
+                        + BASE_CONFIG.encode())
         assert self.run("validate-config", "--config", str(bad)) == EXIT_CONFIG
         assert capsys.readouterr().err == \
             "error: line 3: not UTF-8 text (byte 0xe9)\n"

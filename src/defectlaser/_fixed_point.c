@@ -18,10 +18,10 @@
    through a union, not a call, so no other function is called.
 
    Arguments: w, the 17 coefficients (their order is set in
-   steadystate.py) followed by room for the five outputs; n_b0, tol and
-   max_iter as the Python solver takes them.  On return w[17..21] hold
-   n_b_star, residual, iterations, converged and whether the bisection
-   ran.
+   steadystate.py) followed by room for the five outputs; tol and
+   max_iter, steadystate._TOL and _MAX_ITER.  The loop starts at 0.  On
+   return w[17..21] hold n_b_star, residual, iterations, converged and
+   whether the bisection ran.
 
    Returns 1, or 0 where CPython raises instead (a singular elimination,
    a zero defect denominator, an abs or a square that overflows) or where
@@ -128,11 +128,11 @@ INLINE int report(double *out, double tol, int64_t evaluations,
     return 1;
 }
 
-int fixed_point(double *w, double n_b0, double tol, int64_t max_iter)
+int fixed_point(double *w, double tol, int64_t max_iter)
 {
     const double *c = w;
     double *out = w + NCOEF, window[3], starts[STARTS];
-    double n = n_b0, peak = n_b0, fn, lo, hi, mid;
+    double n = 0.0, peak = 0.0, fn, lo, hi, mid;
     int64_t it, n_starts = 0, evaluations = 0;
     int fault = 0;
 

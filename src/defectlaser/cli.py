@@ -191,8 +191,7 @@ def cmd_ep_locate(args) -> int:
 
 def cmd_fixed_point(args) -> int:
     params = _load_params(args)
-    report = solve_nb_fixed_point(params, **_given(
-        n_b0=args.nb0, tol=args.tol, max_iter=args.max_iter))
+    report = solve_nb_fixed_point(params)
     _print_json(asdict(report))
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
@@ -241,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-point",
                        help="solve the self-consistent phonon number")
     _add_common(p)
-    p.add_argument("--nb0", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
     p.set_defaults(func=cmd_fixed_point)
 
     p = sub.add_parser("preset", help="run a figure-reproduction preset")

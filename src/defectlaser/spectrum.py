@@ -42,13 +42,16 @@ class EffectiveParams:
                    gamma_q=params.tls.tls_loss, g_d=params.tls.coupling)
 
     def __post_init__(self):
-        if self.n_b < 1:
+        # written so that NaN fails each test, as params._require does
+        if not self.n_b >= 1:
             raise InvalidParameterError(
                 "n_b must be >= 1: the basis |n_b,g>, |n_b-1,e> needs a phonon")
-        if self.omega_m <= 0 or self.omega_q <= 0:
+        if not (self.omega_m > 0 and self.omega_q > 0):
             raise InvalidParameterError("omega_m and omega_q must be > 0")
-        if self.gamma_q < 0 or self.g_d < 0:
+        if not (self.gamma_q >= 0 and self.g_d >= 0):
             raise InvalidParameterError("gamma_q and g_d must be >= 0")
+        if math.isnan(self.gamma_m_eff):
+            raise InvalidParameterError("gamma_m_eff must not be NaN")
 
 
 @dataclass

@@ -37,6 +37,8 @@ from .params import DerivedQuantities, SystemParams, derive_quantities
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this N_b is reported as inf
 _RELAXATION = 0.5  # damping eta of the fixed-point iteration
+_TOL = 1e-10  # the fixed point's relative residual tolerance
+_MAX_ITER = 200  # damped steps before the bisection fallback
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = 2.0 * _SQRT2
 _pack_17 = struct.Struct("17d").pack_into  # the fixed-point kernel's inputs
@@ -84,7 +86,7 @@ class FixedPointReport:
     """Outcome of the self-consistent phonon-number iteration.
 
     ``iterations`` counts the evaluations of the map N_b(G(n)) after the
-    first at n_b0, including the bisection fallback and the final
+    first at 0, including the bisection fallback and the final
     residual check, whichever ``method`` ran.  An exact cycle ends the
     damped loop early, which shortens ``iterations`` only.
     """
@@ -285,19 +287,17 @@ def gain(params: SystemParams, n_b: float) -> GainResult:
                       P_th0 + P_thd, P_th0, P_thd)
 
 
-def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
-                         tol: float = 1e-10, max_iter: int = 200
-                         ) -> FixedPointReport:
+def solve_nb_fixed_point(params: SystemParams) -> FixedPointReport:
     """Self-consistent phonon number from n_b = N_b(G(n_b)).
 
-    Damped iteration n <- (1-eta) n + eta N_b(G(n)), with a safeguarded
-    Aitken delta-squared extrapolation every third step (skipped whenever
-    it would leave [0, inf)).  Convergence is declared on the residual
-    |N_b(G(n)) - n| <= tol * max(1, n).
+    Damped iteration n <- (1-eta) n + eta N_b(G(n)) from n = 0, with a
+    safeguarded Aitken delta-squared extrapolation every third step
+    (skipped whenever it would leave [0, inf)).  Convergence is declared
+    on the residual |N_b(G(n)) - n| <= _TOL * max(1, n).
 
     Far above threshold the map is exponentially steep and the damped
     iteration oscillates.  Once it repeats a state exactly, or after
-    ``max_iter`` steps, the solver falls back to bisection on
+    ``_MAX_ITER`` steps, the solver falls back to bisection on
     N_b(G(n)) - n (flagged via ``method``), on a bracket [0, hi] grown
     eightfold until N_b(G(hi)) < hi and halved down to adjacent floats,
     with no step cap.  Genuine non-convergence is reported, not raised.
@@ -306,22 +306,14 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
     ``_fixed_point.c`` runs this loop, transcribed; the loop below runs
     without a kernel and replays where the kernel returns 0 (README).
     """
-    if not 0.0 <= n_b0 < math.inf:
-        raise InvalidParameterError("n_b0 must be >= 0 and finite")
-    if max_iter < 1 or not 0.0 < tol < math.inf:
-        raise InvalidParameterError("max_iter must be >= 1 and tol > 0 finite")
-    try:  # the report holds floats; an int past 1.8e308 has no double
-        n_b0, tol = float(n_b0), float(tol)
-    except OverflowError:
-        raise InvalidParameterError("n_b0 and tol must fit a double") from None
     c = coefficients(params)
-    if type(max_iter) is int and max_iter < 2 ** 63 and (lib := _kernel()):
+    if lib := _kernel():
         w = array("d", _ROOM)
         _pack_17(w, 0, c.alpha0, c.alpha_n, c.dg2, c.dg_im.real, c.dg_im.imag,
                  c.num_plus.real, c.num_plus.imag, c.num_minus.real,
                  c.num_minus.imag, c.g0, c.g0_pump, c.g_d, c.tls_den0,
                  c.tls_den_n, c.gd_num, c.gamma_m, _SQRT8)
-        if lib.fixed_point(w.buffer_info()[0], n_b0, tol, max_iter):
+        if lib.fixed_point(w.buffer_info()[0], _TOL, _MAX_ITER):
             return FixedPointReport(w[17], int(w[19]), w[18], w[20] == 1.0,
                                     "bisection" if w[21] else "damped")
     terms = c.terms
@@ -331,23 +323,23 @@ def solve_nb_fixed_point(params: SystemParams, n_b0: float = 0.0,
         residual = abs(fn - n)
         return FixedPointReport(
             n_b_star=n, iterations=evaluations - 1, residual=residual,
-            converged=residual <= tol * max(1.0, n), method=method)
+            converged=residual <= _TOL * max(1.0, n), method=method)
 
     # n stays finite and >= 0 (an infinite map value is capped at 1e300);
     # once a triple start repeats, so does the path, and peak stays: bisect
-    n = peak = n_b0
+    n = peak = 0.0
     window = [0.0, 0.0, 0.0]
     starts = set()
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         if it % 3 == 0:
             if n in starts:
                 break
             starts.add(n)
         fn = terms(n)[-1]
         evaluations += 1
-        if abs(fn - n) <= tol * max(1.0, n):
+        if abs(fn - n) <= _TOL * max(1.0, n):
             return report(n, fn, "damped")
-        if it == max_iter:
+        if it == _MAX_ITER:
             break
         if not math.isfinite(fn):
             n = min(fn, 1e300) if fn > 0 else 0.0
@@ -388,5 +380,5 @@ def _kernel():
     import ctypes
     from ._kernels import load_kernel
     return load_kernel("_fixed_point.c", "fixed_point", (
-        ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-        ctypes.c_int64), "the fixed point runs in Python", 3)
+        ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64),
+        "the fixed point runs in Python", 3)

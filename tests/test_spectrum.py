@@ -133,7 +133,13 @@ class TestEigenvalues:
         ("omega_m", 0.0, "omega_m and omega_q must be > 0"),
         ("omega_q", -1.0, "omega_m and omega_q must be > 0"),
         ("gamma_q", -1.0, "gamma_q and g_d must be >= 0"),
-        ("g_d", -1.0, "gamma_q and g_d must be >= 0")])
+        ("g_d", -1.0, "gamma_q and g_d must be >= 0"),
+        # NaN fails no comparison: each must be refused, not reach locate_ep
+        ("n_b", math.nan, "n_b must be >= 1"),
+        ("omega_q", math.nan, "omega_m and omega_q must be > 0"),
+        ("gamma_q", math.nan, "gamma_q and g_d must be >= 0"),
+        ("g_d", math.nan, "gamma_q and g_d must be >= 0"),
+        ("gamma_m_eff", math.nan, "gamma_m_eff must not be NaN")])
     def test_invalid_block_rejected(self, field, value, message):
         with pytest.raises(InvalidParameterError, match=message):
             dataclasses.replace(eff(), **{field: value})

@@ -250,7 +250,7 @@ class TestFixedPoint:
 
     def test_defect_free_residual(self, fig2_params):
         p = with_value(fig2_params, "tls.coupling", 0.0)
-        r = solve_nb_fixed_point(p, tol=1e-10)
+        r = solve_nb_fixed_point(p)
         assert r.converged
         # direct residual re-evaluation is the oracle
         residual = abs(gain(p, r.n_b_star).N_b - r.n_b_star)
@@ -265,8 +265,8 @@ class TestFixedPoint:
             ns.append(r.n_b_star)
         assert all(b >= a * (1 - 1e-9) for a, b in zip(ns, ns[1:]))
 
-    def test_history_and_report_fields(self, fig2_params):
-        r = solve_nb_fixed_point(fig2_params, n_b0=0.0)
+    def test_report_fields(self, fig2_params):
+        r = solve_nb_fixed_point(fig2_params)
         assert [f.name for f in dataclasses.fields(r)] == [
             "n_b_star", "iterations", "residual", "converged", "method"]
         assert r.method in ("damped", "bisection")
@@ -287,12 +287,16 @@ class TestFixedPoint:
         both of its ends (two of the three roots lie between), so its top
         grows eightfold, past the third root."""
         p = with_value(fig2_params, "tls.tls_loss", 3.2e5)
-        r, calls = recorded_python_loop(monkeypatch, p, max_iter=1)
-        # n_b0 and the damped step, the bracket tops, the first midpoint
-        assert calls[2:12] == [8.0 ** k for k in range(9)] + [0.5 * 8.0 ** 8]
-        assert r.converged and r.method == "bisection"
-        assert report_bits(solve_nb_fixed_point(p, max_iter=1)) == \
-            report_bits(r)
+        with monkeypatch.context() as m:
+            m.setattr(steadystate, "_MAX_ITER", 1)
+            r, calls = recorded_python_loop(m, p)
+            # the start and the damped step, the bracket tops, the first
+            # midpoint
+            assert calls[2:12] == [8.0 ** k for k in range(9)] \
+                + [0.5 * 8.0 ** 8]
+            assert r.converged and r.method == "bisection"
+            assert report_bits(solve_nb_fixed_point(p)) == report_bits(r)
+        assert r.n_b_star == 4903898.890013125  # the top root
         residual = abs(gain(p, r.n_b_star).N_b - r.n_b_star)
         assert residual == r.residual <= 1e-10 * max(1.0, r.n_b_star)
         # the default solve returns the lowest of the three roots
@@ -322,10 +326,6 @@ class TestFixedPoint:
         r = solve_nb_fixed_point(fig2_params)
         assert r.method == "bisection" and r.converged is False
         assert r.n_b_star > 1e300 and r.residual == math.inf
-
-    def test_negative_start_rejected(self, fig2_params):
-        with pytest.raises(ValueError):
-            solve_nb_fixed_point(fig2_params, n_b0=-1.0)
 
     def test_every_self_consistent_preset_row_is_pinned(self):
         """One sha256 over n_b*, residual (both as float.hex), iterations,
@@ -519,7 +519,7 @@ class TestGainKernel:
         assert r.iterations == len(calls) - 1 >= 0
 
 
-def recorded_python_loop(monkeypatch, p, **kwargs):
+def recorded_python_loop(monkeypatch, p):
     """The Python loop's report and every n it evaluates the map at (the
     kernel never calls ``terms``)."""
     calls = []
@@ -532,7 +532,7 @@ def recorded_python_loop(monkeypatch, p, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(steadystate, "_kernel", lambda: None)
         m.setattr(steadystate.GainCoefficients, "terms", recorded)
-        return solve_nb_fixed_point(p, **kwargs), calls
+        return solve_nb_fixed_point(p), calls
 
 
 def report_bits(r):
@@ -557,11 +557,11 @@ def kernel_returns(monkeypatch):
     return returns
 
 
-def python_loop(monkeypatch, p, **kwargs):
+def python_loop(monkeypatch, p):
     """The same solve through the Python loop, the kernel's oracle."""
     with monkeypatch.context() as m:
         m.setattr(steadystate, "_kernel", lambda: None)
-        return solve_nb_fixed_point(p, **kwargs)
+        return solve_nb_fixed_point(p)
 
 
 class TestFixedPointKernel:
@@ -571,28 +571,30 @@ class TestFixedPointKernel:
     def test_bit_identical_to_python_loop(self, monkeypatch, kernel_returns,
                                           fig2_params):
         # 2400 random points at 1, 10 and 100 times their pump with random
-        # n_b0, tol and max_iter; then the 1 mW map that is infinite at 0,
-        # the three-root point after one damped step, and the 20 uW exact
-        # cycle
+        # _TOL and _MAX_ITER; then the 1 mW map that is infinite at 0, the
+        # three-root point after one damped step, and the 20 uW exact cycle
         rng = np.random.default_rng(28)
         cases = []
         for i in range(2400):
             p = random_params(rng)
             p = with_value(p, "optical.pump_power",
                            p.optical.pump_power * (1.0, 10.0, 100.0)[i % 3])
-            cases.append((p, {
-                "n_b0": 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-3, 9),
-                "tol": 10.0 ** rng.uniform(-13, -6),
-                "max_iter": int(rng.integers(1, 300))}))
+            cases.append((p, 10.0 ** rng.uniform(-13, -6),
+                          int(rng.integers(1, 300))))
+        tol, max_iter = steadystate._TOL, steadystate._MAX_ITER
         cases += [
-            (with_value(fig2_params, "optical.pump_power", 1e-3), {}),
-            (with_value(fig2_params, "tls.tls_loss", 3.2e5), {"max_iter": 1}),
-            (with_value(fig2_params, "optical.pump_power", 20e-6), {})]
+            (with_value(fig2_params, "optical.pump_power", 1e-3), tol,
+             max_iter),
+            (with_value(fig2_params, "tls.tls_loss", 3.2e5), tol, 1),
+            (with_value(fig2_params, "optical.pump_power", 20e-6), tol,
+             max_iter)]
         methods = []
-        for p, kwargs in cases:
-            c = solve_nb_fixed_point(p, **kwargs)
-            py = python_loop(monkeypatch, p, **kwargs)
-            assert report_bits(c) == report_bits(py), (p, kwargs)
+        for p, tol, max_iter in cases:
+            monkeypatch.setattr(steadystate, "_TOL", tol)
+            monkeypatch.setattr(steadystate, "_MAX_ITER", max_iter)
+            c = solve_nb_fixed_point(p)
+            py = python_loop(monkeypatch, p)
+            assert report_bits(c) == report_bits(py), (p, tol, max_iter)
             methods.append(c.method)
         # the kernel answered every solve, none was replayed
         assert len(kernel_returns) == len(cases) and min(kernel_returns) > 0
@@ -623,24 +625,6 @@ class TestFixedPointKernel:
             raised.append((type(err.value), str(err.value)))
         assert raised[0] == raised[1] and kernel_returns == [0]
         assert (raised[0][0] is OverflowError) == (case != "singular")
-
-    def test_inputs_it_cannot_take_go_to_the_loop(self, kernel_returns,
-                                                  fig2_params):
-        # a max_iter beyond int64: no kernel call
-        r = solve_nb_fixed_point(fig2_params, max_iter=2 ** 64 + 200)
-        assert r.converged and type(r.n_b_star) is float
-        assert kernel_returns == []
-        # an int n_b0 is made a float first: one kernel call, same bits
-        r = solve_nb_fixed_point(fig2_params, n_b0=0)
-        assert type(r.n_b_star) is float and kernel_returns == [1]
-        assert report_bits(r) == report_bits(
-            solve_nb_fixed_point(fig2_params, n_b0=0.0))
-
-    @pytest.mark.parametrize("kwargs", [{"n_b0": 10 ** 400},
-                                        {"tol": 10 ** 400}])
-    def test_int_past_the_doubles_is_invalid(self, kwargs, fig2_params):
-        with pytest.raises(InvalidParameterError, match="fit a double"):
-            solve_nb_fixed_point(fig2_params, **kwargs)
 
     def test_threads_each_solve_in_their_own_room(self, monkeypatch):
         """4 threads solve the seed-0 ``sweep-selfconsistent`` rows at once;

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -725,14 +726,37 @@ class TestCli:
         assert out["converged"] is True
         assert out["method"] == "damped"
 
-    def test_fixed_point_history_only_on_request(self, capsys):
+    def test_fixed_point_prints_the_sweeps_n_b_star(self, capsys, tmp_path):
+        """fig2b's rows 15 and 16 straddle the fold where the two lower of
+        the three roots annihilate: n_b* jumps from 1.8e-3 to 4.9e6."""
+        assert self.run("preset", "fig2b", "--out", str(tmp_path),
+                        "--format", "csv") == 0
+        with open(tmp_path / "fig2b.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        capsys.readouterr()
+        for i in (0, 15, 16, 480):
+            loss = rows[i]["tls.tls_loss"]
+            assert self.run("fixed-point", "--set",
+                            f"tls.tls_loss={loss} rad/s") == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["n_b_star"] == float(rows[i]["n_b_star"]), i
+        assert float(rows[15]["n_b_star"]) == 0.0017560185394682737
+        assert float(rows[16]["n_b_star"]) == 4903898.6571192434
+
+    @pytest.mark.parametrize("flag", [("--history",), ("--nb0", "0"),
+                                      ("--tol", "1e-10"),
+                                      ("--max-iter", "200")],
+                             ids=["history", "nb0", "tol", "max-iter"])
+    def test_fixed_point_history_only_on_request(self, capsys, flag):
         assert self.run("fixed-point") == 0
         plain = json.loads(capsys.readouterr().out)
         assert set(plain) == {"n_b_star", "iterations", "residual",
                               "converged", "method"}
-        # the solve keeps no iterate path, so there is none to ask for
-        assert self.run("fixed-point", "--history") == 1
-        assert "unrecognized arguments: --history" in capsys.readouterr().err
+        # the solve keeps no iterate path and takes no start, tolerance or
+        # step cap, so there is none to ask for
+        assert self.run("fixed-point", *flag) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" \
+            in capsys.readouterr().err
 
     def test_gain_sweep_from_lossless_defect(self, tmp_path):
         code = self.run("gain-sweep", "--axis", "tls.tls_loss:0:1e6:3",
@@ -768,22 +792,6 @@ class TestCli:
         pytest.param(("ep-locate", "--bracket-lo", "2e6",
                       "--bracket-hi", "1e6"), "bracket",
                      id="ep-locate-bracket-inverted"),
-        pytest.param(("fixed-point", "--nb0", "-1"), "n_b0 must be >= 0",
-                     id="fixed-point-nb0-negative"),
-        pytest.param(("fixed-point", "--nb0", "nan"), "n_b0 must be >= 0",
-                     id="fixed-point-nb0-nan"),
-        pytest.param(("fixed-point", "--max-iter", "0"), "max_iter",
-                     id="fixed-point-max-iter-zero"),
-        pytest.param(("fixed-point", "--max-iter", "-3"), "max_iter",
-                     id="fixed-point-max-iter-negative"),
-        pytest.param(("fixed-point", "--tol", "-1"), "tol",
-                     id="fixed-point-tol-negative"),
-        pytest.param(("fixed-point", "--tol", "0"), "tol",
-                     id="fixed-point-tol-zero"),
-        pytest.param(("fixed-point", "--tol", "nan"), "tol",
-                     id="fixed-point-tol-nan"),
-        pytest.param(("fixed-point", "--tol", "inf"), "tol",
-                     id="fixed-point-tol-inf"),
         pytest.param(("gain-sweep", "--axis", "mechanical.x_zpf:1:2:3"),
                      "unknown field", id="property-x_zpf"),
         pytest.param(("validate-config", "--set",

@@ -16,9 +16,8 @@ from .params import (DerivedQuantities, MaterialParams, MechanicalParams,
                      derive_quantities, with_value)
 from .steadystate import (FixedPointReport, GainResult, SteadyOptics, gain,
                           solve_nb_fixed_point, steady_optics)
-from .spectrum import (EffectiveParams, EpSearchResult, SpectrumResult,
-                       discriminant, eigenvalues, gamma_q_ep_resonant,
-                       locate_ep, turning_point)
+from .spectrum import (EffectiveParams, SpectrumResult, discriminant,
+                       eigenvalues, gamma_q_ep, turning_point)
 from .dynamics import (GrowthRateFit, IntegratorSettings, MeanFieldState,
                        ReducedState, Trajectory, crossing_time, growth_rate,
                        integrate_full, integrate_reduced)

@@ -21,7 +21,7 @@ from .dynamics import _default_settings, integrate_full, integrate_reduced
 from .errors import ConfigError, DefectLaserError, DivergenceError, SweepError
 from .params import SystemParams
 from .presets import FIGURE_PRESETS, base_params, preset
-from .spectrum import EffectiveParams, locate_ep, turning_point
+from .spectrum import EffectiveParams, gamma_q_ep, turning_point
 from .steadystate import gain, solve_nb_fixed_point
 from .sweep import (FP_QUANTITIES, SweepAxis, SweepSpec, check_formats,
                     emit_outputs, run_sweep)
@@ -168,25 +168,13 @@ def cmd_integrate(args) -> int:
 def cmd_ep_locate(args) -> int:
     params = _load_params(args)
     eff = EffectiveParams.at(params, args.nb, gain(params, args.nb).G0)
-    lo = args.bracket_lo if args.bracket_lo is not None \
-        else 0.01 * params.optical.cavity_loss
-    hi = args.bracket_hi if args.bracket_hi is not None \
-        else 100.0 * params.optical.cavity_loss
-    res = locate_ep(eff, (lo, hi))
-    out = {
-        "gamma_q_EP": res.gamma_q,
-        "disc_abs": res.disc_abs,
-        "found": res.found,
-        "gamma_q_min": turning_point(eff),
-        "gamma_m_eff": eff.gamma_m_eff,
-        "n_b": args.nb,
-    }
-    _print_json(out)
-    if not res.found:
-        print("no minimum of the discriminant lies inside the bracket",
-              file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    gq_ep = gamma_q_ep(eff)
+    _print_json({"gamma_q_EP": gq_ep, "gamma_q_min": turning_point(eff),
+                 "gamma_m_eff": eff.gamma_m_eff, "n_b": args.nb})
+    if gq_ep >= 0.0:  # TlsParams takes a defect loss >= 0 only
+        return EXIT_OK
+    print("no defect loss gamma_q >= 0 reaches the EP", file=sys.stderr)
+    return EXIT_NONCONVERGED
 
 
 def cmd_fixed_point(args) -> int:
@@ -233,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--nb", type=float, default=1.0,
                    help="phonon number sector (default 1)")
-    p.add_argument("--bracket-lo", type=float)
-    p.add_argument("--bracket-hi", type=float)
     p.set_defaults(func=cmd_ep_locate)
 
     p = sub.add_parser("fixed-point",

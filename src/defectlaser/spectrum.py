@@ -3,10 +3,10 @@
 The active phonon mode (effective damping gamma_m_eff = gamma_m - G0,
 negative above threshold) and the lossy defect form a 2x2 non-Hermitian
 block in the basis {|n_b, g>, |n_b - 1, e>}.  Both eigenvalues and
-eigenvectors coalesce at the exceptional point (EP), the least-|disc| loss
-gamma_q_EP = gamma_m_eff + sqrt(max(0, 4 n_b g_d^2 - dq^2)), dq = omega_q
-- omega_m; ``phase`` compares gamma_q with it.  Off resonance nothing
-coalesces: gamma_q_EP is the closest approach, which a sweep row notes.
+eigenvectors coalesce at the exceptional point (EP), the upper least-|disc|
+loss gamma_q_EP = gamma_m_eff + sqrt(max(0, 4 n_b g_d^2 - dq^2)), dq =
+omega_q - omega_m, not the mirror EP below it; ``phase`` compares gamma_q
+with it.  Off resonance it is the closest approach, which a sweep row notes.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ class EffectiveParams:
                    gamma_q=params.tls.tls_loss, g_d=params.tls.coupling)
 
     def __post_init__(self):
-        # written so that NaN fails each test, as params._require does
-        if not self.n_b >= 1:
+        # written so that NaN and inf fail each test, as params._require does
+        if not 1 <= self.n_b < math.inf:
             raise InvalidParameterError(
-                "n_b must be >= 1: the basis |n_b,g>, |n_b-1,e> needs a phonon")
-        if not (self.omega_m > 0 and self.omega_q > 0):
-            raise InvalidParameterError("omega_m and omega_q must be > 0")
-        if not (self.gamma_q >= 0 and self.g_d >= 0):
-            raise InvalidParameterError("gamma_q and g_d must be >= 0")
-        if math.isnan(self.gamma_m_eff):
-            raise InvalidParameterError("gamma_m_eff must not be NaN")
+                "n_b must be >= 1 and finite: |n_b - 1, e> needs a phonon")
+        if not (0 < self.omega_m < math.inf and 0 < self.omega_q < math.inf):
+            raise InvalidParameterError(
+                "omega_m and omega_q must be > 0 and finite")
+        if not (0 <= self.gamma_q < math.inf and 0 <= self.g_d < math.inf):
+            raise InvalidParameterError(
+                "gamma_q and g_d must be >= 0 and finite")
+        if not math.isfinite(self.gamma_m_eff):
+            raise InvalidParameterError("gamma_m_eff must not be NaN or inf")
 
 
 @dataclass
@@ -70,38 +72,26 @@ class SpectrumResult:
     L: float
 
 
-@dataclass(frozen=True)
-class EpSearchResult:
-    gamma_q: float
-    disc_abs: float
-    found: bool
-
-
-def discriminant(eff: EffectiveParams, gamma_q: float | None = None) -> complex:
-    """4 n_b g_d^2 + [omega_q - omega_m - i(gamma_q - gamma_m_eff)]^2."""
-    gq = eff.gamma_q if gamma_q is None else gamma_q
-    z = eff.omega_q - eff.omega_m - 1j * (gq - eff.gamma_m_eff)
+def discriminant(eff: EffectiveParams) -> complex:
+    """4 n_b g_d^2 + [omega_q - omega_m - i(gamma_q - gamma_m_eff)]^2: on
+    resonance it vanishes at gamma_q_ep and at the mirror EP below it."""
+    z = eff.omega_q - eff.omega_m - 1j * (eff.gamma_q - eff.gamma_m_eff)
     try:  # g_d ** 2 raises past g_d ~ 1.3e154
         return 4.0 * eff.n_b * eff.g_d ** 2 + z * z
     except OverflowError:
         raise SingularParameterError(_OUT_OF_RANGE.format(eff.n_b)) from None
 
 
-def gamma_q_ep_resonant(eff: EffectiveParams) -> float:
-    """Closed-form EP loss rate for omega_q = omega_m."""
-    return eff.gamma_m_eff + 2.0 * math.sqrt(eff.n_b) * eff.g_d
-
-
-def _ep_losses(eff: EffectiveParams) -> tuple[float, float]:
-    """Upper and lower gamma_q of least |discriminant|: with
-    x = gamma_q - gamma_m_eff, |disc|^2 = (4 n_b g_d^2 + dq^2 - x^2)^2
+def gamma_q_ep(eff: EffectiveParams) -> float:
+    """The upper gamma_q of least |discriminant|, ``eff.gamma_q`` ignored:
+    with x = gamma_q - gamma_m_eff, |disc|^2 = (4 n_b g_d^2 + dq^2 - x^2)^2
     + 4 dq^2 x^2 is least at x = +-sqrt(max(0, 4 n_b g_d^2 - dq^2))."""
     dq = eff.omega_q - eff.omega_m
     split = 2.0 * math.sqrt(eff.n_b) * eff.g_d
-    # on resonance the half-width is the split itself, so the upper loss is
-    # gamma_q_ep_resonant even where split * split underflows
+    # on resonance the half-width is the split itself, so the EP loss is
+    # gamma_m_eff + 2 sqrt(n_b) g_d even where split * split underflows
     half = split if dq == 0 else math.sqrt(max(0.0, split * split - dq * dq))
-    return eff.gamma_m_eff + half, eff.gamma_m_eff - half
+    return eff.gamma_m_eff + half
 
 
 def turning_point(eff: EffectiveParams) -> float:
@@ -141,7 +131,7 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
     (a0, a1), (c0, c1) = v_plus, v_minus
     overlap = abs(a0.conjugate() * c0 + a1.conjugate() * c1)
 
-    gq_ep = _ep_losses(eff)[0]
+    gq_ep = gamma_q_ep(eff)
     phase = ("at-EP" if abs(eff.gamma_q - gq_ep) <= 1e-9 * eff.omega_m
              else "below-EP" if eff.gamma_q < gq_ep else "above-EP")
 
@@ -196,26 +186,4 @@ def _fma(x: float, y: float, z: float) -> float:
         return math.fsum((xh * yh, xh * yl, xl * yh, xl * yl, z))
     except (OverflowError, ValueError):
         return p + z
-
-
-def locate_ep(eff: EffectiveParams, bracket: tuple[float, float]) -> EpSearchResult:
-    """Defect loss minimizing |discriminant| inside ``bracket``.
-
-    ``eff.gamma_q`` is ignored; of the two least-|disc| losses, the upper
-    (gamma_q_EP) is taken when both lie in the bracket; when neither
-    does, it is reported as not found.
-    """
-    lo, hi = bracket
-    if not lo < hi:
-        raise InvalidParameterError("bracket must satisfy lo < hi")
-    losses = _ep_losses(eff)
-    for gq in losses:
-        if lo <= gq <= hi:
-            try:  # abs raises past the largest double
-                disc_abs = abs(discriminant(eff, gamma_q=gq))
-            except OverflowError:
-                raise SingularParameterError(
-                    _OUT_OF_RANGE.format(eff.n_b)) from None
-            return EpSearchResult(gamma_q=gq, disc_abs=disc_abs, found=True)
-    return EpSearchResult(gamma_q=losses[0], disc_abs=math.nan, found=False)
 

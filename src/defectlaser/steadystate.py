@@ -145,7 +145,10 @@ class GainCoefficients:
             raise SingularParameterError(_SINGULAR_SUPERMODES)
         denom = _SQRT8 * (alpha - self.dg_im)
         a_plus, a_minus = self.num_plus / denom, self.num_minus / denom
-        delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
+        try:  # abs(a+-) ** 2 raises past |a+-| ~ 1.3e154
+            delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
+        except OverflowError:
+            raise SingularParameterError(_OUT_OF_RANGE) from None
         G0 = self.g0 * (delta_n - self.g0_pump / denom_sq)
         if self.g_d == 0.0:
             tls_den, Gd = None, 0.0

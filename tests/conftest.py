@@ -61,6 +61,13 @@ def random_params(rng: np.random.Generator, g_d=None) -> SystemParams:
     )
 
 
+def gamma_q_ep_resonant(eff) -> float:
+    """The resonant (omega_q = omega_m) EP loss, written out independently
+    of ``spectrum.gamma_q_ep``: the defect loss at which the discriminant
+    4 n_b g_d^2 - (gamma_q - gamma_m_eff)^2 vanishes, upper root."""
+    return eff.gamma_m_eff + 2.0 * math.sqrt(eff.n_b) * eff.g_d
+
+
 def assert_matches_eig(eff) -> bool:
     """Compare ``eigenvalues(eff)`` with direct 2x2 diagonalization.
 

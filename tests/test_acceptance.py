@@ -23,13 +23,13 @@ import pytest
 
 from defectlaser import (DivergenceError, EffectiveParams,
                          IntegratorSettings, crossing_time,
-                         eigenvalues, gain, gamma_q_ep_resonant, growth_rate,
-                         integrate_full, integrate_reduced, preset,
-                         run_sweep, turning_point, with_value)
+                         eigenvalues, gain, growth_rate, integrate_full,
+                         integrate_reduced, preset, run_sweep, turning_point,
+                         with_value)
 from defectlaser.dynamics import MeanFieldState
 
 from conftest import (GAMMA, GAMMA_M, OMEGA_M, assert_matches_eig,
-                      make_params, random_params)
+                      gamma_q_ep_resonant, make_params, random_params)
 
 
 def verdict(criterion: str, ok: bool, detail: str = "") -> None:

@@ -12,12 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from defectlaser import (EffectiveParams, InvalidParameterError,
                          SingularParameterError, SweepAxis, SweepSpec,
-                         discriminant, eigenvalues, gain, gamma_q_ep_resonant,
-                         locate_ep, preset, run_sweep, solve_nb_fixed_point,
-                         spectrum, turning_point, with_value)
+                         discriminant, eigenvalues, gain, gamma_q_ep, preset,
+                         run_sweep, solve_nb_fixed_point, spectrum,
+                         turning_point, with_value)
 from defectlaser.cli import main as cli_main
 
-from conftest import GAMMA, OMEGA_M, assert_matches_eig, make_params
+from conftest import (GAMMA, OMEGA_M, assert_matches_eig,
+                      gamma_q_ep_resonant, make_params)
 
 WM = OMEGA_M
 
@@ -134,12 +135,19 @@ class TestEigenvalues:
         ("omega_q", -1.0, "omega_m and omega_q must be > 0"),
         ("gamma_q", -1.0, "gamma_q and g_d must be >= 0"),
         ("g_d", -1.0, "gamma_q and g_d must be >= 0"),
-        # NaN fails no comparison: each must be refused, not reach locate_ep
+        # NaN fails no comparison: each must be refused, not reach gamma_q_ep
         ("n_b", math.nan, "n_b must be >= 1"),
         ("omega_q", math.nan, "omega_m and omega_q must be > 0"),
         ("gamma_q", math.nan, "gamma_q and g_d must be >= 0"),
         ("g_d", math.nan, "gamma_q and g_d must be >= 0"),
-        ("gamma_m_eff", math.nan, "gamma_m_eff must not be NaN")])
+        ("gamma_m_eff", math.nan, "gamma_m_eff must not be NaN"),
+        # nor an infinity: an infinite omega_q gave an EP loss of 0.0
+        ("n_b", math.inf, "n_b must be >= 1 and finite"),
+        ("omega_m", math.inf, "omega_m and omega_q must be > 0 and finite"),
+        ("omega_q", math.inf, "omega_m and omega_q must be > 0 and finite"),
+        ("gamma_q", math.inf, "gamma_q and g_d must be >= 0 and finite"),
+        ("g_d", math.inf, "gamma_q and g_d must be >= 0 and finite"),
+        ("gamma_m_eff", -math.inf, "gamma_m_eff must not be NaN or inf")])
     def test_invalid_block_rejected(self, field, value, message):
         with pytest.raises(InvalidParameterError, match=message):
             dataclasses.replace(eff(), **{field: value})
@@ -158,19 +166,6 @@ class TestEigenvalues:
             with pytest.raises(SingularParameterError,
                                match="spectrum at n_b = 1 leaves"):
                 call(e)
-        # a finite EP loss of 2e155, inside the bracket
-        with pytest.raises(SingularParameterError, match="spectrum at n_b"):
-            locate_ep(dataclasses.replace(e, g_d=1e155), (0.0, 1e156))
-
-    def test_overflowing_discriminant_modulus_raises(self):
-        # a finite discriminant whose abs() overflows: the package error
-        # with discriminant's own text, not a bare OverflowError
-        e = EffectiveParams(n_b=1.0, omega_m=1.0, omega_q=0.806e154,
-                            gamma_m_eff=0.0, gamma_q=1.0, g_d=0.5701e154)
-        with pytest.raises(SingularParameterError,
-                           match="^the spectrum at n_b = 1 leaves the "
-                                 "floating-point range$"):
-            locate_ep(e, (0.0, 1e155))
 
     def test_non_finite_eigenvector_norm_raises(self):
         # finite eigenvalues near 1e154 whose eigenvector's squared norm
@@ -268,7 +263,7 @@ def numpy_spectrum(e):
                     fraction_fma(a1.real, c1.imag, a0.real * c0.imag)
                     - fraction_fma(a1.imag, c1.real, a0.imag * c0.real))
     weights = [(abs(x) ** 2, abs(y) ** 2) for x, y in vectors]
-    gq_ep = spectrum._ep_losses(e)[0]
+    gq_ep = spectrum.gamma_q_ep(e)
     return dict(
         E_plus=pair[0], E_minus=pair[1], weights_plus=weights[0],
         weights_minus=weights[1], gap=abs(pair[0] - pair[1]),
@@ -301,7 +296,7 @@ def test_every_field_keeps_numpys_bits():
         gme = rng.uniform(-1.0, 2.0) * (2.0 * math.sqrt(n_b) * g_d + 1e6)
         omega_q = WM if checked % 2 == 0 else WM * (1 + rng.uniform(-0.1, 0.1))
         probe = eff(n_b=n_b, omega_q=omega_q, gamma_m_eff=gme, g_d=g_d)
-        gq_ep = spectrum._ep_losses(probe)[0]
+        gq_ep = spectrum.gamma_q_ep(probe)
         gq = (gme if kind == 0 else gq_ep if kind == 2
               else gq_ep * rng.uniform(0.0, 3.0))
         if gq < 0.0:
@@ -334,16 +329,14 @@ def test_huge_phonon_numbers_write_the_same_rows(tmp_path, n_b):
     assert hashlib.sha256(data).hexdigest()[:12] == HUGE_NB_CSV_SHA256[n_b]
 
 
-class TestLocateEp:
+class TestEpLoss:
     def test_resonant_closed_form_simple(self):
-        res = locate_ep(eff(n_b=1.0, gamma_m_eff=0.0, g_d=1e6), (1e5, 1e7))
-        assert res.found
-        assert res.gamma_q == pytest.approx(2.0e6, rel=1e-12)
+        gq = gamma_q_ep(eff(n_b=1.0, gamma_m_eff=0.0, g_d=1e6))
+        assert gq == pytest.approx(2.0e6, rel=1e-12)
 
     def test_resonant_closed_form_shifted(self):
-        res = locate_ep(eff(n_b=4.0, gamma_m_eff=0.5e6, g_d=1e6), (1e5, 2e7))
-        assert res.found
-        assert res.gamma_q == pytest.approx(4.5e6, rel=1e-12)
+        gq = gamma_q_ep(eff(n_b=4.0, gamma_m_eff=0.5e6, g_d=1e6))
+        assert gq == pytest.approx(4.5e6, rel=1e-12)
 
     def test_off_resonant_matches_dense_scan(self):
         # the second point has 4 n_b g_d^2 < dq^2: no EP, and the closest
@@ -352,29 +345,20 @@ class TestLocateEp:
         assert 4.0 * weak.n_b * weak.g_d ** 2 < (weak.omega_q - WM) ** 2
         for e in (eff(n_b=1.0, omega_q=WM + 0.3e6, gamma_m_eff=0.0, g_d=1e6),
                   weak):
-            res = locate_ep(e, (1e5, 1e7))
-            assert res.found
+            gq = gamma_q_ep(e)
             gqs = np.linspace(1e5, 1e7, 100_000)
-            vals = np.abs([discriminant(e, gamma_q=g) for g in gqs])
+            vals = np.abs([discriminant(dataclasses.replace(e, gamma_q=g))
+                           for g in gqs])
             scan = gqs[int(np.argmin(vals))]
-            assert res.gamma_q == pytest.approx(scan,
-                                                abs=2 * (gqs[1] - gqs[0]))
-            assert res.disc_abs <= vals.min() * (1 + 1e-9)
-        assert res.gamma_q == weak.gamma_m_eff
-
-    def test_not_found_outside_bracket(self):
-        res = locate_ep(eff(n_b=1.0, gamma_m_eff=0.0, g_d=1e6), (1e7, 2e7))
-        assert not res.found
-
-    def test_off_resonant_edge_minimum_not_found(self):
-        e = eff(n_b=1.0, omega_q=WM + 0.3e6, gamma_m_eff=0.0, g_d=1e6)
-        res = locate_ep(e, (1e7, 2e7))  # |disc| monotone on this bracket
-        assert not res.found
+            assert gq == pytest.approx(scan, abs=2 * (gqs[1] - gqs[0]))
+            assert abs(discriminant(dataclasses.replace(e, gamma_q=gq))) \
+                <= vals.min() * (1 + 1e-9)
+        assert gq == weak.gamma_m_eff
 
 
 class TestOneEp:
-    """``eigenvalues``' gamma_q_EP and phase and ``locate_ep`` read one
-    least-|disc| loss, on and off resonance."""
+    """``eigenvalues``' gamma_q_EP and phase read one least-|disc| loss,
+    on and off resonance."""
 
     @pytest.mark.parametrize("n_b, gme, expected, phases", [
         # 4 n_b g_d^2 = 1.6e13 > dq^2 = 9e12: the closest approach, not
@@ -388,14 +372,13 @@ class TestOneEp:
         e = eff(n_b=n_b, omega_q=WM + 3e6, gamma_m_eff=gme, g_d=1e6)
         gq_ep = eigenvalues(e).gamma_q_EP
         assert gq_ep == pytest.approx(expected, rel=1e-12)
-        assert locate_ep(e, (1e5, 1e8)).gamma_q == gq_ep
         for gq, phase in (*phases, (gq_ep, "at-EP")):
             assert eigenvalues(dataclasses.replace(e, gamma_q=gq)).phase \
                 == phase
 
     def test_resonant_bits_unchanged(self):
-        """On resonance gamma_q_EP is gamma_q_ep_resonant bit for bit, the
-        phase follows the resonant rule, and locate_ep finds that loss."""
+        """On resonance gamma_q_EP is gamma_q_ep_resonant bit for bit, and
+        the phase follows the resonant rule."""
         rng = np.random.default_rng(16)
         tol = 1e-9 * WM
         for _ in range(2000):
@@ -412,7 +395,6 @@ class TestOneEp:
             diff = gq - gq_ep
             assert r.phase == ("at-EP" if abs(diff) <= tol else
                                "below-EP" if diff < 0 else "above-EP")
-            assert locate_ep(e, (-1e12, 1e12)).gamma_q == gq_ep
 
     def test_off_resonance_rows_are_noted(self):
         base = make_params(omega_q=OMEGA_M + 3e6)
@@ -434,11 +416,11 @@ class TestOneEp:
 @pytest.mark.parametrize("g_d", [1e-160, 7e-156])
 def test_resonant_ep_loss_exact_where_split_squared_underflows(g_d):
     """2 sqrt(n_b) g_d below ~1.5e-154 squares to a subnormal; the resonant
-    gamma_q_EP and locate_ep's root still equal gamma_q_ep_resonant."""
+    gamma_q_EP still equals gamma_q_ep_resonant."""
     e = eff(n_b=1.0, gamma_m_eff=0.0, g_d=g_d)
     assert gamma_q_ep_resonant(e) == 2.0 * g_d
+    assert gamma_q_ep(e) == 2.0 * g_d
     assert eigenvalues(e).gamma_q_EP == 2.0 * g_d
-    assert locate_ep(e, (0.0, 1.0)).gamma_q == 2.0 * g_d
 
 
 class TestTurningPoint:

@@ -789,9 +789,6 @@ class TestCli:
                      id="ep-locate-nb-nan"),
         pytest.param(("ep-locate", "--nb", "inf"), "n_b must be >= 0",
                      id="ep-locate-nb-inf"),
-        pytest.param(("ep-locate", "--bracket-lo", "2e6",
-                      "--bracket-hi", "1e6"), "bracket",
-                     id="ep-locate-bracket-inverted"),
         pytest.param(("gain-sweep", "--axis", "mechanical.x_zpf:1:2:3"),
                      "unknown field", id="property-x_zpf"),
         pytest.param(("validate-config", "--set",
@@ -1234,6 +1231,48 @@ tls_loss              = 6.43 MHz
         assert err.startswith("error:") and err.count("\n") == 1
         assert "youngs_modulus * mode_volume underflows to 0" in err
 
+    #: README's parameter file with a 1e100 W pump into a 1e-77 rad/s
+    #: cavity: every block's checks pass, yet |a+-| passes 1e154
+    OVERFLOWING_GAIN = """
+[optical]
+cavity_freq   = 1e-100 rad/s
+cavity_loss   = 1e-77 rad/s
+coupling      = 0 rad/s
+radius        = 34.5 um
+pump_power    = 1e100 W
+pump_detuning = 0 rad/s
+
+[mechanical]
+mech_freq = 23.4 2pi.MHz
+mech_loss = 0.24 MHz
+eff_mass  = 50 ng
+
+[tls]
+tls_freq = 23.4 2pi.MHz
+tls_loss = 6.43 MHz
+coupling = 1 MHz
+"""
+
+    def test_overflowing_gain_is_singular(self, tmp_path, capsys):
+        # abs(a+-) ** 2 raised a bare OverflowError: a traceback and exit 1
+        # from each command, and a sweep that wrote no file
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(self.OVERFLOWING_GAIN)
+        message = "the gain's closed forms leave the floating-point range"
+        traj = tmp_path / "traj"
+        for argv in (("validate-config",), ("fixed-point",), ("ep-locate",),
+                     ("integrate", "--model", "reduced", "--out", str(traj))):
+            assert self.run(*argv, "--config", str(cfg)) == 2, argv
+            assert capsys.readouterr().err == f"error: {message}\n", argv
+        assert not traj.exists()
+        assert self.run("gain-sweep", "--config", str(cfg), "--axis",
+                        "tls.tls_loss:1e6:2e6:2", "--mode", "fixed-nb:0",
+                        "--out", str(tmp_path), "--format", "csv") == 0
+        with open(tmp_path / "gain-sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["error"] for row in rows] == [message] * 2
+        assert all(row["G"] == "nan" for row in rows)
+
     @pytest.mark.filterwarnings("ignore:defect coupling")
     def test_underflowing_material_point_lands_in_its_row(self, tmp_path):
         # each endpoint is valid alone; Y = V = 1e-200 together underflow
@@ -1254,9 +1293,39 @@ tls_loss              = 6.43 MHz
     def test_ep_locate(self, capsys):
         assert self.run("ep-locate", "--nb", "4") == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["found"] is True
+        assert set(out) == {"gamma_q_EP", "gamma_q_min", "gamma_m_eff", "n_b"}
         expected = (0.24e6 - gain(base_params(), 4.0).G0) + 2 * 2 * 1e6
         assert out["gamma_q_EP"] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n_b, settings, axis", [
+        ("4", (), "tls.tls_loss:1e6:2e7:3"),
+        # gamma_m_eff > 2 sqrt(n_b) g_d: the lower least-|disc| loss, the
+        # mirror EP, is a positive 1.545e7 rad/s, which no row writes
+        ("1e5", ("--set", "mechanical.mech_loss=6.5e8 rad/s"),
+         "tls.tls_loss:1e7:3e7:2")], ids=["base", "mirror"])
+    def test_ep_locate_prints_what_every_row_writes(self, tmp_path, capsys,
+                                                    n_b, settings, axis):
+        assert self.run("spectrum-sweep", *settings, "--axis", axis,
+                        "--mode", f"fixed-nb:{n_b}", "--out", str(tmp_path),
+                        "--format", "csv") == 0
+        with open(tmp_path / "spectrum-sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        capsys.readouterr()
+        assert self.run("ep-locate", "--nb", n_b, *settings) == 0
+        out = json.loads(capsys.readouterr().out)
+        for row in rows:
+            assert float(row["gamma_q_EP"]) == out["gamma_q_EP"]
+            assert float(row["gamma_q_min"]) == out["gamma_q_min"]
+        if n_b == "1e5":
+            assert out["gamma_q_EP"] == 1280364539.205169
+
+    @pytest.mark.parametrize("flag", ["--bracket-lo", "--bracket-hi"])
+    def test_ep_locate_has_no_bracket(self, capsys, flag):
+        # the EP loss is gamma_q_ep's one value, so there is no range to
+        # search it in
+        assert self.run("ep-locate", flag, "1") == 1
+        assert f"unrecognized arguments: {flag} 1" \
+            in capsys.readouterr().err
 
     def test_off_resonance_sweep_agrees_with_ep_locate(self, tmp_path,
                                                        capsys):
@@ -1283,11 +1352,13 @@ tls_loss              = 6.43 MHz
         return json.loads(text, parse_constant=reject)
 
     def test_ep_locate_without_minimum_prints_strict_json(self, capsys):
-        code = self.run("ep-locate", "--bracket-lo", "1e3",
-                        "--bracket-hi", "2e3")
+        # at 20 uW the net gain puts the EP at a negative defect loss
+        code = self.run("ep-locate", "--set", "optical.pump_power=20 uW")
         assert code == 2
-        out = self.strict_json(capsys.readouterr().out)
-        assert out["found"] is False and out["disc_abs"] is None
+        captured = capsys.readouterr()
+        assert captured.err == "no defect loss gamma_q >= 0 reaches the EP\n"
+        out = self.strict_json(captured.out)
+        assert out["gamma_q_EP"] < 0.0
 
     def test_fixed_point_infinite_residual_prints_strict_json(
             self, capsys, monkeypatch):

@@ -34,6 +34,10 @@ _OFF_RESONANCE = ("defect splitting omega_q is more than omega_m/2 from "
                   "omega_m; the resonant rotating-wave model is inaccurate")
 
 
+# each block check is one chained comparison, so NaN and inf fail it
+_INF = math.inf
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidParameterError(message)
@@ -49,7 +53,8 @@ class MaterialParams:
     """Amorphous-host material data used to derive the defect coupling.
 
     The defect loss ``tls_loss`` is not fixed by material data; it is
-    given alongside it and passed through to the derived TlsParams.
+    given alongside it and passed through to the derived TlsParams,
+    which checks it.
     """
 
     deformation_potential: float = _unit("energy")
@@ -60,10 +65,16 @@ class MaterialParams:
     tls_loss: float = _unit("angular_rate")
 
     def __post_init__(self):
-        _require(self.youngs_modulus > 0, "youngs_modulus must be > 0")
-        _require(self.mode_volume > 0, "mode_volume must be > 0")
-        _require(self.tunnel_splitting >= 0, "tunnel_splitting must be >= 0")
-        _require(self.asymmetry >= 0, "asymmetry must be >= 0")
+        _require(-_INF < self.deformation_potential < _INF,
+                 "deformation_potential must be finite")
+        _require(0 < self.youngs_modulus < _INF,
+                 "youngs_modulus must be > 0 and finite")
+        _require(0 < self.mode_volume < _INF,
+                 "mode_volume must be > 0 and finite")
+        _require(0 <= self.tunnel_splitting < _INF,
+                 "tunnel_splitting must be >= 0 and finite")
+        _require(0 <= self.asymmetry < _INF,
+                 "asymmetry must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,18 @@ class OpticalParams:
     pump_detuning: float = _unit("angular_rate")
 
     def __post_init__(self):
-        _require(self.cavity_loss > 0, "cavity_loss must be > 0")
-        _require(self.coupling >= 0, "coupling must be >= 0")
-        _require(self.pump_power >= 0, "pump_power must be >= 0")
-        _require(self.radius > 0, "radius must be > 0")
-        _require(self.cavity_freq > 0, "cavity_freq must be > 0")
-        _require(self.cavity_freq + self.pump_detuning > 0,
-                 "pump frequency cavity_freq + pump_detuning must be > 0")
+        _require(0 < self.cavity_loss < _INF,
+                 "cavity_loss must be > 0 and finite")
+        _require(0 <= self.coupling < _INF, "coupling must be >= 0 and finite")
+        _require(0 <= self.pump_power < _INF,
+                 "pump_power must be >= 0 and finite")
+        _require(0 < self.radius < _INF, "radius must be > 0 and finite")
+        _require(0 < self.cavity_freq < _INF,
+                 "cavity_freq must be > 0 and finite")
+        # cavity_freq is finite, so this is cavity_freq + pump_detuning > 0
+        _require(-self.cavity_freq < self.pump_detuning < _INF,
+                 "pump_detuning must be finite and > -cavity_freq: the pump "
+                 "frequency cavity_freq + pump_detuning must be > 0")
 
 
 @dataclass(frozen=True)
@@ -96,9 +112,9 @@ class MechanicalParams:
     eff_mass: float = _unit("mass")
 
     def __post_init__(self):
-        _require(self.mech_freq > 0, "mech_freq must be > 0")
-        _require(self.mech_loss > 0, "mech_loss must be > 0")
-        _require(self.eff_mass > 0, "eff_mass must be > 0")
+        _require(0 < self.mech_freq < _INF, "mech_freq must be > 0 and finite")
+        _require(0 < self.mech_loss < _INF, "mech_loss must be > 0 and finite")
+        _require(0 < self.eff_mass < _INF, "eff_mass must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -110,9 +126,10 @@ class TlsParams:
     coupling: float = _unit("angular_rate")
 
     def __post_init__(self):
-        _require(self.tls_freq > 0, "tls_freq must be > 0")
-        _require(self.tls_loss >= 0, "tls_loss must be >= 0")
-        _require(self.coupling >= 0, "coupling (g_d) must be >= 0")
+        _require(0 < self.tls_freq < _INF, "tls_freq must be > 0 and finite")
+        _require(0 <= self.tls_loss < _INF, "tls_loss must be >= 0 and finite")
+        _require(0 <= self.coupling < _INF,
+                 "coupling (g_d) must be >= 0 and finite")
 
 
 # config section -> parameter block, in config order; the sections are

@@ -250,8 +250,11 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     x_minus = 2j * d.omega_plus + 2.0 * gam
     a_plus = d.eps_l * (x_plus + 1j * c.kx * b) / divisor
     a_minus = d.eps_l * (x_minus + 1j * c.kx * b.conjugate()) / divisor
-    return SteadyOptics(a_plus, a_minus, alpha,
-                        abs(a_plus) ** 2 - abs(a_minus) ** 2)
+    try:  # abs(a+-) ** 2 raises past |a+-| ~ 1.3e154, as in ``terms``
+        delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
+    except OverflowError:
+        raise SingularParameterError(_OUT_OF_RANGE) from None
+    return SteadyOptics(a_plus, a_minus, alpha, delta_n)
 
 
 def gain(params: SystemParams, n_b: float) -> GainResult:

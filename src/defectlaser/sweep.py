@@ -98,6 +98,10 @@ class SweepSpec:
     ep_noted: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the name is the stem of each file emit_outputs writes in out_dir
+        if (self.name in ("", ".", "..") or os.sep in self.name
+                or (os.altsep and os.altsep in self.name)):
+            raise SweepError(f"sweep name {self.name!r} is not a file stem")
         if not (1 <= len(self.axes) <= 2):
             raise SweepError("a sweep takes 1 or 2 axes")
         # the inner axis, applied last, would overwrite the outer one

@@ -10,6 +10,7 @@ from defectlaser import (InvalidParameterError, MaterialParams,
                          SingularParameterError, SystemParams, TlsParams,
                          compute_gd, derive_quantities, with_value)
 from defectlaser.constants import EV, HBAR
+from defectlaser.params import GROUPS
 
 from conftest import OMEGA_M, make_params
 
@@ -42,6 +43,23 @@ class TestInvariants:
             TlsParams(tls_freq=0.0, tls_loss=1e6, coupling=1e6)
         with pytest.raises(InvalidParameterError):
             TlsParams(tls_freq=1e8, tls_loss=-1.0, coupling=1e6)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan],
+                             ids=["inf", "nan"])
+    @pytest.mark.parametrize("path", [
+        f"{group}.{f.name}" for group, block in GROUPS.items()
+        for f in dataclasses.fields(block)])
+    def test_rejects_a_non_finite_field(self, path, value):
+        # built, an infinite field fails later in the gain, or (as
+        # youngs_modulus) derives g_d = 0
+        group, _, name = path.partition(".")
+        base = make_params()
+        if group == "material":
+            base = SystemParams(optical=base.optical, mechanical=MECH,
+                                material=silica_material())
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{name}\b.* finite"):
+            with_value(base, path, value)
 
     def test_system_needs_exactly_one_defect_source(self):
         opt = make_params().optical

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -149,6 +150,13 @@ class TestSweepSpec:
             f.name for f in dataclasses.fields(SpectrumResult)}
         with pytest.raises(SweepError, match="unknown quantities"):
             small_spec(quantities=("C",))  # no longer a gain result
+
+    @pytest.mark.parametrize("name", ["", ".", "..", f"..{os.sep}escape",
+                                      f"out{os.sep}fig2b"])
+    def test_rejects_a_name_that_is_not_a_file_stem(self, name):
+        # "../escape" wrote escape.csv and its companions beside out_dir
+        with pytest.raises(SweepError, match="is not a file stem"):
+            small_spec(name=name)
 
     def test_rejects_three_axes(self):
         ax = SweepAxis("tls.tls_loss", 1e6, 2e6, 3)
@@ -887,10 +895,12 @@ class TestCli:
             cfg.write_text(BASE_CONFIG.replace(TLS, MATERIAL))
             argv = [str(cfg) if a == MATERIAL_CONFIG else a for a in argv]
         monkeypatch.chdir(tmp_path)
-        assert self.run(*argv) == EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run(*argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert message in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err and not caught
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("axis", ["a:1:2", "tls.tls_loss:x:1:3"])
@@ -1310,6 +1320,7 @@ coupling = 1 MHz
                         "--format", "csv") == 0
         with open(tmp_path / "spectrum-sweep.csv", newline="") as f:
             rows = list(csv.DictReader(f))
+        assert len(rows) == int(axis.rsplit(":", 1)[1])
         capsys.readouterr()
         assert self.run("ep-locate", "--nb", n_b, *settings) == 0
         out = json.loads(capsys.readouterr().out)
@@ -1636,7 +1647,32 @@ coupling = 1 MHz
             cwd=root, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
 
-    def test_console_script_entrypoint(self):
+    def test_readme_cli_commands_exit_zero(self, tmp_path, monkeypatch,
+                                           capsys):
+        """Each command of README's *Quick start* sh block, in an empty
+        directory where myrun.cfg is the base point's parameter file."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+            block = f.read().split("CLI equivalents:\n\n```sh\n")[1]
+        block = block.split("```")[0].replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines()]
+        assert len(commands) == 6
+        monkeypatch.chdir(tmp_path)
+        assert self.run("validate-config") == 0
+        (tmp_path / "myrun.cfg").write_text(capsys.readouterr().out)
+        for argv in commands:
+            assert argv[0] == "defectlaser"
+            assert self.run(*argv[1:]) == 0, argv
+
+    def test_console_script_entrypoint(self, tmp_path):
         proc = self.run_child("-m", "defectlaser.cli", "--help")
         assert proc.returncode == 0
         assert "gain-sweep" in proc.stdout
+        # a package error leaves the process as its exit code and one line
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(self.OVERFLOWING_GAIN)
+        proc = self.run_child("-m", "defectlaser.cli", "validate-config",
+                              "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: the gain's closed forms leave the "
+                               "floating-point range\n")

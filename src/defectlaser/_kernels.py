@@ -3,6 +3,7 @@ named by a CRC of the source, ``_cx.h``, the flags and the interpreter."""
 
 import os
 import sys
+import threading
 from pathlib import Path
 
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
@@ -31,8 +32,8 @@ def load_kernel(source: str, entry: str, signature: tuple, fallback: str,
             import subprocess
             cmd = kernel_cmd()
             path.parent.mkdir(exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            if subprocess.run([*cmd, str(here / source), "-o", str(tmp)],
+            tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+            if subprocess.run([*cmd, str(here / source), "-o", tmp],
                               capture_output=True).returncode:
                 raise OSError(f"{cmd[0]} could not build {source}")
             os.replace(tmp, path)

@@ -85,10 +85,7 @@ def _parse_axis(text: str) -> SweepAxis:
 
 def _load_params(args, base: SystemParams | None = None) -> SystemParams:
     """--config, else ``base``, else the built-in base; then each --set."""
-    if args.config:
-        params = load_config(args.config)
-    else:
-        params = base_params() if base is None else base
+    params = load_config(args.config) if args.config else base or base_params()
     for assignment in args.overrides:
         params = apply_override(params, assignment)
     return params
@@ -178,8 +175,7 @@ def cmd_ep_locate(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
-    params = _load_params(args)
-    report = solve_nb_fixed_point(params)
+    report = solve_nb_fixed_point(_load_params(args))
     _print_json(asdict(report))
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 

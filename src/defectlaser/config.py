@@ -135,19 +135,19 @@ def params_to_config(params: SystemParams) -> str:
     """
     lines = []
 
-    def block(header, section, values, prefix=""):
+    def block(header, section, sub, prefix=""):
         lines.append(f"{prefix}{header}")
         for key, uc in SCHEMA[section].items():
-            lines.append(f"{prefix}{key} = {format_si(values[key], uc)}")
+            lines.append(f"{prefix}{key} = {format_si(getattr(sub, key), uc)}")
 
     for section in ("optical", "mechanical"):
-        block(f"[{section}]", section, vars(getattr(params, section)))
+        block(f"[{section}]", section, getattr(params, section))
         lines.append("")
     if params.material is not None:
-        block("[material]", "material", vars(params.material))
-        block("derived from [material]:", "tls", vars(params.tls), "# ")
+        block("[material]", "material", params.material)
+        block("derived from [material]:", "tls", params.tls, "# ")
     else:
-        block("[tls]", "tls", vars(params.tls))
+        block("[tls]", "tls", params.tls)
     lines.append("")
     return "\n".join(lines)
 

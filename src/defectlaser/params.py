@@ -3,8 +3,8 @@
 All rates and (angular) frequencies are stored in rad/s, lengths in m,
 masses in kg, powers in W, energies in J, pressures in Pa and volumes in
 m^3; each field's ``unit`` metadata names its unit class, and
-``config.SCHEMA`` is read off it.  Parameter objects are frozen
-dataclasses; a ``SystemParams`` also carries its cached coefficient bundle.
+``config.SCHEMA`` is read off it.  Parameter objects are frozen, slotted
+dataclasses: nothing is stored on them after they are built.
 
 Conventions
 -----------
@@ -48,7 +48,7 @@ def _unit(unit_class: str):
     return field(metadata={"unit": unit_class})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaterialParams:
     """Amorphous-host material data used to derive the defect coupling.
 
@@ -77,7 +77,7 @@ class MaterialParams:
                  "asymmetry must be >= 0 and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpticalParams:
     """Two coupled optical modes plus the coherent pump."""
 
@@ -103,7 +103,7 @@ class OpticalParams:
                  "frequency cavity_freq + pump_detuning must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MechanicalParams:
     """Mechanical breathing mode."""
 
@@ -117,7 +117,7 @@ class MechanicalParams:
         _require(0 < self.eff_mass < _INF, "eff_mass must be > 0 and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TlsParams:
     """Two-level defect coupled to the mechanical mode via strain."""
 
@@ -162,7 +162,7 @@ def compute_gd(material: MaterialParams, mech: MechanicalParams) -> TlsParams:
                      coupling=g_d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemParams:
     """Complete parameter set: optics, mechanics and one defect.
 
@@ -244,8 +244,7 @@ def setter(params: SystemParams, path: str):
     sub = groups[group]
     if sub is None:
         raise InvalidParameterError(f"parameter group {group!r} is not set")
-    # dataclass fields only: methods such as __post_init__ are not settable
-    names = list(sub.__dataclass_fields__)
+    names = sub.__slots__  # the block's fields in order, no method
     if name not in names:
         raise InvalidParameterError(f"unknown field {name!r} in {group!r}")
     if params.material is not None:

@@ -16,7 +16,7 @@ README's *Known model limitation*).
 
 The closed forms depend on the phonon number n_b only through alpha(n_b)
 and the defect denominator.  ``coefficients`` hoists everything else into
-a ``GainCoefficients`` bundle, cached on the (frozen) parameter object,
+a ``GainCoefficients`` bundle, kept for the last parameter set built,
 and ``GainCoefficients.terms`` evaluates G and N_b at one n_b.  ``gain``
 reads it; ``solve_nb_fixed_point`` closes the loop n_b = N_b(G(n_b)) on
 its C transcription (``_fixed_point.c``), bit for bit.
@@ -105,9 +105,9 @@ class GainCoefficients:
     Build it with ``coefficients``.  Python multiplies left to right, so
     a*b*c*n equals (a*b*c)*n bit for bit: each factor is hoisted exactly
     as the closed form groups it, and every result keeps the bits of the
-    closed form written out in full.  The bundle is shared through the
-    parameter object's cache, so it is read-only by contract (not frozen:
-    a frozen ``__init__`` costs about 0.2 us per field).
+    closed form written out in full.  The last bundle built is shared by
+    every call on the same blocks, so it is read-only by contract (not
+    frozen: a frozen ``__init__`` costs about 0.2 us per field).
     """
 
     derived: DerivedQuantities
@@ -167,9 +167,9 @@ class GainCoefficients:
 
 
 _OUT_OF_RANGE = "the gain's closed forms leave the floating-point range"
-# the optical and mechanical blocks of the last build and their 14 fields;
-# strong references, so an ``is`` match is never a reused id
-_last: tuple = (None, None, None)
+# the last build: its optical, mechanical and defect blocks (strong
+# references, so an ``is`` match is never a reused id), 14 fields, bundle
+_last: tuple = (None, None, None, None, None)
 
 
 def _optics(params: SystemParams) -> tuple:
@@ -206,27 +206,27 @@ def _optics(params: SystemParams) -> tuple:
 
 
 def coefficients(params: SystemParams) -> GainCoefficients:
-    """Hoist every n_b-independent factor; cached in ``params.__dict__``.
-    The optics of the last build's very blocks are reused (a defect step)."""
-    if "_coefficients" in params.__dict__:
-        return params.__dict__["_coefficients"]
+    """Hoist every n_b-independent factor.  The last build's very blocks
+    give its bundle back; its optical and mechanical ones, its optics."""
     global _last
     opt, mech, tls = params.optical, params.mechanical, params.tls
     last = _last  # read once: another thread may replace it
-    if last[0] is not opt or last[1] is not mech:
-        last = _last = opt, mech, _optics(params)
+    same = last[0] is opt and last[1] is mech
+    if same and last[2] is tls:
+        return last[4]
+    optics = last[3] if same else _optics(params)
     dq = tls.tls_freq - mech.mech_freq
     try:  # ** raises on overflow
         g2, gq2 = tls.coupling ** 2, tls.tls_loss ** 2
     except OverflowError:
         raise SingularParameterError(_OUT_OF_RANGE) from None
-    c = GainCoefficients(*last[2], tls.coupling, dq, gq2 + dq * dq, 2.0 * g2,
+    c = GainCoefficients(*optics, tls.coupling, dq, gq2 + dq * dq, 2.0 * g2,
                          -g2 * tls.tls_loss)
     # dq is finite by tls_den0, g_d by tls_den_n
     if not math.isfinite(0.0 * c.tls_den0 + 0.0 * c.tls_den_n
                          + 0.0 * c.gd_num):
         raise SingularParameterError(_OUT_OF_RANGE)
-    params.__dict__["_coefficients"] = c
+    _last = opt, mech, tls, optics, c  # only a build that passed every check
     return c
 
 

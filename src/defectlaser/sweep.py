@@ -98,10 +98,7 @@ class SweepSpec:
     ep_noted: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the name is the stem of each file emit_outputs writes in out_dir
-        if (self.name in ("", ".", "..") or os.sep in self.name
-                or (os.altsep and os.altsep in self.name)):
-            raise SweepError(f"sweep name {self.name!r} is not a file stem")
+        _check_stem(self.name)
         if not (1 <= len(self.axes) <= 2):
             raise SweepError("a sweep takes 1 or 2 axes")
         # the inner axis, applied last, would overwrite the outer one
@@ -316,6 +313,13 @@ def _provenance(spec: SweepSpec) -> dict:
     }
 
 
+def _check_stem(name: str) -> str:
+    """``name``, the stem of every file emit_outputs writes, or SweepError."""
+    if name in ("", ".", "..") or {os.sep, os.altsep} & set(name):
+        raise SweepError(f"sweep name {name!r} is not a file stem")
+    return name
+
+
 def check_formats(formats) -> tuple[str, ...]:
     """``formats`` (one name or a sequence) as a tuple; SweepError names
     the first not in {csv, plot}.  The CLI checks before a row runs."""
@@ -336,7 +340,7 @@ def emit_outputs(table: SweepTable, out_dir, formats=("csv", "plot")
     provenance sidecar so identical inputs give identical CSV bytes.
     """
     formats = check_formats(formats)
-    name = table.provenance.get("name", "sweep")
+    name = _check_stem(str(table.provenance.get("name", "sweep")))
     sidecar = {**table.provenance, "written_at_unix": int(time.time())}
     # every text is rendered before a file is opened, so one that fails
     # to render writes nothing

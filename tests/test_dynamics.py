@@ -2,8 +2,14 @@ import ctypes
 import functools
 import io
 import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1075,3 +1081,42 @@ class TestCompiledKernel:
             outcome(integrate_full, fig2_params, None, s)  # no second warning
         assert py[0].meta["rk4"] == "python" and c[1] is not None
         assert_same_bits(c, py)
+
+    def test_threads_building_at_once_each_get_the_kernel(self, tmp_path):
+        """4 threads of one process build the kernel of an empty
+        ``__pycache__`` at once, behind a barrier, and no build is renamed
+        before all 4 are written: each compiles to its own temporary file,
+        so none loses its build to another's rename."""
+        here = Path(dynamics.__file__).resolve().parent
+        shutil.copytree(here, tmp_path / "defectlaser",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        probe = textwrap.dedent("""
+            import subprocess, threading
+            from defectlaser import dynamics
+            barrier, got, run = threading.Barrier(4), [], subprocess.run
+            def compile_all(*args, **kwargs):
+                done = run(*args, **kwargs)
+                barrier.wait()
+                return done
+            subprocess.run = compile_all
+            def build():
+                barrier.wait()
+                got.append(dynamics._kernel.__wrapped__() is not None)
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            print(dynamics.__file__, got)
+            """)
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        run = subprocess.run([sys.executable, "-W", "always", "-c", probe],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        where = tmp_path / "defectlaser" / "dynamics.py"
+        assert run.stdout == f"{where} [True, True, True, True]\n"
+        assert run.stderr == ""  # no RuntimeWarning: no thread fell back
+        built = sorted(p.name for p in (tmp_path / "defectlaser"
+                                        / "__pycache__").glob("_rk4.*"))
+        assert len(built) == 1 and built[0].endswith(".so"), built

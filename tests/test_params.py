@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import pytest
@@ -9,6 +11,7 @@ from defectlaser import (InvalidParameterError, MaterialParams,
                          MechanicalParams, OpticalParams,
                          SingularParameterError, SystemParams, TlsParams,
                          compute_gd, derive_quantities, with_value)
+from defectlaser.config import params_from_config, params_to_config
 from defectlaser.constants import EV, HBAR
 from defectlaser.params import GROUPS
 
@@ -236,3 +239,59 @@ class TestWithValue:
             with_value(fig2_params, "optical.finesse", 1.0)
         with pytest.raises(InvalidParameterError):
             with_value(fig2_params, "pump_power", 1.0)
+
+
+def material_set() -> SystemParams:
+    return SystemParams(optical=make_params().optical, mechanical=MECH,
+                        material=silica_material())
+
+
+def set_bits(obj):
+    """Every field of a parameter set, nested, each float as float.hex."""
+    if obj is None or isinstance(obj, float):
+        return obj if obj is None else obj.hex()
+    return [(f.name, set_bits(getattr(obj, f.name)))
+            for f in dataclasses.fields(obj)]
+
+
+class TestSlottedBlocks:
+    """Parameter objects are frozen and slotted: they have no instance
+    dict, so nothing can be stored on them, and every copy of a set is an
+    equal set with the same bits."""
+
+    def test_no_parameter_class_has_an_instance_dict(self):
+        p = material_set()
+        blocks = (p, p.optical, p.mechanical, p.tls, p.material)
+        assert {type(b) for b in blocks} == {SystemParams, *GROUPS.values()}
+        for b in blocks:
+            assert not hasattr(b, "__dict__"), type(b)
+            assert type(b).__slots__ == tuple(
+                f.name for f in dataclasses.fields(b))
+            with pytest.raises(AttributeError):
+                object.__setattr__(b, "_coefficients", None)
+
+    @pytest.mark.parametrize("make", [make_params, material_set],
+                             ids=["tls", "material"])
+    def test_every_copy_is_the_same_set(self, make):
+        p = make()
+        copies = {f"pickle-{proto}": pickle.loads(pickle.dumps(p, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)}
+        copies.update({
+            "copy": copy.copy(p), "deepcopy": copy.deepcopy(p),
+            "replace": dataclasses.replace(p),
+            "replace-block": dataclasses.replace(
+                p, optical=dataclasses.replace(p.optical)),
+            # a set material re-derives the defect from the new mechanics
+            "with_value": with_value(p, "mechanical.mech_freq",
+                                     p.mechanical.mech_freq),
+            "config": params_from_config(params_to_config(p)),
+        })
+        for how, q in copies.items():
+            assert q == p and hash(q) == hash(p), how
+            assert repr(q) == repr(p) and set_bits(q) == set_bits(p), how
+            assert (q.material is None) == (p.material is None), how
+        # each block of the set on its own, too
+        for block in (p.optical, p.mechanical, p.tls, p.material):
+            if block is not None:
+                q = pickle.loads(pickle.dumps(block))
+                assert q == block and set_bits(q) == set_bits(block)

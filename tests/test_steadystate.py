@@ -616,7 +616,8 @@ class TestFixedPointKernel:
                                                   kernel_returns, fig2_params,
                                                   case):
         """Where the map raises, the kernel returns 0 and the loop raises.
-        The two overflows come from a bundle patched into the cache: at
+        The two overflows come from a bundle patched into the entry of the
+        last build, which ``coefficients`` returns for its blocks: at
         alpha = 0.1 a numerator of 3.7e307 (1 + i) makes abs(a+) overflow,
         and one of 1e200 makes abs(a+) ** 2 overflow; ``terms`` raises
         either as the package error, not a bare OverflowError."""
@@ -624,10 +625,13 @@ class TestFixedPointKernel:
             p = make_params(gamma=1e-90, pump_detuning=1e-90, coupling_j=0.0)
         else:
             p = fig2_params
-            p.__dict__["_coefficients"] = dataclasses.replace(
-                coefficients(p), alpha0=0.1, alpha_n=0.0, dg2=0.0, dg_im=0j,
-                num_plus=complex(3.7e307, 3.7e307) if case == "abs"
-                else complex(1e200, 0.0))
+            coefficients(p)
+            *blocks, bundle = steadystate._last
+            monkeypatch.setattr(steadystate, "_last", (
+                *blocks, dataclasses.replace(
+                    bundle, alpha0=0.1, alpha_n=0.0, dg2=0.0, dg_im=0j,
+                    num_plus=complex(3.7e307, 3.7e307) if case == "abs"
+                    else complex(1e200, 0.0))))
         raised = []
         for solve in (solve_nb_fixed_point, functools.partial(
                 python_loop, monkeypatch)):
@@ -726,15 +730,16 @@ def bundle_bits(c):
             return x.real.hex(), x.imag.hex()
         if isinstance(x, float):
             return x.hex()
-        return [bits(v) for v in vars(x).values()]  # DerivedQuantities
+        return [bits(getattr(x, f.name))  # DerivedQuantities
+                for f in dataclasses.fields(x)]
     return [(f.name, bits(getattr(c, f.name))) for f in dataclasses.fields(c)]
 
 
 def fresh_bundle(monkeypatch, p):
-    """The bundle ``coefficients`` builds for a copy of ``p`` (no bundle
-    cached on it) with no earlier build to take the optics from."""
-    monkeypatch.setattr(steadystate, "_last", (None, None, None))
-    return coefficients(dataclasses.replace(p))
+    """The bundle ``coefficients`` builds for ``p`` with no earlier build
+    to take the bundle or the optics from."""
+    monkeypatch.setattr(steadystate, "_last", (None,) * 5)
+    return coefficients(p)
 
 
 @pytest.fixture
@@ -752,40 +757,55 @@ def derive_calls(monkeypatch):
 
 
 class TestCoefficientCache:
-    """``coefficients`` builds one bundle per parameter object and keeps it
-    on that object; nothing else about the object changes."""
+    """``coefficients`` keeps one entry, the last build's blocks and
+    bundle, in ``steadystate``; it writes nothing to a parameter object."""
 
     def test_one_bundle_per_object(self, fig2_params):
         assert coefficients(fig2_params) is coefficients(fig2_params)
 
     def test_object_unchanged_by_the_bundle(self):
-        p, twin = make_params(), make_params()
-        before = (hash(p), repr(p), params_to_config(p))
-        coefficients(p)
-        assert "_coefficients" in vars(p)
-        assert p == twin and twin == p
-        assert (hash(p), repr(p), params_to_config(p)) == before
-        q = pickle.loads(pickle.dumps(p))
-        assert q == twin and hash(q) == hash(twin) and repr(q) == repr(twin)
-        assert coefficients(q) == coefficients(twin) == coefficients(p)
+        def material_set():  # a tls block derived afresh by each build
+            p = make_params()
+            return SystemParams(p.optical, p.mechanical,
+                                material=MaterialParams(1.6e-19, OMEGA_M, 0.0,
+                                                        72e9, 1e-19, 1e6))
+        for make in (make_params, material_set):
+            p, twin = make(), make()
+            before = (hash(p), repr(p), params_to_config(p), pickle.dumps(p))
+            coefficients(p)
+            assert not hasattr(p, "__dict__")
+            assert p == twin and twin == p
+            assert (hash(p), repr(p), params_to_config(p),
+                    pickle.dumps(p)) == before
+            q = pickle.loads(pickle.dumps(p))
+            assert q == twin and hash(q) == hash(twin)
+            assert repr(q) == repr(twin)
+            assert coefficients(q) == coefficients(twin) == coefficients(p)
 
     def test_child_gets_its_own_bundle(self, fig2_params):
         parent = coefficients(fig2_params)
+        bits = bundle_bits(parent)
         child = with_value(fig2_params, "optical.pump_power",
                            4.0 * fig2_params.optical.pump_power)
-        assert "_coefficients" not in vars(child)
         assert coefficients(child) is not parent
         assert coefficients(child).derived.eps_l == pytest.approx(
             2.0 * parent.derived.eps_l, rel=1e-15)
-        assert coefficients(fig2_params) is parent
+        # the parent's bundle is left as it was, and a rebuild gives its bits
+        assert bundle_bits(parent) == bits
+        assert bundle_bits(coefficients(fig2_params)) == bits
 
-    def test_out_of_range_bundle_is_not_cached(self):
+    def test_out_of_range_bundle_is_not_cached(self, fig2_params,
+                                                derive_calls):
         # 2J = omega_m at the base point, so nj = 4 gamma^2 underflows to 0
         p = make_params(gamma=1e-300)
+        coefficients(fig2_params)
+        entry = steadystate._last
         for _ in range(2):
             with pytest.raises(SingularParameterError, match="is 0"):
                 coefficients(p)
-        assert "_coefficients" not in p.__dict__
+        # neither raising build replaced the entry, so each derived again
+        assert steadystate._last is entry
+        assert derive_calls == [fig2_params, p, p]
 
     def test_overflowing_numerator_is_out_of_range(self):
         # eps_l ~ 1.26e154 and omega_-+ = -+1.3e154: every other coefficient
@@ -867,9 +887,9 @@ class TestCoefficientCache:
             assert bundle_bits(c) == bundle_bits(fresh_bundle(monkeypatch, q))
         # an equal block that is another object is a new block: ``is``
         p, twin = make_params(), make_params()
-        coefficients(p)
+        c = coefficients(p)
         n = len(derive_calls)
-        assert coefficients(twin) == coefficients(p)
+        assert bundle_bits(coefficients(twin)) == bundle_bits(c)
         assert derive_calls[n:] == [twin]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -888,9 +908,9 @@ class TestCoefficientCache:
             with pytest.raises(SingularParameterError) as err:
                 build(q)
             raised.append(str(err.value))
+            assert steadystate._last[2] is not q.tls  # no bundle left behind
         assert derive_calls == [p, mock.ANY]  # the first took the optics
         assert raised[0] == raised[1] == steadystate._OUT_OF_RANGE
-        assert "_coefficients" not in vars(q)
 
     def test_fixed_point_gain_and_optics_share_one_bundle(self, derive_calls):
         calls = derive_calls
@@ -905,8 +925,8 @@ class TestCoefficientCache:
 
 
 class TestInputsFrozenRecordsPlain:
-    """Inputs are frozen: they are hashed, compared, and a SystemParams
-    carries the coefficient cache.  Results are plain dataclasses, built
+    """Inputs are frozen: they are hashed and compared, and ``coefficients``
+    keeps the blocks of its last build.  Results are plain dataclasses, built
     fresh by every call, which keep the dataclass protocol."""
 
     INPUTS = {  # each builds a new object, equal to the last one built

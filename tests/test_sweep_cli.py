@@ -153,10 +153,17 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("name", ["", ".", "..", f"..{os.sep}escape",
                                       f"out{os.sep}fig2b"])
-    def test_rejects_a_name_that_is_not_a_file_stem(self, name):
-        # "../escape" wrote escape.csv and its companions beside out_dir
-        with pytest.raises(SweepError, match="is not a file stem"):
+    def test_rejects_a_name_that_is_not_a_file_stem(self, tmp_path, name):
+        # "../escape" wrote escape.csv and its companions beside out_dir,
+        # from a spec and from a table built by hand, which names its
+        # files through its provenance
+        message = f"sweep name {name!r} is not a file stem"
+        with pytest.raises(SweepError, match=message):
             small_spec(name=name)
+        table = SweepTable(("x",), ((1.0,),), {"name": name})
+        with pytest.raises(SweepError, match=message):
+            emit_outputs(table, tmp_path / "out" / "in", "csv")
+        assert list(tmp_path.rglob("*")) == []
 
     def test_rejects_three_axes(self):
         ax = SweepAxis("tls.tls_loss", 1e6, 2e6, 3)

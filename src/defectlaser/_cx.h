@@ -3,10 +3,8 @@
 
    An operation is CPython's _Py_c_sum, _Py_c_diff, _Py_c_prod or
    _Py_c_quot, one rounding per operation, left to right (the kernels are
-   built with -ffp-contract=off, so no multiply-add is fused).  F promotes
-   a float operand to (x, 0.0) as CPython 3.11 does, for _fixed_point.c;
-   _rk4.c scales by a real factor without it and uses F only to hold its
-   real components.  Every helper is forced inline. */
+   built with -ffp-contract=off, so no multiply-add is fused).  F holds a
+   real component of _rk4.c as (x, 0.0).  Every helper is forced inline. */
 
 #ifndef DEFECTLASER_CX_H
 #define DEFECTLASER_CX_H
@@ -27,13 +25,14 @@ INLINE cx mul(cx a, cx b)
 }
 INLINE cx conj_(cx a) { return C(a.re, -a.im); }
 
-/* _Py_c_quot without its zero-divisor branch, which no caller reaches.
-   Every divisor is sqrt 8 (alpha - 2i gamma Delta) (_fixed_point.c),
-   reached only after alpha^2 + 4 Delta^2 gamma^2 != 0 has passed: if
-   alpha != 0 its real part sqrt 8 alpha is nonzero (sqrt 8 > 1, so it
-   cannot underflow); if alpha = 0 the check gives 4 Delta^2 gamma^2 != 0,
-   so 2 gamma Delta and the imaginary part are nonzero.  A NaN divisor
-   takes the last branch, as in CPython. */
+/* _Py_c_quot without its zero-divisor and NaN-divisor branches.  Every
+   divisor is terms' sqrt 8 alpha + i dg_div (_fixed_point.c), dg_div
+   finite, reached only after alpha^2 + 4 Delta^2 gamma^2 != 0 has
+   passed: if alpha != 0 its real part sqrt 8 alpha is nonzero (sqrt 8 >
+   1, so it cannot underflow); if alpha = 0 the check gives 4 Delta^2
+   gamma^2 != 0, so 2 gamma Delta and the imaginary part are nonzero.  An
+   infinite alpha takes the first branch; a NaN one (alpha_n = 0 at an
+   infinite n) the second, whose NaN quotient the kernel faults on. */
 INLINE cx quot(cx a, cx b)
 {
     const double abs_br = b.re < 0 ? -b.re : b.re;
@@ -43,12 +42,9 @@ INLINE cx quot(cx a, cx b)
         const double denom = b.re + b.im * ratio;
         return C((a.re + a.im * ratio) / denom, (a.im - a.re * ratio) / denom);
     }
-    if (abs_bi >= abs_br) {
-        const double ratio = b.re / b.im;
-        const double denom = b.re * ratio + b.im;
-        return C((a.re * ratio + a.im) / denom, (a.im * ratio - a.re) / denom);
-    }
-    return C(NAN, NAN);
+    const double ratio = b.re / b.im;
+    const double denom = b.re * ratio + b.im;
+    return C((a.re * ratio + a.im) / denom, (a.im * ratio - a.re) / denom);
 }
 
 #endif

@@ -6,25 +6,27 @@
    and bisection to adjacent floats), operation for operation as CPython
    3.11 evaluates them, so every report is bit-identical to the Python
    loop's (the tests pin this against the loop on the running
-   interpreter).  The complex arithmetic is _cx.h's.
+   interpreter).  The complex quotient is _cx.h's.
 
+   The kernel keeps only finite arithmetic: where an abs or a square is
+   not finite it faults, so every infinity and NaN is the Python loop's.
    The map calls the libm functions CPython calls, so it gets their bits
    from the same libm: exp (math.exp), hypot (abs of a complex, through
-   _Py_c_abs) and pow (float ** 2, through float_pow's special cases and
-   errno test).  The library leaves the three undefined, so they resolve
-   to the interpreter's own libm.  Build with -fno-builtin: gcc otherwise
-   folds pow(x, 2.0) into x * x, which differs from libm pow in the last
-   bit for about one input in a thousand.  fabs clears the sign bit
-   through a union, not a call, so no other function is called.
+   _Py_c_abs) and pow (float ** 2, through float_pow's errno test).  The
+   library leaves the three undefined, so they resolve to the
+   interpreter's own libm.  Build with -fno-builtin: gcc otherwise folds
+   pow(x, 2.0) into x * x, which differs from libm pow in the last bit
+   for about one input in a thousand.  fabs clears the sign bit through a
+   union, not a call, so no other function is called.
 
-   Arguments: w, the 17 coefficients (their order is set in
+   Arguments: w, the 16 coefficients (their order is set in
    steadystate.py) followed by room for the five outputs; tol and
    max_iter, steadystate._TOL and _MAX_ITER.  The loop starts at 0.  On
-   return w[17..21] hold n_b_star, residual, iterations, converged and
+   return w[16..20] hold n_b_star, residual, iterations, converged and
    whether the bisection ran.
 
-   Returns 1, or 0 where CPython raises instead (a singular elimination,
-   a zero defect denominator, an abs or a square that overflows) or where
+   Returns 1, or 0 where an abs or a square is not finite, where CPython
+   raises (a singular elimination, a zero defect denominator) or where
    the cycle test would outgrow its table: the caller then replays the
    Python loop, which raises or answers the same. */
 
@@ -34,9 +36,8 @@
 
 #include "_cx.h"
 
-enum { ALPHA0, ALPHA_N, DG2, DG_RE, DG_IM, NUMP_RE, NUMP_IM, NUMM_RE,
-       NUMM_IM, G0, G0_PUMP, G_D, TLS_DEN0, TLS_DEN_N, GD_NUM, GAMMA_M,
-       SQRT8, NCOEF };
+enum { ALPHA0, ALPHA_N, DG2, DG_DIV, NUMP_RE, NUMP_IM, NUMM_RE, NUMM_IM,
+       G0, G0_PUMP, G_D, TLS_DEN0, TLS_DEN_N, GD_NUM, GAMMA_M, SQRT8, NCOEF };
 
 #define RELAXATION 0.5 /* steadystate._RELAXATION */
 #define EXP_MAX 700.0  /* steadystate._EXP_MAX */
@@ -52,36 +53,14 @@ INLINE double fabs_(double x)
 INLINE int isfinite_(double x) { return fabs_(x) <= DBL_MAX; }
 INLINE double max1(double x) { return x > 1.0 ? x : 1.0; } /* max(1.0, x) */
 
-/* abs(z) of a Python complex (_Py_c_abs); a fault where it overflows */
-INLINE double c_abs(cx z, int *fault)
+/* abs(z) ** 2 of a Python complex (_Py_c_abs, then float_pow); a fault
+   where it raises or is not finite */
+INLINE double abs_sq(cx z, int *fault)
 {
-    if (!isfinite_(z.re) || !isfinite_(z.im)) {
-        if (z.re == HUGE_VAL || z.re == -HUGE_VAL
-            || z.im == HUGE_VAL || z.im == -HUGE_VAL)
-            return HUGE_VAL;
-        return NAN;
-    }
-    const double r = hypot(z.re, z.im);
-    if (!isfinite_(r))
-        *fault = 1;
-    return r;
-}
-
-/* x ** 2 of a Python float (float_pow); a fault where it raises */
-INLINE double sq(double x, int *fault)
-{
-    if (x != x)
-        return x;
-    if (x == HUGE_VAL || x == -HUGE_VAL || x == 0.0)
-        return x * x;
-    if (x < 0.0)
-        x = -x;
-    if (x == 1.0)
-        return 1.0;
+    const double h = hypot(z.re, z.im);
     errno = 0;
-    const double r = pow(x, 2.0);
-    if (errno == 0 ? (r == HUGE_VAL || r == -HUGE_VAL)
-                   : !(errno == ERANGE && r == 0.0))
+    const double r = pow(h, 2.0);
+    if (errno == 0 ? !isfinite_(r) : !(errno == ERANGE && r == 0.0))
         *fault = 1;
     return r;
 }
@@ -95,12 +74,10 @@ INLINE double nb_map(const double *c, double n, int *fault)
         *fault = 1;
         return 0.0;
     }
-    const cx denom = mul(F(c[SQRT8]), sub(F(alpha), C(c[DG_RE], c[DG_IM])));
-    const double abs_plus = c_abs(quot(C(c[NUMP_RE], c[NUMP_IM]), denom),
-                                  fault);
-    const double abs_minus = c_abs(quot(C(c[NUMM_RE], c[NUMM_IM]), denom),
-                                   fault);
-    const double delta_n = sq(abs_plus, fault) - sq(abs_minus, fault);
+    const cx denom = C(c[SQRT8] * alpha, c[DG_DIV]); /* terms' divisor */
+    const double delta_n =
+        abs_sq(quot(C(c[NUMP_RE], c[NUMP_IM]), denom), fault)
+        - abs_sq(quot(C(c[NUMM_RE], c[NUMM_IM]), denom), fault);
     double Gd = 0.0;
     if (c[G_D] != 0.0) { /* terms' tls_den is None at g_d = 0 */
         const double den = c[TLS_DEN0] + c[TLS_DEN_N] * n;

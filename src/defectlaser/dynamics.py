@@ -24,6 +24,7 @@ seed); growth windows should sit a safe factor above that floor.
 
 from __future__ import annotations
 
+import cmath
 import ctypes
 import functools
 import math
@@ -163,6 +164,9 @@ def _solve(params: SystemParams, settings: IntegratorSettings | None, rhs,
     coefficients), on raw addresses of arrays made here and held for the
     call, or ``_run_rk4`` where that returns 0.
     ``fill(states)`` fills in place the columns the steps leave out."""
+    for name, v in zip(fields, y0):  # not a blow-up at the first step
+        if not cmath.isfinite(v):
+            raise InvalidParameterError(f"initial {name} is {v}, not finite")
     settings = settings or _default_settings(params)
     rate = _fastest_rate(params)
     notes = []

@@ -41,8 +41,8 @@ _TOL = 1e-10  # the fixed point's relative residual tolerance
 _MAX_ITER = 200  # damped steps before the bisection fallback
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = 2.0 * _SQRT2
-_pack_17 = struct.Struct("17d").pack_into  # the fixed-point kernel's inputs
-_ROOM = bytes(8 * 22)  # 17 in, 5 out; one per solve, as ctypes frees the GIL
+_pack_16 = struct.Struct("16d").pack_into  # the fixed-point kernel's inputs
+_ROOM = bytes(8 * 21)  # 16 in, 5 out; one per solve, as ctypes frees the GIL
 _SINGULAR_SUPERMODES = ("alpha^2 + 4 Delta^2 gamma^2 vanished; supermode "
                         "elimination is singular (requires gamma = 0 and "
                         "alpha = 0)")
@@ -118,8 +118,8 @@ class GainCoefficients:
     nj: float           # dj^2 + 4 gamma^2
     alpha0: float       # alpha(n) = alpha0 + alpha_n * n
     alpha_n: float
-    dg2: float          # alpha^2 + dg2 = |alpha - dg_im|^2
-    dg_im: complex      # 2i gamma Delta
+    dg2: float          # alpha^2 + dg2 = |alpha - 2i gamma Delta|^2
+    dg_div: float       # sqrt 8 (0 - 2 gamma Delta), the divisor's imag
     num_plus: complex   # eps_l x+-, x+- = 2i omega_-+ + 2 gamma: the
     num_minus: complex  # numerators of a+- at b = 0
     g0: float           # G0 = g0 * (delta_n - g0_pump / denom_sq)
@@ -143,7 +143,7 @@ class GainCoefficients:
         denom_sq = alpha * alpha + self.dg2
         if denom_sq == 0.0:
             raise SingularParameterError(_SINGULAR_SUPERMODES)
-        denom = _SQRT8 * (alpha - self.dg_im)
+        denom = complex(_SQRT8 * alpha, self.dg_div)  # not promoted (README)
         a_plus, a_minus = self.num_plus / denom, self.num_minus / denom
         try:  # abs(a+-) ** 2 raises past |a+-| ~ 1.3e154
             delta_n = abs(a_plus) ** 2 - abs(a_minus) ** 2
@@ -193,7 +193,7 @@ def _optics(params: SystemParams) -> tuple:
     num_plus = d.eps_l * (2j * d.omega_minus + 2.0 * gam)
     num_minus = d.eps_l * (2j * d.omega_plus + 2.0 * gam)
     # 0.0 * x is nan unless x is finite.  The values left out are finite
-    # when these are: d.eps_l by eps2, kx by alpha_n, dj by nj, dg_im by dg2,
+    # when these are: d.eps_l by eps2, kx by alpha_n, dj by nj, dg_div by dg2,
     # and steady_optics' x+- by num_+-.  num_+- are not: eps_l ~ 1e154
     # times omega_-+ ~ 1e154 overflows
     if not cmath.isfinite(0.0 * mech.mech_loss + 0.0 * eps2 + 0.0 * nj
@@ -202,7 +202,8 @@ def _optics(params: SystemParams) -> tuple:
                           + 0.0 * g0_pump):
         raise SingularParameterError(_OUT_OF_RANGE)
     return (d, mech.mech_loss, eps2, kx, dj, nj, alpha0, alpha_n, dg2,
-            2j * gam * delta, num_plus, num_minus, g0, g0_pump)
+            _SQRT8 * (0.0 - 2.0 * gam * delta), num_plus, num_minus, g0,
+            g0_pump)
 
 
 def coefficients(params: SystemParams) -> GainCoefficients:
@@ -244,7 +245,7 @@ def steady_optics(params: SystemParams, b: complex, n_b: float) -> SteadyOptics:
     alpha = c.alpha0 + c.alpha_n * n_b
     if alpha * alpha + c.dg2 == 0.0:
         raise SingularParameterError(_SINGULAR_SUPERMODES)
-    divisor = _SQRT8 * (alpha - c.dg_im)
+    divisor = complex(_SQRT8 * alpha, c.dg_div)  # as ``terms`` forms it
     d, gam = c.derived, params.optical.cavity_loss
     x_plus = 2j * d.omega_minus + 2.0 * gam  # x+- as _optics forms them
     x_minus = 2j * d.omega_plus + 2.0 * gam
@@ -315,13 +316,13 @@ def solve_nb_fixed_point(params: SystemParams) -> FixedPointReport:
     c = coefficients(params)
     if lib := _kernel():
         w = array("d", _ROOM)
-        _pack_17(w, 0, c.alpha0, c.alpha_n, c.dg2, c.dg_im.real, c.dg_im.imag,
-                 c.num_plus.real, c.num_plus.imag, c.num_minus.real,
-                 c.num_minus.imag, c.g0, c.g0_pump, c.g_d, c.tls_den0,
-                 c.tls_den_n, c.gd_num, c.gamma_m, _SQRT8)
+        _pack_16(w, 0, c.alpha0, c.alpha_n, c.dg2, c.dg_div, c.num_plus.real,
+                 c.num_plus.imag, c.num_minus.real, c.num_minus.imag, c.g0,
+                 c.g0_pump, c.g_d, c.tls_den0, c.tls_den_n, c.gd_num,
+                 c.gamma_m, _SQRT8)
         if lib.fixed_point(w.buffer_info()[0], _TOL, _MAX_ITER):
-            return FixedPointReport(w[17], int(w[19]), w[18], w[20] == 1.0,
-                                    "bisection" if w[21] else "damped")
+            return FixedPointReport(w[16], int(w[18]), w[17], w[19] == 1.0,
+                                    "bisection" if w[20] else "damped")
     terms = c.terms
     evaluations = 0
 

@@ -395,6 +395,9 @@ print('wrote', here / PNG)
 
 
 def _plot_script(table: SweepTable, name: str) -> str:
+    if not table.provenance.get("axes"):  # a table built by hand
+        raise SweepError("a plot script needs provenance['axes'], which is "
+                         "missing or empty")
     *outer, x = table.provenance["axes"]
     numeric = [c for c in table.columns[len(outer) + 1:-1] if c not in _TEXT]
     return _PLOT_SCRIPT % (x["path"], outer[0]["path"] if outer else None,

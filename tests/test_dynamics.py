@@ -1,14 +1,16 @@
 import ctypes
 import functools
 import io
+import itertools
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -647,6 +649,24 @@ class TestGrowthRateFit:
         assert min(seen.values()) > 100, seen
 
 
+def non_finite_starts():
+    """Each field of each model's start at nan and at inf, under both
+    methods.  Such a start was integrated and reported as a blow-up at
+    the first step (DivergenceError: non-finite state at t = 1e-10 s)."""
+    for integrate, state in ((integrate_full, MeanFieldState),
+                             (integrate_reduced, ReducedState)):
+        for name in (f.name for f in fields(state)):
+            for x, method in itertools.product((math.nan, math.inf),
+                                               ("rk4", "dop853")):
+                value = x if name == "sigma_z" else complex(x, 0.0)
+                yield pytest.param(
+                    functools.partial(
+                        integrate, make_params(), state(**{name: value}),
+                        replace(settings_for(1e-7), method=method)),
+                    re.escape(f"initial {name} is {value}, not finite"),
+                    id=f"{state.__name__}-{name}-{x}-{method}")
+
+
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: IntegratorSettings(dt=1e-9, t_final=1e-6,
                                             method="euler"),
@@ -677,6 +697,7 @@ class TestGrowthRateFit:
                                            delta_n_mode="adiabatic"),
                  "delta_n_mode must be 'frozen' or 'full-closure'",
                  id="unknown-delta-n-mode"),
+    *non_finite_starts(),
 ])
 def test_malformed_dynamics_input_is_rejected(build, message):
     with pytest.raises(InvalidParameterError, match=message):

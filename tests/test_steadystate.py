@@ -30,7 +30,7 @@ from defectlaser import dynamics, steadystate, sweep
 from defectlaser.config import params_from_config, params_to_config
 from defectlaser.constants import HBAR
 from defectlaser.params import derive_quantities, setter
-from defectlaser.presets import FIGURE_PRESETS
+from defectlaser.presets import FIGURE_PRESETS, base_params
 from defectlaser.steadystate import coefficients
 
 from conftest import (GAMMA, GAMMA_M, OMEGA_M, Elimination, make_params,
@@ -178,6 +178,15 @@ class TestGain:
     def test_stimulated_phonon_number_relation(self, fig2_params):
         g = gain(fig2_params, 2.0)
         assert g.N_b == math.exp(2.0 * (g.G - GAMMA_M) / GAMMA_M)
+
+    def test_overflowing_alpha_takes_the_limit(self):
+        """alpha(n_b) overflows past n_b ~ 8.1e301 at the base point: the
+        divisor sqrt 8 alpha + i dg_div is infinite, not nan, so a+- and
+        G0 are their limit 0 and every other field is finite."""
+        g = gain(base_params(), 1e305)
+        assert g.alpha == math.inf and g.G0 == 0.0 and g.delta_n == 0.0
+        assert all(math.isfinite(v) for k, v in vars(g).items()
+                   if k != "alpha")
 
     def test_undamped_resonant_defect_is_singular(self):
         p = make_params(gamma_q=0.0)
@@ -341,7 +350,7 @@ class TestFixedPoint:
         """One sha256 over n_b*, residual (both as float.hex), iterations,
         method and converged of every row of the six self-consistent
         presets (3471 rows).  A speed-up keeps these bits; a new root
-        finder (ROADMAP item 5) moves them on purpose and recaptures it."""
+        finder (ROADMAP item 26) moves them on purpose and recaptures it."""
         digest, rows = hashlib.sha256(), 0
         for name in FIGURE_PRESETS:
             spec = preset(name)
@@ -567,6 +576,15 @@ def kernel_returns(monkeypatch):
     return returns
 
 
+def patch_last_bundle(monkeypatch, p, **changes):
+    """Put ``p``'s bundle with ``changes`` into the entry of the last
+    build, which ``coefficients`` returns for ``p``'s blocks."""
+    coefficients(p)
+    *blocks, bundle = steadystate._last
+    monkeypatch.setattr(steadystate, "_last", (
+        *blocks, dataclasses.replace(bundle, **changes)))
+
+
 def python_loop(monkeypatch, p):
     """The same solve through the Python loop, the kernel's oracle."""
     with monkeypatch.context() as m:
@@ -625,13 +643,10 @@ class TestFixedPointKernel:
             p = make_params(gamma=1e-90, pump_detuning=1e-90, coupling_j=0.0)
         else:
             p = fig2_params
-            coefficients(p)
-            *blocks, bundle = steadystate._last
-            monkeypatch.setattr(steadystate, "_last", (
-                *blocks, dataclasses.replace(
-                    bundle, alpha0=0.1, alpha_n=0.0, dg2=0.0, dg_im=0j,
-                    num_plus=complex(3.7e307, 3.7e307) if case == "abs"
-                    else complex(1e200, 0.0))))
+            patch_last_bundle(
+                monkeypatch, p, alpha0=0.1, alpha_n=0.0, dg2=0.0, dg_div=0.0,
+                num_plus=complex(3.7e307, 3.7e307) if case == "abs"
+                else complex(1e200, 0.0))
         raised = []
         for solve in (solve_nb_fixed_point, functools.partial(
                 python_loop, monkeypatch)):
@@ -641,6 +656,33 @@ class TestFixedPointKernel:
         assert raised[0] == raised[1] and kernel_returns == [0]
         assert (raised[0] == steadystate._OUT_OF_RANGE) \
             == (case != "singular")
+
+    def test_infinite_amplitude_replays_the_loop(self, monkeypatch,
+                                                 kernel_returns, fig2_params):
+        """At alpha = 0.1 a numerator of 1e308 (1 + i) gives an infinite
+        a+, with which CPython carries on (abs(a+) ** 2 is inf): the kernel
+        keeps only finite arithmetic, so it returns 0 and the loop
+        answers."""
+        patch_last_bundle(monkeypatch, fig2_params, alpha0=0.1, alpha_n=0.0,
+                          dg2=0.0, dg_div=0.0, num_plus=complex(1e308, 1e308))
+        a_plus = coefficients(fig2_params).terms(0.0)[2]
+        assert math.isinf(a_plus.real) and math.isinf(a_plus.imag)
+        c = solve_nb_fixed_point(fig2_params)
+        assert kernel_returns == [0]
+        assert report_bits(c) == report_bits(
+            python_loop(monkeypatch, fig2_params))
+
+    def test_overflowing_alpha_is_answered_by_the_kernel(
+            self, monkeypatch, kernel_returns, fig2_params):
+        """With alpha_n = 1e308, alpha(n) overflows for n > 1.8, as it
+        does past n ~ 8.1e301 at the base point: a+- and G0 take their
+        limit 0 in both loops, so the kernel answers, with the loop's
+        bits."""
+        p = with_value(fig2_params, "optical.pump_power", 1e-3)
+        patch_last_bundle(monkeypatch, p, alpha_n=1e308)
+        c = solve_nb_fixed_point(p)
+        assert kernel_returns == [1] and c.method == "bisection"
+        assert report_bits(c) == report_bits(python_loop(monkeypatch, p))
 
     def test_threads_each_solve_in_their_own_room(self, monkeypatch):
         """4 threads solve the seed-0 ``sweep-selfconsistent`` rows at once;

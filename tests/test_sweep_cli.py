@@ -567,6 +567,21 @@ class TestEmit:
         assert os.path.getsize(out1["provenance"]) \
             == os.path.getsize(out2["provenance"])
 
+    @pytest.mark.parametrize("provenance", [{"name": "hand"},
+                                            {"name": "hand", "axes": []}],
+                             ids=["missing", "empty"])
+    def test_plot_needs_the_axes(self, tmp_path, provenance):
+        # a hand-built table raised a bare KeyError: 'axes'
+        table = SweepTable(("x", "y"), ((1.0, 2.0),), provenance)
+        with pytest.raises(SweepError, match=r"provenance\['axes'\]"):
+            emit_outputs(table, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+        manifest = emit_outputs(table, tmp_path / "out", formats="csv")
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "hand.csv", "hand.provenance.json"] == sorted(
+                os.path.basename(path) for path in manifest.values())
+        assert open(manifest["csv"]).read() == "x,y\n1,2\n"
+
     def test_plot_script_is_self_contained(self, tmp_path):
         table = run_sweep(small_spec())
         out = emit_outputs(table, tmp_path)
@@ -1007,6 +1022,21 @@ class TestCli:
         for row in rows:
             assert "leaves the floating-point range" in row["error"]
             assert row["E_plus_re"] == "nan" and row["phase"] == ""
+
+    def test_overflowing_alpha_gives_finite_rows(self, tmp_path):
+        """At n_b = 1e305 alpha(n_b) overflows: a+- and G0 are their limit
+        0, so every cell is finite and no row is an error, and ep-locate
+        answers on the same gain."""
+        assert self.run("gain-sweep", "--axis", "tls.tls_loss:1e6:2e6:2",
+                        "--mode", "fixed-nb:1e305", "--out", str(tmp_path),
+                        "--format", "csv") == 0
+        with open(tmp_path / "gain-sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        for row in rows:
+            assert row.pop("error") == ""
+            assert all(math.isfinite(float(v)) for v in row.values()), row
+        assert self.run("ep-locate", "--nb", "1e305") == 0
 
     def test_failed_write_is_io_error(self, tmp_path, capsys):
         (tmp_path / "fig2a.csv").mkdir()

@@ -116,7 +116,11 @@ class Trajectory:
             raise InvalidParameterError("times must be strictly increasing")
 
     def column(self, name: str) -> np.ndarray:
-        return self.states[:, self.fields.index(name)]
+        try:
+            return self.states[:, self.fields.index(name)]
+        except ValueError:
+            raise InvalidParameterError(
+                f"no column {name!r} in {self.fields}") from None
 
     @property
     def abs_b(self) -> np.ndarray:

@@ -62,7 +62,7 @@ class SpectrumResult:
     E_minus: complex
     weights_plus: tuple[float, float]   # (|phonon|^2, |defect|^2), sums to 1
     weights_minus: tuple[float, float]
-    gap: float
+    gap: float                          # |sqrt(disc)| = |E+ - E-|, uncancelled
     gamma_q_EP: float
     gamma_q_min: float
     phase: str                          # below-EP | at-EP | above-EP
@@ -137,7 +137,7 @@ def eigenvalues(eff: EffectiveParams) -> SpectrumResult:
 
     return SpectrumResult(E_plus=e_plus, E_minus=e_minus,
                           weights_plus=w_plus, weights_minus=w_minus,
-                          gap=abs(e_plus - e_minus),
+                          gap=abs(root),
                           gamma_q_EP=gq_ep,
                           gamma_q_min=turning_point(eff),
                           phase=phase, eigvec_overlap=overlap,

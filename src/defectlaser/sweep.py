@@ -243,7 +243,10 @@ class SweepTable:
     provenance: dict = field(default_factory=dict)
 
     def column(self, name: str) -> list:
-        i = self.columns.index(name)
+        try:
+            i = self.columns.index(name)
+        except ValueError:
+            raise SweepError(f"no column {name!r} in {self.columns}") from None
         return [r[i] for r in self.rows]
 
     def to_csv_text(self) -> str:
@@ -395,10 +398,13 @@ print('wrote', here / PNG)
 
 
 def _plot_script(table: SweepTable, name: str) -> str:
-    if not table.provenance.get("axes"):  # a table built by hand
-        raise SweepError("a plot script needs provenance['axes'], which is "
-                         "missing or empty")
-    *outer, x = table.provenance["axes"]
+    axes = table.provenance.get("axes")  # a table built by hand may lack it
+    if not (isinstance(axes, list) and 1 <= len(axes) <= 2 and all(
+            isinstance(ax, dict) and isinstance(ax.get("path"), str)
+            and ax.get("scale") in ("linear", "log") for ax in axes)):
+        raise SweepError("a plot needs provenance['axes']: 1 or 2 dicts with "
+                         f"a str path and a linear or log scale: {axes!r}")
+    *outer, x = axes
     numeric = [c for c in table.columns[len(outer) + 1:-1] if c not in _TEXT]
     return _PLOT_SCRIPT % (x["path"], outer[0]["path"] if outer else None,
                            x["scale"] == "log", numeric, f"{name}.csv",

@@ -1,6 +1,8 @@
 import cmath
 import math
 import types
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,8 @@ import scipy.integrate
 
 from defectlaser import (MechanicalParams, OpticalParams, SystemParams,
                          TlsParams, discriminant, dynamics, eigenvalues,
-                         integrate_reduced)
+                         integrate_reduced, steadystate)
+from defectlaser.constants import HBAR
 
 OMEGA_M = 2.0 * math.pi * 23.4e6
 GAMMA = 6.43e6
@@ -94,6 +97,128 @@ def assert_matches_eig(eff) -> bool:
     assert mismatch <= 1e-12, (
         f"closed form and 2x2 diagonalization disagree: {mismatch:.3e}")
     return True
+
+
+def _dec(q: Fraction) -> Decimal:
+    """``q`` rounded once to the Decimal context's precision."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def principal_sqrt(re: Fraction, im: Fraction,
+                   zero_sign: float = 1.0) -> tuple[Decimal, Decimal]:
+    """The square root of re + i im whose real part is >= 0, to the Decimal
+    context's precision, with no difference that cancels.  A negative real
+    with im = 0 has its root on the side of ``zero_sign``: cmath.sqrt takes
+    the sign of a zero imaginary part, which a Fraction does not carry."""
+    mod = _dec(re * re + im * im).sqrt()
+    if re >= 0:
+        x = ((mod + _dec(re)) / 2).sqrt()
+        return x, (_dec(im) / (2 * x) if x else Decimal(0))
+    y = ((mod - _dec(re)) / 2).sqrt()
+    y = -y if im < 0 or im == 0 and zero_sign < 0 else y
+    return _dec(im) / (2 * y), y
+
+
+def exact_spectrum(eff, zero_sign: float = 1.0) -> dict:
+    """Every printed spectrum column of ``eff``'s block from its doubles,
+    to 60 digits: E_plus and E_minus as (re, im), gap, L, gamma_q_EP,
+    gamma_q_min and phase, independently of ``spectrum``.
+
+    With x = gamma_q - gamma_m_eff, z = dq - i x and kappa^2 = n_b g_d^2,
+    the discriminant 4 kappa^2 + z^2 is exact in Fractions; r is its
+    principal root (``zero_sign`` as in ``principal_sqrt``) and
+    E+- = center +- r/2.  E+- - a = (z +- r)/2 and E+- - d = (+-r - z)/2,
+    so the eigenvector (kappa, E - a) or (E - d, kappa), whichever is
+    longer, gives the weights without subtracting eigenvalues.  A block
+    with kappa = 0 and a = d, where any vector is one, is not covered.
+    """
+    n, g2 = Fraction(eff.n_b), Fraction(eff.g_d) ** 2
+    w_m, w_q = Fraction(eff.omega_m), Fraction(eff.omega_q)
+    g_m, g_q = Fraction(eff.gamma_m_eff), Fraction(eff.gamma_q)
+    dq, x, kappa2 = w_q - w_m, g_q - g_m, n * g2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rr, ri = principal_sqrt(4 * kappa2 + dq * dq - x * x, -2 * dq * x,
+                                zero_sign)
+        half = n - Fraction(1, 2)
+        c_re, c_im = _dec(half * w_m + w_q / 2), _dec(-half * g_m - g_q / 2)
+        z_re, z_im, k2 = _dec(dq), _dec(-x), _dec(kappa2)
+        ep = _dec(g_m) + _dec(max(Fraction(0), 4 * kappa2 - dq * dq)).sqrt()
+        at_ep = abs(_dec(g_q) - ep) <= Decimal(1e-9) * _dec(w_m)
+        out = dict(gap=(rr * rr + ri * ri).sqrt(), L=Decimal(0),
+                   gamma_q_EP=ep,
+                   gamma_q_min=_dec(dq * dq + 2 * kappa2).sqrt(),
+                   phase="at-EP" if at_ep
+                   else "below-EP" if g_q < ep else "above-EP")
+        for name, s in (("E_plus", 1), ("E_minus", -1)):
+            out[name] = (c_re + s * rr / 2, c_im + s * ri / 2)
+            p2 = (z_re + s * rr) ** 2 + (z_im + s * ri) ** 2  # |2 (E - a)|^2
+            q2 = (s * rr - z_re) ** 2 + (s * ri - z_im) ** 2  # |2 (E - d)|^2
+            w = k2 / (k2 + p2 / 4) if p2 >= q2 else q2 / (q2 + 4 * k2)
+            out["L"] = max(out["L"], abs(2 * w - 1))  # |w_phonon - w_defect|
+    return out
+
+
+def exact_gain(params: SystemParams, n: float) -> dict:
+    """G0, Gd, G and delta_n at phonon number n, exact in Fractions from the
+    parameter doubles and HBAR, by the two-pole closed form
+    G = g0 Delta omega_m eps^2 / (alpha^2 + 4 Delta^2 gamma^2)
+        - g_d^2 gamma_q / (gamma_q^2 + dq^2 + 2 g_d^2 n),
+    alpha = J^2 + gamma^2 - Delta^2 + kx^2 n / 4,
+    g0 = kx^2 gamma / (2 ((2J - omega_m)^2 + 4 gamma^2)),
+    kx^2 = (omega_c / R)^2 hbar / (2 m omega_m),
+    eps^2 = 2 P gamma / (hbar (omega_c + Delta)), and
+    delta_n = 2 J Delta eps^2 / (alpha^2 + 4 Delta^2 gamma^2), from
+    |x+|^2 - |x-|^2 = 16 Delta J."""
+    opt, mech, tls = params.optical, params.mechanical, params.tls
+    w_c, gam, J, delta = (Fraction(v) for v in (
+        opt.cavity_freq, opt.cavity_loss, opt.coupling, opt.pump_detuning))
+    w_m, hbar, n = Fraction(mech.mech_freq), Fraction(HBAR), Fraction(n)
+    kx2 = (w_c / Fraction(opt.radius)) ** 2 * hbar / (
+        2 * Fraction(mech.eff_mass) * w_m)
+    eps2 = 2 * Fraction(opt.pump_power) * gam / (hbar * (w_c + delta))
+    alpha = J * J + gam * gam - delta * delta + kx2 * n / 4
+    denom = alpha * alpha + 4 * delta * delta * gam * gam
+    g0 = kx2 * gam / (2 * ((2 * J - w_m) ** 2 + 4 * gam * gam))
+    g_d, g_q = Fraction(tls.coupling), Fraction(tls.tls_loss)
+    dq = Fraction(tls.tls_freq) - w_m
+    G0 = g0 * delta * w_m * eps2 / denom
+    Gd = -g_d * g_d * g_q / (g_q * g_q + dq * dq + 2 * g_d * g_d * n)
+    return dict(G0=G0, Gd=Gd, G=G0 + Gd, delta_n=2 * J * delta * eps2 / denom)
+
+
+def exact_nb_star(params: SystemParams, near: float) -> Decimal:
+    """The root nearest ``near`` of h(n) = ln n - 2 (G(n) - gamma_m) /
+    gamma_m, the self-consistent n_b = N_b(G(n_b)), to 40 digits: G is
+    what ``GainCoefficients.terms`` rounds, from the bundle's fields
+    (a+- = num+- / (sqrt8 alpha + i dg_div), sqrt8 the double it reads)
+    with every operation at 40 digits; secant steps from ``near``."""
+    c = steadystate.coefficients(params)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        (a0, a_n, dg2, dg_div, g0, g0_pump, den0, den_n, gd_num, gamma_m,
+         sqrt8) = map(Decimal, (
+             c.alpha0, c.alpha_n, c.dg2, c.dg_div, c.g0, c.g0_pump,
+             c.tls_den0, c.tls_den_n, c.gd_num, c.gamma_m, steadystate._SQRT8))
+        num = sum(s * Decimal(v) ** 2 for s, z in ((1, c.num_plus),
+                  (-1, c.num_minus)) for v in (z.real, z.imag))
+
+        def h(n):
+            alpha = a0 + a_n * n
+            G = g0 * (num / ((sqrt8 * alpha) ** 2 + dg_div ** 2)
+                      - g0_pump / (alpha * alpha + dg2))
+            if c.g_d:
+                G += gd_num / (den0 + den_n * n)
+            return n.ln() - 2 * (G - gamma_m) / gamma_m
+
+        x0, x1 = Decimal(near), Decimal(near) * (1 + Decimal("1e-9"))
+        h0, h1 = h(x0), h(x1)
+        for _ in range(50):
+            if h1 == h0 or abs(x1 - x0) <= abs(x1) * Decimal("1e-36"):
+                return x1
+            x0, x1 = x1, x1 - h1 * (x1 - x0) / (h1 - h0)
+            h0, h1 = h1, h(x1)
+        raise AssertionError(f"no root of h near {near!r}")
 
 
 class Elimination:

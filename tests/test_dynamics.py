@@ -761,6 +761,14 @@ class TestTrajectoryIO:
             assert len(want.splitlines()) == 1 + len(traj.times) > 100
             assert path.read_bytes() == want.encode()
 
+    def test_unknown_column_names_the_fields(self, fig2_params):
+        traj = integrate_full(fig2_params, None, settings_for(1e-8))
+        assert traj.column("b").shape == traj.times.shape
+        with pytest.raises(InvalidParameterError,
+                           match=r"no column 'p' in \('a_plus', 'a_minus', "
+                                 r"'b', 'sigma_minus', 'sigma_z'\)"):
+            traj.column("p")
+
     def test_reduced_csv_fields(self, tmp_path, fig2_params):
         s = settings_for(2e-7, stride=10)
         traj = integrate_reduced(fig2_params, None, s)

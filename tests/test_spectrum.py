@@ -237,8 +237,9 @@ def numpy_spectrum(e):
     transcribed: ``np.linalg.norm`` as sqrt(ddot(re) + ddot(im)) whose
     OpenBLAS ddot fused its second product and ``v / norm`` as
     v * (1 / norm) per component, each fused multiply-add through
-    ``fraction_fma``; but the overlap as the plain |<v+|v->|.  Second,
-    that overlap as ``np.vdot`` rounded it, through OpenBLAS's zdotc."""
+    ``fraction_fma``; but the overlap as the plain |<v+|v->| and the gap
+    as |sqrt(disc)|, not numpy's cancelling |E+ - E-|.  Second, that
+    overlap as ``np.vdot`` rounded it, through OpenBLAS's zdotc."""
     zm = e.omega_m - 1j * e.gamma_m_eff
     zq = e.omega_q - 1j * e.gamma_q
     center = (e.n_b - 0.5) * zm + 0.5 * zq
@@ -266,7 +267,7 @@ def numpy_spectrum(e):
     gq_ep = spectrum.gamma_q_ep(e)
     return dict(
         E_plus=pair[0], E_minus=pair[1], weights_plus=weights[0],
-        weights_minus=weights[1], gap=abs(pair[0] - pair[1]),
+        weights_minus=weights[1], gap=abs(root),
         gamma_q_EP=gq_ep, gamma_q_min=turning_point(e),
         phase=("at-EP" if abs(e.gamma_q - gq_ep) <= 1e-9 * e.omega_m
                else "below-EP" if e.gamma_q < gq_ep else "above-EP"),
@@ -312,9 +313,10 @@ def test_every_field_keeps_numpys_bits():
 
 
 #: sha256 prefixes of ``spectrum-sweep --axis tls.tls_loss:1e6:2e6:2
-#: --mode fixed-nb:N`` as the numpy code wrote it: finite eigenvalues near
-#: 1e288 and 1e298, then the overflow of 1e300 as the row's error
-HUGE_NB_CSV_SHA256 = {"1e280": "64f6164e5a5e", "1e290": "bfb773efa5d0",
+#: --mode fixed-nb:N``: finite eigenvalues near 1e288 and 1e298 whose gap
+#: |sqrt(disc)| is 2e146 and 2e151 (|E+ - E-| rounded both to 0), then
+#: the overflow of 1e300 as the row's error
+HUGE_NB_CSV_SHA256 = {"1e280": "1a5d694be7a2", "1e290": "5271ebbaaf04",
                       "1e300": "a72c90218507"}
 
 

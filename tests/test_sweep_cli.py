@@ -95,7 +95,7 @@ PRESET_CSV_SHA256 = {
     "fig2b": ("ef7ac52a7e12", "5513b6f8f225"),
     "fig3a": ("a7103696cf6a", "3001583f9d56"),
     "fig3b": ("72d5c747f5f9", "7e1a1b4474a2"),
-    "fig4": ("3494f08fdc69", "5fe5f197d960"),
+    "fig4": ("76e7a0a984b7", "5fe5f197d960"),
     "fig5": ("edcb29bfdaf3", "10b8c9977a8b"),
     "fig6a": ("bbe8f306ce9d", "8b63cc0bee14"),
     "fig6b": ("e58136a597ba", "c601d26d1660"),
@@ -567,11 +567,16 @@ class TestEmit:
         assert os.path.getsize(out1["provenance"]) \
             == os.path.getsize(out2["provenance"])
 
-    @pytest.mark.parametrize("provenance", [{"name": "hand"},
-                                            {"name": "hand", "axes": []}],
-                             ids=["missing", "empty"])
-    def test_plot_needs_the_axes(self, tmp_path, provenance):
-        # a hand-built table raised a bare KeyError: 'axes'
+    @pytest.mark.parametrize("axes", [
+        None, [], [{}], [{"path": "x"}], "xy",
+        [{"path": p, "scale": "linear"} for p in ("w", "v", "x")]],
+        ids=["missing", "empty", "no-path", "no-scale", "not-a-list",
+             "three-axes"])
+    def test_plot_needs_the_axes(self, tmp_path, axes):
+        # a hand-built table raised a bare KeyError ('axes', 'path' or
+        # 'scale') or a TypeError, or plotted three axes as two
+        provenance = {"name": "hand"} if axes is None else {"name": "hand",
+                                                            "axes": axes}
         table = SweepTable(("x", "y"), ((1.0, 2.0),), provenance)
         with pytest.raises(SweepError, match=r"provenance\['axes'\]"):
             emit_outputs(table, tmp_path / "out")
@@ -581,6 +586,13 @@ class TestEmit:
             "hand.csv", "hand.provenance.json"] == sorted(
                 os.path.basename(path) for path in manifest.values())
         assert open(manifest["csv"]).read() == "x,y\n1,2\n"
+
+    def test_unknown_column_names_the_known_ones(self):
+        table = SweepTable(("tls.tls_loss", "G", "error"), ((1.0, 2.0, ""),))
+        assert table.column("G") == [2.0]
+        with pytest.raises(SweepError, match=r"no column 'nope' in "
+                           r"\('tls.tls_loss', 'G', 'error'\)"):
+            table.column("nope")
 
     def test_plot_script_is_self_contained(self, tmp_path):
         table = run_sweep(small_spec())
